@@ -136,8 +136,21 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1/2``, ``-0.5`` and ``-inf`` as values, not as unknown options.
+
+    argparse only knows ``-3`` and ``-.5`` as negative numbers, so
+    ``--target -1/2`` would fail with "expected one argument".  Subparsers
+    are built with the parent's class and inherit this.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+|inf)$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meanweave",
         description=(
             "Classify attainable running-average limits of rational "

@@ -4,6 +4,11 @@ Everything here is exact — averages are rationals, interval membership is
 decided by rational comparison, and the brute-force envelope oracle
 enumerates subsets.  Floating point appears only in the decimal rendering
 of CSV output, which is display-only.
+
+A trace keeps its running sum as the unreduced integer pair of
+``RunningAverage``; an entry builds ``partial_sum`` and ``average`` as
+Fractions only when they are read, and the tube, schedule and identity
+checks compare by integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
 from .extreal import ExtendedReal, as_fraction
-from .rearrange import Rearrangement
+from .rearrange import Rearrangement, RunningAverage
 
 __all__ = [
     "TraceEntry",
@@ -37,13 +42,85 @@ __all__ = [
     "decimal_str",
 ]
 
+_FIELDS = ("n", "source_index", "value", "partial_sum", "average")
 
-class TraceEntry(NamedTuple):
-    n: int
-    source_index: int
-    value: Fraction
-    partial_sum: Fraction
-    average: Fraction
+
+class TraceEntry:
+    """One trace position: ``(n, source_index, value, partial_sum, average)``.
+
+    The sum is held as an integer pair ``_num/_den`` (not necessarily
+    reduced).  ``_avg`` is the explicit average of a hand-built or CSV-read
+    entry, which may disagree with its sum; for a live entry it stays None
+    until ``average`` is read.  Equality, hashing, indexing and iteration
+    follow the 5-tuple of values.
+    """
+
+    __slots__ = ("n", "source_index", "value", "_num", "_den", "_sum", "_avg")
+
+    def __init__(self, n, source_index, value, partial_sum, average):
+        self.n = n
+        self.source_index = source_index
+        self.value = value
+        self._num = partial_sum.numerator
+        self._den = partial_sum.denominator
+        self._sum = partial_sum
+        self._avg = average
+
+    @property
+    def partial_sum(self) -> Fraction:
+        s = self._sum
+        if s is None:
+            s = self._sum = Fraction(self._num, self._den)
+        return s
+
+    @property
+    def average(self) -> Fraction:
+        a = self._avg
+        if a is None:
+            a = self._avg = Fraction(self._num, self._den * self.n)
+        return a
+
+    def _average_pair(self) -> Tuple[int, int]:
+        """The average as ``(p, q)`` with ``q > 0``, built without a Fraction."""
+        a = self._avg
+        if a is None:
+            return self._num, self._den * self.n
+        return a.numerator, a.denominator
+
+    def __iter__(self):
+        return iter((self.n, self.source_index, self.value,
+                     self.partial_sum, self.average))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return getattr(self, _FIELDS[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (TraceEntry, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(_FIELDS, self))
+        return f"TraceEntry({body})"
+
+
+_new_entry = object.__new__
+
+
+def _live_entry(n, source_index, value, num, den) -> TraceEntry:
+    e = _new_entry(TraceEntry)
+    e.n = n
+    e.source_index = source_index
+    e.value = value
+    e._num = num
+    e._den = den
+    e._sum = e._avg = None
+    return e
 
 
 @dataclass
@@ -64,12 +141,12 @@ class Trace:
 
 def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterator[TraceEntry]:
     """Stream trace entries without materializing them."""
-    total = Fraction(0)
-    count = 0
+    acc = RunningAverage()
+    add = acc.add
     for src, value in r.stream():
-        count += 1
-        total += value
-        yield TraceEntry(count, src, value, total, total / count)
+        add(value)
+        count = acc.n
+        yield _live_entry(count, src, value, acc.num, acc.den)
         if n is not None and count >= n:
             return
 
@@ -150,20 +227,22 @@ def check_tube(t, target, eps, from_index: int = 1) -> bool:
     if target.is_finite:
         lo = target.value - eps
         hi = target.value + eps
-        for entry in _entries(t):
-            if entry.n >= from_index and not (lo < entry.average < hi):
-                return False
-        return True
-    threshold = 1 / eps
-    if target.is_pos_inf:
-        for entry in _entries(t):
-            if entry.n >= from_index and not entry.average > threshold:
-                return False
-        return True
+    elif target.is_pos_inf:
+        lo, hi = 1 / eps, None
+    else:
+        lo, hi = None, -1 / eps
     for entry in _entries(t):
-        if entry.n >= from_index and not entry.average < -threshold:
+        if entry.n >= from_index and not _inside(entry, lo, hi):
             return False
     return True
+
+
+def _inside(entry: TraceEntry, lo: Optional[Fraction], hi: Optional[Fraction]) -> bool:
+    """lo < average < hi by cross-multiplication; a None bound is unbounded."""
+    p, q = entry._average_pair()
+    if lo is not None and lo.numerator * q >= p * lo.denominator:
+        return False
+    return hi is None or p * hi.denominator < hi.numerator * q
 
 
 def check_schedule(t, schedule) -> bool:
@@ -176,18 +255,26 @@ def check_schedule(t, schedule) -> bool:
     if not entries:
         return True
     idx = -1
-    lo = hi = None
+    lo_n = lo_d = hi_n = hi_d = None
     next_from = entries[0].from_index
     for te in _entries(t):
-        while next_from is not None and te.n >= next_from:
+        n = te.n
+        while next_from is not None and n >= next_from:
             idx += 1
-            lo, hi = entries[idx].lo, entries[idx].hi
+            w = entries[idx]
+            lo_n, lo_d = w.lo.numerator, w.lo.denominator
+            hi_n, hi_d = w.hi.numerator, w.hi.denominator
             next_from = (
                 entries[idx + 1].from_index if idx + 1 < len(entries) else None
             )
         if idx < 0:
             continue
-        if not (lo < te.average < hi):
+        a = te._avg  # TraceEntry._average_pair, inlined for long replays
+        if a is None:
+            p, q = te._num, te._den * n
+        else:
+            p, q = a.numerator, a.denominator
+        if not (lo_n * q < p * lo_d and p * hi_d < hi_n * q):
             return False
     return True
 
@@ -228,23 +315,27 @@ def envelope_oracle(values, k: int) -> EnvelopeReport:
 def verify_trace_identities(t, limit: Optional[int] = None) -> bool:
     """Exact sum/recurrence/jump identities at every entry (zero tolerance).
 
-    average*n == partial_sum; the recurrence
-    average_n == average_{n-1}*(n-1)/n + value_n/n; and the jump identity
-    average_{n-1} - average_n == (average_{n-1} - value_n)/n.
+    average*n == partial_sum, and the recurrence
+    average_n == average_{n-1}*(n-1)/n + value_n/n.  The jump identity
+    average_{n-1} - average_n == (average_{n-1} - value_n)/n is the same
+    equation rearranged, so it holds exactly when the recurrence does.
+    Both are checked by integer cross-multiplication; a live entry's average
+    is its sum over n, so only an explicit average can break the first.
     """
-    prev_avg = None
+    prev = None
     for entry in _entries(t):
-        if limit is not None and entry.n > limit:
+        n = entry.n
+        if limit is not None and n > limit:
             break
-        if entry.average * entry.n != entry.partial_sum:
+        p, q = entry._average_pair()
+        if entry._avg is not None and p * n * entry._den != entry._num * q:
             return False
-        if prev_avg is not None:
-            n = entry.n
-            if entry.average != prev_avg * (n - 1) / n + entry.value / n:
+        if prev is not None:
+            pp, pq = prev
+            vn, vd = entry.value.numerator, entry.value.denominator
+            if n * p * pq * vd != q * ((n - 1) * pp * vd + vn * pq):
                 return False
-            if prev_avg - entry.average != (prev_avg - entry.value) / n:
-                return False
-        prev_avg = entry.average
+        prev = p, q
     return True
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: pinned outputs, exit codes, artifacts."""
 
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -168,6 +169,29 @@ def test_construct_realize_accepts_a_point_set(tmp_path):
     assert out.splitlines()[3] == "final average: 417/400 (1.0425)"
 
 
+def test_construct_accepts_a_negative_rational_target(tmp_path):
+    base = tmp_path / "neg"
+    code, out, err = run(
+        "construct", "interleave(const(-1), const(1/3))", "--target", "-1/2",
+        "--n", "1000", "--out", str(base),
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "constructor: bounded_target[-1/2]"
+    assert out.splitlines()[3] == "final average: -187/375 (-0.498667)"
+
+
+def test_verify_tube_accepts_a_negative_rational_target(tmp_path):
+    base = tmp_path / "neg"
+    run("construct", "--target=-1/2", "--n", "1000", "--out", str(base),
+        "interleave(const(-1), const(1/3))")
+    trace_path = str(base) + ".trace.csv"
+    code, out, err = run("verify", trace_path, "--tube", "-1/2", "1/10", "--from", "500")
+    assert (code, err) == (0, "")
+    assert out == "identities: PASS\ntube target=-1/2 eps=1/10 from=500: PASS\n"
+    code, out, _ = run("verify", trace_path, "--tube", "-inf", "1/10")
+    assert code == 1 and out.endswith("tube target=-inf eps=1/10 from=1: FAIL\n")
+
+
 def test_construct_rejects_unreachable_target():
     code, _, err = run(
         "construct", "--target", "-1", "--n", "100",
@@ -183,3 +207,33 @@ def test_identical_commands_produce_byte_identical_artifacts(tmp_path):
     run(*argv, "--out", str(b))
     assert (tmp_path / "a.trace.csv").read_bytes() == (tmp_path / "b.trace.csv").read_bytes()
     assert (tmp_path / "a.perm.txt").read_bytes() == (tmp_path / "b.perm.txt").read_bytes()
+
+
+# SHA-256 of (BASE.perm.txt, BASE.trace.csv), recorded before the trace kept
+# its running sum as an integer pair; any change in the written bytes fails.
+PINNED_ARTIFACTS = [
+    (
+        ["--target", "1/2", "--n", "2000", "interleave(const(1/3), linear())"],
+        "befb85520c6332f7ca8526f6443f96d636fb45949ade574fc2f074b861cc1dc0",
+        "e6cca02cd0a286e1e04610c5eca440be136d5e282901d19b8f6e807dd1146faa",
+    ),
+    (
+        ["--realize", "{1/4, 3/4}", "--n", "3000", FOUR_STRANDS],
+        "882e6d28dfb37f48e2c340c5508512322a95f81b8b7dd0a8eddd33a7a7c1adb9",
+        "63741cf65590ea8ed9763b772393335cfa0dbe3ebbcbdbdeb258d3c740b446da",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, perm_sha, trace_sha", PINNED_ARTIFACTS, ids=["target", "realize"]
+)
+def test_construct_artifacts_match_pinned_digests(tmp_path, argv, perm_sha, trace_sha):
+    base = tmp_path / "pin"
+    code, _, err = run("construct", *argv, "--out", str(base))
+    assert (code, err) == (0, "")
+
+    def digest(suffix):
+        return hashlib.sha256((tmp_path / f"pin{suffix}").read_bytes()).hexdigest()
+
+    assert (digest(".perm.txt"), digest(".trace.csv")) == (perm_sha, trace_sha)

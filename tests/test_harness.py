@@ -139,6 +139,59 @@ def test_tube_rejects_nonpositive_eps():
         check_tube(synthetic_trace([0]), F(0), F(0))
 
 
+# Averages that land exactly on a bound, read live and read back from CSV:
+# values 1/3, 1/3, 4/3, 2/3 give averages 1/3, 1/3, 2/3, 2/3.
+BOUNDARY_VALUES = ["1/3", "1/3", "4/3", "2/3"]
+
+
+def live_trace(values):
+    return iter_trace(fake_rearrangement([(i, v) for i, v in enumerate(values, 1)]))
+
+
+def csv_trace(values):
+    buf = io.StringIO()
+    write_trace_csv(live_trace(values), buf)
+    return read_trace_csv(io.StringIO(buf.getvalue()))
+
+
+@pytest.mark.parametrize("source", [live_trace, csv_trace])
+def test_tube_boundaries_are_excluded(source):
+    t = lambda: source(BOUNDARY_VALUES)  # noqa: E731
+    assert check_tube(t(), F(1, 2), F(1, 4))
+    assert not check_tube(t(), F(1, 2), F(1, 6))  # 1/3 and 2/3 sit on lo and hi
+    assert not check_tube(t(), F(1), F(1, 3), from_index=3)  # average == lo
+    assert not check_tube(t(), F(1, 3), F(1, 3), from_index=3)  # average == hi
+    assert check_tube(t(), F(1, 2), F(1, 5), from_index=3)
+
+
+@pytest.mark.parametrize("source", [live_trace, csv_trace])
+def test_infinite_tube_threshold_is_excluded(source):
+    up = ["400/3", "400/3"]  # average 400/3 == 1/eps
+    assert not check_tube(source(up), POS_INF, F(3, 400))
+    assert check_tube(source(up), POS_INF, F(3, 399))
+    down = ["-400/3", "-400/3"]
+    assert not check_tube(source(down), NEG_INF, F(3, 400))
+    assert check_tube(source(down), NEG_INF, F(3, 399))
+
+
+@pytest.mark.parametrize("source", [live_trace, csv_trace])
+def test_schedule_boundaries_are_excluded(source):
+    t = lambda: source(BOUNDARY_VALUES)  # noqa: E731
+    assert check_schedule(t(), [window(1, 0, 1), window(3, "1/2", 1)])
+    assert not check_schedule(t(), [window(1, "1/3", 1)])  # average == lo
+    assert not check_schedule(t(), [window(1, 0, "1/3"), window(3, 0, 1)])  # == hi
+    assert not check_schedule(t(), [window(1, 0, 1), window(3, "2/3", 1)])
+    assert not check_schedule(t(), [window(1, 0, "1/2"), window(3, "1/2", "2/3")])
+
+
+def test_checks_read_the_explicit_average_of_a_hand_built_entry():
+    # The sum says 0 but the stored average says 5: checks see the average.
+    t = Trace([TraceEntry(1, 1, F(0), F(0), F(5))])
+    assert check_tube(t, F(5), F(1)) and not check_tube(t, F(0), F(1))
+    assert check_schedule(t, [window(1, 4, 6)])
+    assert not verify_trace_identities(t)
+
+
 # ---------------------------------------------------------------------------
 # Schedule checks
 

@@ -20,7 +20,7 @@ from meanweave.harness import (
     iter_trace,
     verify_trace_identities,
 )
-from meanweave.rearrange import RunningAverage
+from meanweave.rearrange import Rearrangement, RunningAverage
 from meanweave.seqspec import (
     AccumulationProfile,
     Affine,
@@ -187,6 +187,46 @@ def test_running_average_matches_exact_fraction_mean(values):
         ra.add(v)
         total += v
         assert ra.average() == total / i
+
+
+PRIMES = [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+# k/p + m with p a prime >= 11, so every value carries its own denominator;
+# every fifth value is an integer, which the running sum adds on its own path.
+prime_fractions = st.tuples(
+    st.sampled_from(PRIMES), st.integers(1, 96), st.integers(-5, 5)
+).map(lambda t: F(t[1] % t[0] or 1, t[0]) + t[2])
+
+
+@settings(max_examples=40, **COMMON)
+@given(st.lists(prime_fractions, min_size=50, max_size=120))
+def test_live_trace_entries_match_a_naive_fraction_reference(drawn):
+    values = [F(v.numerator // v.denominator) if i % 5 == 4 else v
+              for i, v in enumerate(drawn)]
+    # 40 or more denominators >= 11 multiply past 2**128, where the running
+    # sum reduces its integer pair by a gcd.
+    assert math.prod(v.denominator for v in values) > 2**128
+    stream = [(2 * i, v) for i, v in enumerate(values, 1)]
+    r = Rearrangement(parse_spec("const(0)"),
+                      lambda: ((s, v, "core") for s, v in stream), lambda n: n, "fixed")
+    total = F(0)
+    entries = list(iter_trace(r))
+    assert len(entries) == len(values)
+    for (n, e), (src, v) in zip(enumerate(entries, 1), stream):
+        total += v
+        row = (n, src, v, total, total / n)
+        assert e == row and e == TraceEntry(*row) and hash(e) == hash(TraceEntry(*row))
+        assert (e.n, e.source_index, e.value) == (n, src, v)
+        assert e.partial_sum == total and e.average == total / n
+        assert tuple(e) == row and list(e) == list(row)
+        assert [e[i] for i in range(-5, 5)] == list(row[-5:] + row)
+        assert e[1:4] == row[1:4]
+        assert repr(e) == (
+            "TraceEntry(n={!r}, source_index={!r}, value={!r}, "
+            "partial_sum={!r}, average={!r})".format(*row)
+        )
+    assert verify_trace_identities(entries)
+    assert verify_trace_identities(iter_trace(r))
 
 
 @settings(max_examples=60, **COMMON)
