@@ -12,7 +12,7 @@ from .balance import (
     density_report,
     ratio_series,
 )
-from .classifier import aar_contains, classify, classify_spec
+from .classifier import classify, classify_spec
 from .dsl import parse_spec, render
 from .harness import (
     EnvelopeReport,
@@ -47,7 +47,6 @@ from .rearrange import (
     merge_preserving,
     mirror_rearrangement,
     oscillator,
-    rescale_target,
     sort_increasing,
     target_above_limsup,
     two_sided_balance,
@@ -82,6 +81,7 @@ from .seqspec import (
     Decomposition,
     ExplicitPrefix,
     Geometric,
+    IndexMap,
     Interleave,
     Linear,
     NegLinear,
@@ -93,7 +93,6 @@ from .seqspec import (
     RunRule,
     SequenceSpec,
     SumJump,
-    build_spec,
     decompose,
     eval_term,
     negated_spec,

@@ -360,7 +360,7 @@ def _analytic_density(spec: SequenceSpec) -> DensityReport:
     )
 
 
-def density_report(spec: SequenceSpec, horizon: int = 10_000) -> DensityReport:
+def density_report(spec: SequenceSpec) -> DensityReport:
     """Full density analysis, including the qualifying strand when it holds."""
     try:
         prof = profile(spec)
@@ -371,6 +371,6 @@ def density_report(spec: SequenceSpec, horizon: int = 10_000) -> DensityReport:
     return _analytic_density(spec)
 
 
-def density_condition(spec: SequenceSpec, horizon: int = 10_000) -> Condition:
+def density_condition(spec: SequenceSpec) -> Condition:
     """Whether liminf |term|/n = 0: Holds, Fails or Unknown."""
-    return density_report(spec, horizon).condition
+    return density_report(spec).condition

@@ -132,11 +132,6 @@ def classify(
     return AARSet.of(Interval(a, b), NEG_INF, POS_INF)
 
 
-def _positive_form(spec: SequenceSpec) -> SequenceSpec:
-    """The spec with its sign flipped, simplified structurally."""
-    return negated_spec(spec)
-
-
 def classify_spec(spec: SequenceSpec) -> AARSet:
     """Classify a spec end to end, deriving the verdicts the tree needs.
 
@@ -164,7 +159,7 @@ def classify_spec(spec: SequenceSpec) -> AARSet:
         dec = decompose(spec, prof)
         if prof.has_neg_inf:
             try:
-                kwargs["b_balance"] = balanced_verdict(_positive_form(dec.b_part))
+                kwargs["b_balance"] = balanced_verdict(negated_spec(dec.b_part))
             except MeanweaveError:
                 pass
         if prof.has_pos_inf:
@@ -173,8 +168,3 @@ def classify_spec(spec: SequenceSpec) -> AARSet:
             except MeanweaveError:
                 pass
     return classify(prof, **kwargs)
-
-
-def aar_contains(aar: AARSet, x) -> bool:
-    """Membership of an extended real in a canonical attainable set."""
-    return aar.contains(x)

@@ -185,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace horizon")
     p.add_argument("--out", default="meanweave_out",
                    help="artifact base path (writes BASE.perm.txt, BASE.trace.csv)")
-    p.add_argument("--exact", action="store_true",
-                   help="accepted for symmetry; traces always carry exact columns")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="check a trace CSV")

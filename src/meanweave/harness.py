@@ -17,7 +17,7 @@ import csv
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
@@ -140,20 +140,17 @@ class Trace:
 
 
 def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterator[TraceEntry]:
-    """Stream trace entries without materializing them."""
+    """Stream the first n trace entries (all of them when n is None)."""
+    if n is not None and n < 1:
+        raise ValueError("trace needs at least one entry")
     acc = RunningAverage()
     add = acc.add
-    for src, value in r.stream():
+    for src, value in islice(r.stream(), n):
         add(value)
-        count = acc.n
-        yield _live_entry(count, src, value, acc.num, acc.den)
-        if n is not None and count >= n:
-            return
+        yield _live_entry(acc.n, src, value, acc.num, acc.den)
 
 
 def trace(r: Rearrangement, n: int) -> Trace:
-    if n < 1:
-        raise ValueError("trace needs at least one entry")
     return Trace(list(iter_trace(r, n)))
 
 

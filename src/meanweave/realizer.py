@@ -42,14 +42,7 @@ from .rearrange import (
     RunningAverage,
     observed_coverage_bound,
 )
-from .seqspec import (
-    Constant,
-    SequenceSpec,
-    _fold_group,
-    _leaves,
-    _push_pointwise,
-    profile,
-)
+from .seqspec import Constant, SequenceSpec, fold_strands, profile, strands
 
 __all__ = [
     "ScheduleEntry",
@@ -527,9 +520,8 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
     and largest finite accumulation points frame the steering band) and both
     infinities.
     """
-    normalized = _push_pointwise(spec)
     leaf_list = []
-    for leaf_spec, index_map in _leaves(normalized, lambda k: k):
+    for leaf_spec, index_map in strands(spec):
         limit = profile(leaf_spec).converges_to()
         if limit is None:
             raise MalformedDescriptor("every strand must converge for realizing")
@@ -542,29 +534,21 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
         )
     a, b_val = finite_limits[0], finite_limits[-1]
 
-    def fold(matching) -> Optional[PartStream]:
+    def fold(matching, limit=None) -> Optional[PartStream]:
         group = [(s, w) for s, w, lim in leaf_list if matching(lim)]
         if not group:
             return None
-        folded_spec, folded_w = _fold_group(group)
-        return PartStream(folded_spec, folded_w, None)
+        return PartStream(*fold_strands(group), limit)
 
-    low = fold(lambda lim: lim.is_finite and lim.value == a)
-    high = fold(lambda lim: lim.is_finite and lim.value == b_val)
-    down = fold(lambda lim: lim == NEG_INF)
-    up = fold(lambda lim: lim == POS_INF)
+    low = fold(lambda lim: lim.is_finite and lim.value == a, ExtendedReal(a))
+    high = fold(lambda lim: lim.is_finite and lim.value == b_val, ExtendedReal(b_val))
+    down = fold(lambda lim: lim == NEG_INF, NEG_INF)
+    up = fold(lambda lim: lim == POS_INF, POS_INF)
     if down is None:
         raise MissingInfinity("no strand tends to -inf")
     if up is None:
         raise MissingInfinity("no strand tends to +inf")
-    middle = fold(
-        lambda lim: lim.is_finite and a < lim.value < b_val
-    )
-
-    low = PartStream(low.spec, low.witness, ExtendedReal(a))
-    high = PartStream(high.spec, high.witness, ExtendedReal(b_val))
-    down = PartStream(down.spec, down.witness, NEG_INF)
-    up = PartStream(up.spec, up.witness, POS_INF)
+    middle = fold(lambda lim: lim.is_finite and a < lim.value < b_val)
     extras = [middle] if middle is not None else []
 
     r = accumulation_realizer(low, high, down, up, zset, extras=extras)

@@ -7,8 +7,7 @@ really is a bijective reindexing of the source sequence.
 
 Streams are lazy and restartable: ``stream()`` always starts a fresh,
 independent iterator (the constructors are deterministic, so every restart
-replays the same emissions), while ``next()`` advances a single shared
-cursor for consumers that want stateful reading.
+replays the same emissions).
 """
 
 from __future__ import annotations
@@ -35,10 +34,12 @@ from .errors import (
 )
 from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
 from .seqspec import (
+    IDENTITY_MAP,
     Affine,
     Decomposition,
     ExplicitPrefix,
     Geometric,
+    IndexMap,
     Interleave,
     Linear,
     PointwiseSquare,
@@ -49,6 +50,7 @@ from .seqspec import (
     decompose,
     negated_spec,
     profile,
+    strands,
 )
 
 Emission = Tuple[int, Fraction]
@@ -119,9 +121,6 @@ class RunningAverage:
 # ---------------------------------------------------------------------------
 # Part streams and the Rearrangement type
 
-IndexMap = Callable[[int], int]
-
-
 @dataclass(frozen=True, eq=False)
 class PartStream:
     """One convergent strand of a source: spec + witness back to source indices."""
@@ -131,9 +130,7 @@ class PartStream:
     limit: ExtendedReal
 
     def emissions(self) -> Iterator[Emission]:
-        w = self.witness
-        for k, value in enumerate(self.spec.iter_terms(), start=1):
-            yield w(k), value
+        return zip(self.witness, self.spec.iter_terms())
 
     @staticmethod
     def whole(spec: SequenceSpec, limit=None) -> "PartStream":
@@ -141,7 +138,7 @@ class PartStream:
             limit = profile(spec).converges_to()
             if limit is None:
                 raise UndeclaredLimit("part has no single limit")
-        return PartStream(spec, lambda k: k, ExtendedReal.of(limit))
+        return PartStream(spec, IDENTITY_MAP, ExtendedReal.of(limit))
 
     @staticmethod
     def from_decomposition(dec: Decomposition, part: str) -> Optional["PartStream"]:
@@ -154,7 +151,7 @@ class PartStream:
             # The d-part may fold strands with several different limits;
             # it is only ever used as an extras pool, so no limit is needed.
             limit = _limit_of(spec)
-        return PartStream(spec, lambda k, p=part: dec.witness(p, k), limit)
+        return PartStream(spec, dec.witnesses[part], limit)
 
 
 class Rearrangement:
@@ -175,7 +172,6 @@ class Rearrangement:
         self.name = name
         self.limit_in_average = limit_in_average
         self.meta = dict(meta or {})
-        self._cursor = None
 
     def tagged_stream(self) -> Iterator[TaggedEmission]:
         """Fresh (source_index, value, tag) iterator from the beginning."""
@@ -185,13 +181,6 @@ class Rearrangement:
         """Fresh (source_index, value) iterator from the beginning."""
         for src, value, _tag in self._factory():
             yield src, value
-
-    def next(self) -> Emission:
-        """Stateful single-consumer read."""
-        if self._cursor is None:
-            self._cursor = self._factory()
-        src, value, _tag = next(self._cursor)
-        return src, value
 
     def __repr__(self):
         return f"Rearrangement({self.name})"
@@ -374,26 +363,12 @@ def weighted_merge(
     a_lim, b_lim = a_stream.limit.value, b_stream.limit.value
     target = ExtendedReal(alpha * a_lim + (1 - alpha) * b_lim)
 
-    if alpha == 0:
-        core = Rearrangement(
-            source=b_stream.spec,
-            factory=lambda: ((b_stream.witness(k), v, "core")
-                             for k, v in enumerate(b_stream.spec.iter_terms(), 1)),
-            coverage_bound=observed_coverage_bound_of_part(b_stream),
-            name="weighted_merge[alpha=0]",
-            limit_in_average=b_stream.limit,
-        )
-        return merge_preserving(core, a_stream)
-    if alpha == 1:
-        core = Rearrangement(
-            source=a_stream.spec,
-            factory=lambda: ((a_stream.witness(k), v, "core")
-                             for k, v in enumerate(a_stream.spec.iter_terms(), 1)),
-            coverage_bound=observed_coverage_bound_of_part(a_stream),
-            name="weighted_merge[alpha=1]",
-            limit_in_average=a_stream.limit,
-        )
-        return merge_preserving(core, b_stream)
+    if alpha in (0, 1):
+        # one stream alone carries the limit; the other is deferred
+        kept, deferred = (a_stream, b_stream) if alpha else (b_stream, a_stream)
+        core = part_core(kept, kept.spec)
+        core.name = f"weighted_merge[alpha={alpha}]"
+        return merge_preserving(core, deferred)
 
     swap = alpha > Fraction(1, 2)
     lead, other = (b_stream, a_stream) if swap else (a_stream, b_stream)
@@ -429,14 +404,6 @@ def weighted_merge(
         limit_in_average=target,
         meta={"alpha": alpha, "gamma": gamma, "swapped": swap},
     )
-
-
-def observed_coverage_bound_of_part(part: PartStream):
-    def factory():
-        for src, v in part.emissions():
-            yield src, v, "core"
-
-    return observed_coverage_bound(factory)
 
 
 # ---------------------------------------------------------------------------
@@ -560,26 +527,13 @@ def _sorted_emissions(part: PartStream) -> Iterator[Emission]:
     """
     import heapq
 
-    strands: List[Tuple[SequenceSpec, IndexMap]] = []
-
-    def collect(spec: SequenceSpec, wit: IndexMap):
-        if isinstance(spec, Interleave):
-            collect(spec.first, lambda k, w=wit: w(2 * k - 1))
-            collect(spec.second, lambda k, w=wit: w(2 * k))
-            return
-        strands.append((spec, wit))
-
-    collect(part.spec, part.witness)
-
     # Each strand yields (value, src) nondecreasing; buffer explicit prefixes.
     def strand_iter(spec: SequenceSpec, wit: IndexMap):
+        images = iter(wit)
         buffered: List[Tuple[Fraction, int]] = []
-        offset = 0
         body = spec
         while isinstance(body, ExplicitPrefix):
-            for i, v in enumerate(body.values, start=1):
-                buffered.append((v, wit(offset + i)))
-            offset += len(body.values)
+            buffered.extend(zip(body.values, images))
             body = body.tail
         if not _eventually_nondecreasing(body):
             raise NotDivergent(
@@ -587,14 +541,13 @@ def _sorted_emissions(part: PartStream) -> Iterator[Emission]:
             )
         buffered.sort()
         pending = deque(buffered)
-        for k, v in enumerate(body.iter_terms(), start=1):
-            src = wit(offset + k)
+        for v, src in zip(body.iter_terms(), images):
             while pending and pending[0] <= (v, src):
                 pv, psrc = pending.popleft()
                 yield pv, psrc
             yield v, src
 
-    iters = [strand_iter(s, w) for s, w in strands]
+    iters = [strand_iter(s, w) for s, w in strands(part.spec, part.witness)]
     merged = heapq.merge(*iters)
     for value, src in merged:
         yield src, value
@@ -724,99 +677,6 @@ def target_above_limsup(
     )
 
 
-def rescale_target(base: Rearrangement, new_target) -> Rearrangement:
-    """Move a placement-style construction to a new finite target.
-
-    The base must tag its emissions place/fill/extra and declare its target
-    and bounded-strand limit a.  Working in the conjugated picture
-    x -> (x-a)/(t-a) (pure bookkeeping, values are never transformed), the
-    new target l maps to lt = (l-a)/(t-a): fills are first thinned to one
-    in ceil(lt), overshooting to the integer level L = ceil(lt), then
-    floor(k*(L/lt - 1)) extra fill elements are interposed before the k-th
-    placement to pad back down to lt.  Thinned-out fills re-enter through
-    the insertion gate.
-    """
-    if "target" not in base.meta or "b_limit" not in base.meta:
-        raise UndeclaredLimit("base rearrangement does not declare its target")
-    t = base.meta["target"]
-    a = base.meta["b_limit"]
-    l = as_fraction(new_target)
-    if l <= a:
-        raise TargetNotAbove(f"new target {l} is not above {a}")
-    lt = (l - a) / (t - a)
-    big_l = _ceil_frac(lt)
-    pad_rate = Fraction(big_l, 1) / lt - 1  # L/lt - 1 >= 0
-    limit = ExtendedReal(l)
-
-    def factory():
-        base_it = base.tagged_stream()
-        pool: deque = deque()  # arrived fill elements awaiting emission
-        extra_q: deque = deque()
-        place_q: deque = deque()
-        fills_arrived = 0
-        kept_credits = 0  # one credit per L-th arriving fill
-
-        def pull():
-            nonlocal fills_arrived, kept_credits
-            src, value, tag = next(base_it)
-            if tag == "place":
-                # freeze this placement's fill quota when it arrives, so
-                # borrowing ahead later cannot inflate its own schedule
-                quota = kept_credits + math.floor(kept_credits * pad_rate)
-                place_q.append((src, value, quota))
-            elif tag == "extra":
-                extra_q.append((src, value))
-            else:
-                fills_arrived += 1
-                if fills_arrived % big_l == 0:
-                    kept_credits += 1
-                pool.append((src, value))
-
-        gate = _InsertionGate(limit)
-        avg = RunningAverage()
-        fills_emitted = 0
-
-        def emit(src, value, tag):
-            avg.add(value)
-            return src, value, tag
-
-        while True:
-            # deferred elements re-enter once the gate admits them; the fill
-            # pool's surplus (when fewer fills are scheduled than arrive)
-            # drains the same way, so every source element eventually appears
-            while True:
-                pending_q = extra_q if extra_q else pool
-                if not pending_q or not gate.admits(avg, pending_q[0][1]):
-                    break
-                src, value = pending_q.popleft()
-                gate.consumed()
-                yield emit(src, value, "extra")
-
-            if not place_q:
-                pull()
-                continue
-            # cumulative counts: each placement waits for its fill quota
-            # (kept fills plus floor(kept * pad_rate) pads, elements fungible)
-            if fills_emitted < place_q[0][2]:
-                while not pool:
-                    pull()  # borrow ahead from later fills when short
-                src, value = pool.popleft()
-                fills_emitted += 1
-                yield emit(src, value, "fill")
-                continue
-            src, value, _quota = place_q.popleft()
-            yield emit(src, value, "place")
-
-    return Rearrangement(
-        source=base.source,
-        factory=factory,
-        coverage_bound=observed_coverage_bound(factory),
-        name=f"rescale_target[{l}]",
-        limit_in_average=limit,
-        meta={"target": l, "b_limit": a, "base_target": t},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Two-sided balance: finite targets from opposite infinities
 
@@ -829,8 +689,7 @@ def _strand_for_path(part: PartStream, path: Tuple[str, ...]):
     for step in path:
         if not isinstance(selected_spec, Interleave):
             raise DensityFails("density path does not match the part structure")
-        first_w = (lambda k, w=selected_wit: w(2 * k - 1))
-        second_w = (lambda k, w=selected_wit: w(2 * k))
+        first_w, second_w = selected_wit.split()
         if step == "first":
             sibling = PartStream(selected_spec.second, second_w,
                                  _limit_of(selected_spec.second))

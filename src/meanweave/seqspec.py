@@ -9,11 +9,12 @@ derived symbolically — never estimated from numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .aarset import Interval, _canonicalize
 from .errors import MalformedDescriptor, UnknownProfile
@@ -489,27 +490,6 @@ def run_table(pairs, tail: SequenceSpec) -> SequenceSpec:
     return ExplicitPrefix(tuple(values), tail)
 
 
-def build_spec(descriptor) -> SequenceSpec:
-    """Validate a descriptor and attach its derivable profile.
-
-    Accepts an already-built ``SequenceSpec`` (validated on construction) or
-    DSL text.  Returns an equal spec whose ``declared_profile`` is filled in
-    whenever the structural rules determine it.
-    """
-    if isinstance(descriptor, str):
-        from .dsl import parse_spec
-
-        descriptor = parse_spec(descriptor)
-    if not isinstance(descriptor, SequenceSpec):
-        raise MalformedDescriptor(f"not a sequence descriptor: {descriptor!r}")
-    if descriptor.declared_profile is not None:
-        return descriptor
-    try:
-        return replace(descriptor, declared_profile=profile(descriptor))
-    except UnknownProfile:
-        return descriptor
-
-
 # ---------------------------------------------------------------------------
 # Profiles
 
@@ -562,7 +542,98 @@ def profile(spec: SequenceSpec) -> AccumulationProfile:
 # Decomposition into convergent parts
 
 
-IndexMap = Callable[[int], int]
+def _woven(left: Tuple[int, ...], right: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(itertools.chain.from_iterable(zip(left, right)))
+
+
+@dataclass(frozen=True, slots=True)
+class IndexMap:
+    """Map from a strand's k-th element (k >= 1) back to its source index.
+
+    The first ``len(head)`` elements map to ``head``.  Past the head the map
+    is affine per residue with period P = ``len(slopes)``: element
+    ``len(head) + P*q + r + 1`` maps to ``slopes[r]*q + offsets[r]``.
+    Equality compares this representation.
+    """
+
+    head: Tuple[int, ...]
+    slopes: Tuple[int, ...]
+    offsets: Tuple[int, ...]
+
+    def __call__(self, k: int) -> int:
+        if k < 1:
+            raise ValueError(f"strand index must be positive, got {k!r}")
+        h = len(self.head)
+        if k <= h:
+            return self.head[k - 1]
+        q, r = divmod(k - h - 1, len(self.slopes))
+        return self.slopes[r] * q + self.offsets[r]
+
+    def __iter__(self) -> Iterator[int]:
+        """The images of elements 1, 2, 3, ... in order."""
+        tails = [itertools.count(o, s) for s, o in zip(self.slopes, self.offsets)]
+        if len(tails) == 1:
+            tail = tails[0]
+        else:
+            tail = itertools.chain.from_iterable(zip(*tails))
+        return itertools.chain(self.head, tail) if self.head else tail
+
+    def _tail(self, start: int, step: int, period: int):
+        """Slopes and offsets of tail elements start, start+step, ... (counted
+        from 0) as a tail of the given period; step*period must be a multiple
+        of P."""
+        p = len(self.slopes)
+        m = step * period // p
+        slopes, offsets = [], []
+        for i in range(period):
+            q, r = divmod(start + step * i, p)
+            slopes.append(m * self.slopes[r])
+            offsets.append(self.offsets[r] + self.slopes[r] * q)
+        return tuple(slopes), tuple(offsets)
+
+    def split(self) -> Tuple["IndexMap", "IndexMap"]:
+        """The maps k -> self(2k - 1) and k -> self(2k) of an interleave's
+        first and second strand."""
+        h, p = len(self.head), len(self.slopes)
+        if p == 1 and not h:  # the strand walk's case: k -> s*k + o - s
+            s, o = self.slopes[0], self.offsets[0]
+            return IndexMap((), (2 * s,), (o,)), IndexMap((), (2 * s,), (o + s,))
+        period = p if p % 2 else p // 2
+        return (
+            IndexMap(self.head[0::2], *self._tail(h % 2, 2, period)),
+            IndexMap(self.head[1::2], *self._tail(1 - h % 2, 2, period)),
+        )
+
+    def _regrouped(self, h: int, period: int):
+        """Head, slopes and offsets of this map with a head of length h (at
+        least ``len(head)``) and a tail of the given period (a multiple of P)."""
+        t = h - len(self.head)
+        if not t and period == len(self.slopes):
+            return self.head, self.slopes, self.offsets
+        head = self.head + tuple(self(len(self.head) + i) for i in range(1, t + 1))
+        return (head, *self._tail(t, 1, period))
+
+    def pair(self, other: "IndexMap") -> "IndexMap":
+        """Map of the interleave of two strands: odd k -> self((k + 1)/2),
+        even k -> other(k/2)."""
+        h = max(len(self.head), len(other.head))
+        period = math.lcm(len(self.slopes), len(other.slopes))
+        lh, ls, lo = self._regrouped(h, period)
+        rh, rs, ro = other._regrouped(h, period)
+        return IndexMap(_woven(lh, rh), _woven(ls, rs), _woven(lo, ro))
+
+    def shifted(self, n: int, lead: bool = False) -> "IndexMap":
+        """This map behind an n-element source prefix: every image moves up
+        by n, and with ``lead`` the prefix's own indices 1..n come first."""
+        head = tuple(range(1, n + 1)) if lead else ()
+        return IndexMap(
+            head + tuple(i + n for i in self.head),
+            self.slopes,
+            tuple(o + n for o in self.offsets),
+        )
+
+
+IDENTITY_MAP = IndexMap((), (1,), (1,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,8 +642,8 @@ class Decomposition:
 
     ``b_part`` converges (in the extended reals) to the source's liminf and
     ``c_part`` to its limsup; ``d_part`` folds any remaining convergent
-    strands.  ``witness(part, k)`` maps the k-th index of a part back to its
-    source index; together the witnesses partition the source index set.
+    strands.  ``witnesses`` holds each part's ``IndexMap`` back to source
+    indices; together the witnesses partition the source index set.
     """
 
     source: SequenceSpec
@@ -582,12 +653,12 @@ class Decomposition:
     c_limit: Optional[ExtendedReal]
     d_part: Optional[SequenceSpec]
     d_limits: Tuple[ExtendedReal, ...]
-    _witnesses: dict
+    witnesses: dict
 
     def witness(self, part: str, k: int) -> int:
         """Source index of the k-th element of part 'b', 'c' or 'd'."""
         try:
-            w = self._witnesses[part]
+            w = self.witnesses[part]
         except KeyError:
             raise ValueError(f"no such part: {part!r}") from None
         return w(k)
@@ -595,14 +666,12 @@ class Decomposition:
     def part_spec(self, part: str) -> Optional[SequenceSpec]:
         return {"b": self.b_part, "c": self.c_part, "d": self.d_part}[part]
 
-    def emissions(self, part: str):
+    def emissions(self, part: str) -> Iterator[Tuple[int, Fraction]]:
         """Lazy (source_index, value) stream of one part, in part order."""
         spec = self.part_spec(part)
         if spec is None:
-            return
-        w = self._witnesses[part]
-        for k, value in enumerate(spec.iter_terms(), start=1):
-            yield w(k), value
+            return iter(())
+        return zip(self.witnesses[part], spec.iter_terms())
 
     @property
     def parts_present(self) -> Tuple[str, ...]:
@@ -652,36 +721,28 @@ def _push_pointwise(spec: SequenceSpec) -> SequenceSpec:
     return spec
 
 
-def _leaves(spec: SequenceSpec, index_map: IndexMap):
-    """All non-interleave strands with their source-index maps."""
+def _walk(spec: SequenceSpec, index_map: IndexMap):
     if isinstance(spec, Interleave):
-        first_map = _compose(index_map, lambda k: 2 * k - 1)
-        second_map = _compose(index_map, lambda k: 2 * k)
-        return _leaves(spec.first, first_map) + _leaves(spec.second, second_map)
+        first, second = index_map.split()
+        return _walk(spec.first, first) + _walk(spec.second, second)
     return [(spec, index_map)]
 
 
-def _compose(outer: IndexMap, inner: IndexMap) -> IndexMap:
-    return lambda k: outer(inner(k))
+def strands(spec: SequenceSpec, index_map: IndexMap = IDENTITY_MAP):
+    """The non-interleave strands of a spec, each with its source-index map.
+
+    Pointwise wrappers are pushed through interleaves first; each interleave
+    then splits its map into the odd and the even elements.
+    """
+    return _walk(_push_pointwise(spec), index_map)
 
 
-def _pair(left, right):
-    """Fold two (spec, witness) strands into one interleaved strand."""
-    (ls, lw), (rs, rw) = left, right
-
-    def witness(k: int) -> int:
-        if k % 2:
-            return lw((k + 1) // 2)
-        return rw(k // 2)
-
-    return Interleave(ls, rs), witness
-
-
-def _fold_group(group):
-    spec_w = group[0]
-    for nxt in group[1:]:
-        spec_w = _pair(spec_w, nxt)
-    return spec_w
+def fold_strands(group) -> Tuple[SequenceSpec, IndexMap]:
+    """Fold (strand, map) pairs into one interleaved strand and its map."""
+    spec, index_map = group[0]
+    for nxt_spec, nxt_map in group[1:]:
+        spec, index_map = Interleave(spec, nxt_spec), index_map.pair(nxt_map)
+    return spec, index_map
 
 
 def decompose(
@@ -699,9 +760,8 @@ def decompose(
         if not spec.values:
             return decompose(spec.tail, prof)
         return _decompose_behind_prefix(spec, prof)
-    normalized = _push_pointwise(spec)
     leaf_list = []
-    for leaf_spec, index_map in _leaves(normalized, lambda k: k):
+    for leaf_spec, index_map in strands(spec):
         limit = profile(leaf_spec).converges_to()
         if limit is None:
             raise UnknownProfile(
@@ -723,17 +783,15 @@ def decompose(
     d_group = [(s, w) for s, w, lim in leaf_list if lim != lo and lim != hi]
     d_limits = tuple(lim for _, _, lim in leaf_list if lim != lo and lim != hi)
 
-    b_spec, b_w = _fold_group(b_group)
+    b_spec, b_w = fold_strands(b_group)
     witnesses = {"b": b_w}
     c_spec = c_limit = None
     if c_group:
-        c_spec, c_w = _fold_group(c_group)
+        c_spec, witnesses["c"] = fold_strands(c_group)
         c_limit = hi
-        witnesses["c"] = c_w
     d_spec = None
     if d_group:
-        d_spec, d_w = _fold_group(d_group)
-        witnesses["d"] = d_w
+        d_spec, witnesses["d"] = fold_strands(d_group)
 
     return Decomposition(
         source=spec,
@@ -743,7 +801,7 @@ def decompose(
         c_limit=c_limit,
         d_part=d_spec,
         d_limits=d_limits,
-        _witnesses=witnesses,
+        witnesses=witnesses,
     )
 
 
@@ -758,19 +816,8 @@ def _decompose_behind_prefix(
     """
     head = len(spec.values)
     inner = decompose(spec.tail)
-
-    def shifted(w: IndexMap) -> IndexMap:
-        return lambda k: head + w(k)
-
-    def b_witness(k: int) -> int:
-        if k <= head:
-            return k
-        return head + inner._witnesses["b"](k - head)
-
-    witnesses = {"b": b_witness}
-    for part in ("c", "d"):
-        if part in inner._witnesses:
-            witnesses[part] = shifted(inner._witnesses[part])
+    witnesses = {part: w.shifted(head) for part, w in inner.witnesses.items()}
+    witnesses["b"] = inner.witnesses["b"].shifted(head, lead=True)
 
     return Decomposition(
         source=spec,
@@ -780,5 +827,5 @@ def _decompose_behind_prefix(
         c_limit=inner.c_limit,
         d_part=inner.d_part,
         d_limits=inner.d_limits,
-        _witnesses=witnesses,
+        witnesses=witnesses,
     )

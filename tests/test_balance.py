@@ -162,7 +162,7 @@ def test_numeric_mode_on_geometric_shows_ratio_near_one():
 
 
 def test_sqrt_like_growth_satisfies_density():
-    rep = density_report(parse_spec("runlen(4)"), horizon=300)
+    rep = density_report(parse_spec("runlen(4)"))
     assert rep.condition is Condition.HOLDS
     assert density_condition(parse_spec("runlen(4)")) is Condition.HOLDS
 
@@ -170,7 +170,7 @@ def test_sqrt_like_growth_satisfies_density():
 def test_linear_and_geometric_growth_fail_density():
     assert density_condition(parse_spec("linear()")) is Condition.FAILS
     assert density_condition(parse_spec("geom(2)")) is Condition.FAILS
-    rep = density_report(parse_spec("linear()"), horizon=100)
+    rep = density_report(parse_spec("linear()"))
     assert rep.condition is Condition.FAILS and rep.path is None
 
 

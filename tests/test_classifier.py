@@ -6,7 +6,7 @@ import pytest
 
 from meanweave.aarset import AARSet
 from meanweave.balance import BalanceKind, Condition
-from meanweave.classifier import aar_contains, classify, classify_spec
+from meanweave.classifier import classify, classify_spec
 from meanweave.dsl import parse_spec
 from meanweave.errors import InsufficientEvidence
 from meanweave.extreal import NEG_INF, POS_INF
@@ -117,8 +117,8 @@ def test_missing_evidence_is_an_error_not_a_guess():
 
 def test_membership_helper_matches_set_contains():
     aar = classify(points(0, pos=True), c_balance=NB)
-    assert aar_contains(aar, F(0)) and aar_contains(aar, POS_INF)
-    assert not aar_contains(aar, F(1)) and not aar_contains(aar, NEG_INF)
+    assert aar.contains(F(0)) and aar.contains(POS_INF)
+    assert not aar.contains(F(1)) and not aar.contains(NEG_INF)
 
 
 def test_verdict_objects_are_accepted_in_place_of_kinds():

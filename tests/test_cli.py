@@ -192,6 +192,16 @@ def test_verify_tube_accepts_a_negative_rational_target(tmp_path):
     assert code == 1 and out.endswith("tube target=-inf eps=1/10 from=1: FAIL\n")
 
 
+def test_construct_rejects_a_nonpositive_horizon(tmp_path):
+    for n in ("0", "-1"):
+        code, out, err = run(
+            "construct", "interleave(const(0), const(1))", "--target", "1/2",
+            "--n", n, "--out", str(tmp_path / "run"),
+        )
+        assert (code, out) == (2, "")
+        assert err == "ERROR UsageError: trace needs at least one entry\n"
+
+
 def test_construct_rejects_unreachable_target():
     code, _, err = run(
         "construct", "--target", "-1", "--n", "100",

@@ -76,6 +76,13 @@ def test_trace_requires_a_positive_length():
         trace(identity_rearrangement(parse_spec("const(0)")), 0)
 
 
+def test_iter_trace_refuses_a_nonpositive_length():
+    r = identity_rearrangement(parse_spec("const(0)"))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one entry"):
+            next(iter_trace(r, n))
+
+
 # ---------------------------------------------------------------------------
 # Permutation audit
 

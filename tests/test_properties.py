@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,9 @@ from meanweave.seqspec import (
     AccumulationProfile,
     Affine,
     Constant,
+    ExplicitPrefix,
     Geometric,
+    IndexMap,
     Interleave,
     Negate,
     PointwiseSquare,
@@ -108,20 +111,64 @@ def test_parser_never_crashes(text):
 
 
 @settings(max_examples=40, **COMMON)
-@given(spec_trees, spec_trees, st.integers(1, 60))
-def test_witnesses_are_injective_and_agree_with_source(first, second, k):
+@given(spec_trees, spec_trees, st.integers(1, 60), st.lists(rationals, max_size=3))
+def test_witnesses_are_injective_and_agree_with_source(first, second, k, head):
     spec = Interleave(first, second)
+    if head:
+        spec = ExplicitPrefix(tuple(head), spec)
     try:
         dec = decompose(spec)
     except MeanweaveError:
         return  # strands without extended-real limits are out of scope here
     seen = {}
+    hits = []
     for part in dec.parts_present:
         for j in range(1, k + 1):
             idx = dec.witness(part, j)
             assert idx not in seen
             seen[idx] = part
             assert eval_term(dec.part_spec(part), j) == eval_term(spec, idx)
+        # past element K every image exceeds k: each tail residue r maps its
+        # q-th element to slopes[r]*q + offsets[r] with slopes, offsets >= 1
+        w = dec.witnesses[part]
+        big_k = len(w.head) + len(w.slopes) * (k // min(w.slopes) + 1)
+        images = list(islice(w, big_k))
+        assert images == [w(j) for j in range(1, big_k + 1)]
+        hits.extend(i for i in images if i <= k)
+    assert sorted(hits) == list(range(1, k + 1))
+
+
+def _index_map(period):
+    ints = lambda lo, hi, size: st.lists(
+        st.integers(lo, hi), min_size=size, max_size=size
+    ).map(tuple)
+    return st.builds(
+        IndexMap,
+        st.lists(st.integers(1, 50), max_size=5).map(tuple),
+        ints(1, 6, period),
+        ints(1, 9, period),
+    )
+
+
+index_maps = st.integers(1, 4).flatmap(_index_map)
+
+
+@settings(max_examples=80, **COMMON)
+@given(index_maps, index_maps, st.integers(0, 4))
+def test_index_map_operations_follow_their_pointwise_definitions(m, other, n):
+    ks = range(1, 41)
+    odd, even = m.split()
+    paired = m.pair(other)
+    behind, leading = m.shifted(n), m.shifted(n, lead=True)
+    assert [odd(k) for k in ks] == [m(2 * k - 1) for k in ks]
+    assert [even(k) for k in ks] == [m(2 * k) for k in ks]
+    assert [paired(k) for k in ks] == [
+        m((k + 1) // 2) if k % 2 else other(k // 2) for k in ks
+    ]
+    assert [behind(k) for k in ks] == [n + m(k) for k in ks]
+    assert [leading(k) for k in ks] == [k if k <= n else n + m(k - n) for k in ks]
+    for w in (m, odd, even, paired, behind, leading):
+        assert list(islice(w, 40)) == [w(k) for k in ks]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from meanweave.rearrange import (
     merge_preserving,
     mirror_rearrangement,
     oscillator,
-    rescale_target,
     sort_increasing,
     target_above_limsup,
     two_sided_from_spec,
@@ -157,12 +156,20 @@ def test_weighted_merge_rejects_weights_outside_the_unit_interval():
             weighted_merge(zeros, ones, alpha)
 
 
-def test_weighted_merge_endpoint_weights_defer_the_other_stream():
+@pytest.mark.parametrize(
+    "alpha, sources, value",
+    [
+        pytest.param(F(0), [2, 4, 6, 8], F(1), id="alpha0"),
+        pytest.param(F(1), [1, 3, 5, 7], F(0), id="alpha1"),
+    ],
+)
+def test_weighted_merge_endpoint_weights_defer_the_other_stream(alpha, sources, value):
     zeros, ones = parts("interleave(const(0), const(1))")
-    r = weighted_merge(zeros, ones, F(0))
+    r = weighted_merge(zeros, ones, alpha)
+    assert r.name == f"merge_preserving(weighted_merge[alpha={alpha}])"
     head = [(e.source_index, e.value) for e in iter_trace(r, 4)]
-    assert head == [(2, F(1)), (4, F(1)), (6, F(1)), (8, F(1))]
-    assert abs(avg_at(r, 3000) - 1) < F(1, 100)
+    assert head == [(src, value) for src in sources]
+    assert abs(avg_at(r, 3000) - value) < F(1, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +262,6 @@ def test_target_above_rejects_targets_at_or_below_the_limsup():
     zeros2, cs2 = parts("interleave(const(0), linear())")
     with pytest.raises(TargetNotAbove):
         target_above_limsup(zeros2, cs2, F(-1))
-
-
-# ---------------------------------------------------------------------------
-# Rescaling a converging construction
-
-
-def test_rescale_target_frozen_averages():
-    assert rescale_target(frozen_above(), F(2)).limit_in_average.value == F(2)
-    assert avg_at(rescale_target(frozen_above(), F(2)), 20000) == F(39621, 20000)
-    assert avg_at(rescale_target(frozen_above(), F(1, 2)), 20000) == F(10011, 20000)
 
 
 # ---------------------------------------------------------------------------

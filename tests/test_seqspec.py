@@ -1,6 +1,7 @@
 """Sequence descriptors: term evaluation, profiles, decomposition, negation."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,7 @@ from meanweave.errors import MalformedDescriptor
 from meanweave.seqspec import (
     Constant,
     Geometric,
+    IndexMap,
     Linear,
     NegLinear,
     PowerOfIndex,
@@ -137,6 +139,23 @@ def test_decompose_three_strand_witnesses_partition_source_indices():
     assert len(seen) == len(set(seen))
     covered = sorted(seen)
     assert covered[:40] == list(range(1, 41))
+
+
+def test_folded_witness_has_a_slope_per_residue():
+    dec = decompose(parse_spec("interleave(const(0), interleave(const(0), linear()))"))
+    b = dec.witnesses["b"]
+    assert b == IndexMap((), (2, 4), (1, 2))
+    assert [b(k) for k in range(1, 9)] == [1, 2, 3, 6, 5, 10, 7, 14]
+    assert list(islice(b, 8)) == [1, 2, 3, 6, 5, 10, 7, 14]
+    assert dec.witnesses["c"] == IndexMap((), (4,), (4,))
+    assert repr(b) == "IndexMap(head=(), slopes=(2, 4), offsets=(1, 2))"
+
+
+def test_prefix_head_leads_the_liminf_witness():
+    dec = decompose(parse_spec("prefix(5, 7, interleave(const(0), linear()))"))
+    assert dec.witnesses["b"] == IndexMap((1, 2), (2,), (3,))
+    assert dec.witnesses["c"] == IndexMap((), (2,), (4,))
+    assert list(islice(dec.emissions("b"), 4)) == [(1, F(5)), (2, F(7)), (3, F(0)), (5, F(0))]
 
 
 def test_decompose_witness_values_match_source_terms():
