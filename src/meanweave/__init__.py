@@ -77,6 +77,7 @@ from .extreal import NEG_INF, POS_INF, ExtendedReal
 from .seqspec import (
     AccumulationProfile,
     Affine,
+    AffineMap,
     Constant,
     Decomposition,
     ExplicitPrefix,
@@ -93,6 +94,7 @@ from .seqspec import (
     RunRule,
     SequenceSpec,
     SumJump,
+    WovenMap,
     decompose,
     eval_term,
     negated_spec,

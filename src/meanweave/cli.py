@@ -9,6 +9,7 @@ mismatches exit with status 1.
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -90,11 +91,13 @@ def _cmd_construct(args) -> int:
         r = realizer_from_spec(spec, _parse_zset(args.realize))
     perm_path = args.out + ".perm.txt"
     csv_path = args.out + ".trace.csv"
+    trace = iter_trace(r, args.n)
+    first = next(trace)  # a refused horizon raises here, before any file opens
     last = {}
     with open(perm_path, "w") as pf, open(csv_path, "w", newline="") as cf:
 
         def entries():
-            for e in iter_trace(r, args.n):
+            for e in itertools.chain((first,), trace):
                 pf.write(f"{e.n} {e.source_index}\n")
                 last["e"] = e
                 yield e

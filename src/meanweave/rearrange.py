@@ -523,7 +523,9 @@ def _sorted_emissions(part: PartStream) -> Iterator[Emission]:
     """Emissions of a +inf part in nondecreasing value order (ties by index).
 
     Works for interleaves of catalog strands that are nondecreasing after a
-    finite prefix; explicit prefixes are buffered until the tail passes them.
+    finite prefix, also under pointwise wrappers, which ``strands`` pushes
+    onto each strand; explicit prefixes are buffered until the tail passes
+    them.
     """
     import heapq
 

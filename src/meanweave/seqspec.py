@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
@@ -542,23 +542,18 @@ def profile(spec: SequenceSpec) -> AccumulationProfile:
 # Decomposition into convergent parts
 
 
-def _woven(left: Tuple[int, ...], right: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(itertools.chain.from_iterable(zip(left, right)))
-
-
-@dataclass(frozen=True, slots=True)
 class IndexMap:
     """Map from a strand's k-th element (k >= 1) back to its source index.
 
-    The first ``len(head)`` elements map to ``head``.  Past the head the map
-    is affine per residue with period P = ``len(slopes)``: element
-    ``len(head) + P*q + r + 1`` maps to ``slopes[r]*q + offsets[r]``.
-    Equality compares this representation.
+    The first ``len(head)`` elements map to ``head``; the rest follow the
+    tail, which is affine in ``AffineMap`` and alternates between two maps
+    in ``WovenMap``.  Maps are frozen values; equality compares this
+    representation.  A subclass describes its tail without the head:
+    ``_at(j)`` is its j-th image, ``_images()`` iterates them, ``_halves()``
+    gives its odd and its even elements and ``_moved(n)`` moves it up by n.
     """
 
-    head: Tuple[int, ...]
-    slopes: Tuple[int, ...]
-    offsets: Tuple[int, ...]
+    __slots__ = ()
 
     def __call__(self, k: int) -> int:
         if k < 1:
@@ -566,74 +561,81 @@ class IndexMap:
         h = len(self.head)
         if k <= h:
             return self.head[k - 1]
-        q, r = divmod(k - h - 1, len(self.slopes))
-        return self.slopes[r] * q + self.offsets[r]
+        return self._at(k - h)
 
     def __iter__(self) -> Iterator[int]:
         """The images of elements 1, 2, 3, ... in order."""
-        tails = [itertools.count(o, s) for s, o in zip(self.slopes, self.offsets)]
-        if len(tails) == 1:
-            tail = tails[0]
-        else:
-            tail = itertools.chain.from_iterable(zip(*tails))
+        tail = self._images()
         return itertools.chain(self.head, tail) if self.head else tail
 
-    def _tail(self, start: int, step: int, period: int):
-        """Slopes and offsets of tail elements start, start+step, ... (counted
-        from 0) as a tail of the given period; step*period must be a multiple
-        of P."""
-        p = len(self.slopes)
-        m = step * period // p
-        slopes, offsets = [], []
-        for i in range(period):
-            q, r = divmod(start + step * i, p)
-            slopes.append(m * self.slopes[r])
-            offsets.append(self.offsets[r] + self.slopes[r] * q)
-        return tuple(slopes), tuple(offsets)
+    def _behind(self, head: Tuple[int, ...]) -> "IndexMap":
+        return replace(self, head=head + self.head)
 
     def split(self) -> Tuple["IndexMap", "IndexMap"]:
         """The maps k -> self(2k - 1) and k -> self(2k) of an interleave's
         first and second strand."""
-        h, p = len(self.head), len(self.slopes)
-        if p == 1 and not h:  # the strand walk's case: k -> s*k + o - s
-            s, o = self.slopes[0], self.offsets[0]
-            return IndexMap((), (2 * s,), (o,)), IndexMap((), (2 * s,), (o + s,))
-        period = p if p % 2 else p // 2
-        return (
-            IndexMap(self.head[0::2], *self._tail(h % 2, 2, period)),
-            IndexMap(self.head[1::2], *self._tail(1 - h % 2, 2, period)),
-        )
-
-    def _regrouped(self, h: int, period: int):
-        """Head, slopes and offsets of this map with a head of length h (at
-        least ``len(head)``) and a tail of the given period (a multiple of P)."""
-        t = h - len(self.head)
-        if not t and period == len(self.slopes):
-            return self.head, self.slopes, self.offsets
-        head = self.head + tuple(self(len(self.head) + i) for i in range(1, t + 1))
-        return (head, *self._tail(t, 1, period))
+        first, second = self._halves()
+        if len(self.head) % 2:
+            first, second = second, first
+        return first._behind(self.head[0::2]), second._behind(self.head[1::2])
 
     def pair(self, other: "IndexMap") -> "IndexMap":
         """Map of the interleave of two strands: odd k -> self((k + 1)/2),
         even k -> other(k/2)."""
-        h = max(len(self.head), len(other.head))
-        period = math.lcm(len(self.slopes), len(other.slopes))
-        lh, ls, lo = self._regrouped(h, period)
-        rh, rs, ro = other._regrouped(h, period)
-        return IndexMap(_woven(lh, rh), _woven(ls, rs), _woven(lo, ro))
+        return WovenMap((), self, other)
 
     def shifted(self, n: int, lead: bool = False) -> "IndexMap":
         """This map behind an n-element source prefix: every image moves up
         by n, and with ``lead`` the prefix's own indices 1..n come first."""
         head = tuple(range(1, n + 1)) if lead else ()
-        return IndexMap(
-            head + tuple(i + n for i in self.head),
-            self.slopes,
-            tuple(o + n for o in self.offsets),
-        )
+        return self._moved(n)._behind(head + tuple(i + n for i in self.head))
 
 
-IDENTITY_MAP = IndexMap((), (1,), (1,))
+@dataclass(frozen=True, slots=True)
+class AffineMap(IndexMap):
+    """Element ``len(head) + q + 1`` maps to ``slope*q + offset``."""
+
+    head: Tuple[int, ...]
+    slope: int
+    offset: int
+
+    def _at(self, j: int) -> int:
+        return self.slope * (j - 1) + self.offset
+
+    def _images(self) -> Iterator[int]:
+        return itertools.count(self.offset, self.slope)
+
+    def _halves(self) -> Tuple[IndexMap, IndexMap]:
+        s, o = self.slope, self.offset
+        return AffineMap((), 2 * s, o), AffineMap((), 2 * s, o + s)
+
+    def _moved(self, n: int) -> IndexMap:
+        return AffineMap((), self.slope, self.offset + n)
+
+
+@dataclass(frozen=True, slots=True)
+class WovenMap(IndexMap):
+    """Past the head, odd elements read ``first`` and even ones ``second``:
+    element ``len(head) + j`` maps to first((j + 1)/2) or second(j/2)."""
+
+    head: Tuple[int, ...]
+    first: IndexMap
+    second: IndexMap
+
+    def _at(self, j: int) -> int:
+        return self.first((j + 1) // 2) if j % 2 else self.second(j // 2)
+
+    def _images(self) -> Iterator[int]:
+        return itertools.chain.from_iterable(zip(self.first, self.second))
+
+    def _halves(self) -> Tuple[IndexMap, IndexMap]:
+        return self.first, self.second
+
+    def _moved(self, n: int) -> IndexMap:
+        return WovenMap((), self.first.shifted(n), self.second.shifted(n))
+
+
+IDENTITY_MAP = AffineMap((), 1, 1)
 
 
 @dataclass(frozen=True, eq=False)

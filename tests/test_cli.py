@@ -193,13 +193,22 @@ def test_verify_tube_accepts_a_negative_rational_target(tmp_path):
 
 
 def test_construct_rejects_a_nonpositive_horizon(tmp_path):
-    for n in ("0", "-1"):
-        code, out, err = run(
+    def construct(n):
+        return run(
             "construct", "interleave(const(0), const(1))", "--target", "1/2",
             "--n", n, "--out", str(tmp_path / "run"),
         )
+
+    for n in ("0", "-1"):
+        code, out, err = construct(n)
         assert (code, out) == (2, "")
         assert err == "ERROR UsageError: trace needs at least one entry\n"
+        assert list(tmp_path.iterdir()) == []
+    # a refused run leaves the artifacts of an earlier run untouched
+    assert construct("5")[0] == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert construct("0")[0] == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_construct_rejects_unreachable_target():

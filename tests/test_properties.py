@@ -25,14 +25,15 @@ from meanweave.rearrange import Rearrangement, RunningAverage
 from meanweave.seqspec import (
     AccumulationProfile,
     Affine,
+    AffineMap,
     Constant,
     ExplicitPrefix,
     Geometric,
-    IndexMap,
     Interleave,
     Negate,
     PointwiseSquare,
     PowerOfIndex,
+    WovenMap,
     decompose,
     eval_term,
     negated_spec,
@@ -128,29 +129,28 @@ def test_witnesses_are_injective_and_agree_with_source(first, second, k, head):
             assert idx not in seen
             seen[idx] = part
             assert eval_term(dec.part_spec(part), j) == eval_term(spec, idx)
-        # past element K every image exceeds k: each tail residue r maps its
-        # q-th element to slopes[r]*q + offsets[r] with slopes, offsets >= 1
         w = dec.witnesses[part]
-        big_k = len(w.head) + len(w.slopes) * (k // min(w.slopes) + 1)
+        big_k = _past(w, k)
         images = list(islice(w, big_k))
         assert images == [w(j) for j in range(1, big_k + 1)]
         hits.extend(i for i in images if i <= k)
     assert sorted(hits) == list(range(1, k + 1))
 
 
-def _index_map(period):
-    ints = lambda lo, hi, size: st.lists(
-        st.integers(lo, hi), min_size=size, max_size=size
-    ).map(tuple)
-    return st.builds(
-        IndexMap,
-        st.lists(st.integers(1, 50), max_size=5).map(tuple),
-        ints(1, 6, period),
-        ints(1, 9, period),
-    )
+def _past(w, k):
+    """An element count past which every image of w exceeds k (every slope
+    and offset is at least 1)."""
+    if isinstance(w, AffineMap):
+        return len(w.head) + k // w.slope + 1
+    return len(w.head) + 2 * max(_past(w.first, k), _past(w.second, k))
 
 
-index_maps = st.integers(1, 4).flatmap(_index_map)
+heads = st.lists(st.integers(1, 50), max_size=5).map(tuple)
+index_maps = st.recursive(
+    st.builds(AffineMap, heads, st.integers(1, 6), st.integers(1, 9)),
+    lambda maps: st.builds(WovenMap, heads, maps, maps),
+    max_leaves=4,
+)
 
 
 @settings(max_examples=80, **COMMON)

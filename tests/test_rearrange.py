@@ -219,6 +219,15 @@ def test_sort_increasing_frozen_source_order():
     assert vals == sorted(vals)
 
 
+def test_sort_increasing_splits_an_affine_wrapped_interleave():
+    # the affine map is pushed through the interleave onto each strand
+    spec = parse_spec("affine(interleave(linear(), geom(2)), 2, 1)")
+    entries = list(iter_trace(sort_increasing(spec), 8))
+    assert [e.source_index for e in entries] == [1, 2, 3, 5, 4, 7, 9, 11]
+    assert [e.value for e in entries] == [3, 5, 5, 7, 9, 9, 11, 13]
+    assert all(spec.term(e.source_index) == e.value for e in entries)
+
+
 def test_sort_increasing_requires_divergence_to_plus_infinity():
     with pytest.raises(NotDivergent):
         sort_increasing(parse_spec("const(1)"))

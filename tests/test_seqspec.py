@@ -8,13 +8,14 @@ import pytest
 from meanweave.dsl import parse_spec
 from meanweave.errors import MalformedDescriptor
 from meanweave.seqspec import (
+    AffineMap,
     Constant,
     Geometric,
-    IndexMap,
     Linear,
     NegLinear,
     PowerOfIndex,
     RunLength,
+    WovenMap,
     decompose,
     eval_term,
     negated_spec,
@@ -141,21 +142,47 @@ def test_decompose_three_strand_witnesses_partition_source_indices():
     assert covered[:40] == list(range(1, 41))
 
 
-def test_folded_witness_has_a_slope_per_residue():
+def test_folded_witness_weaves_the_strand_maps():
     dec = decompose(parse_spec("interleave(const(0), interleave(const(0), linear()))"))
     b = dec.witnesses["b"]
-    assert b == IndexMap((), (2, 4), (1, 2))
+    assert b == WovenMap((), AffineMap((), 2, 1), AffineMap((), 4, 2))
     assert [b(k) for k in range(1, 9)] == [1, 2, 3, 6, 5, 10, 7, 14]
     assert list(islice(b, 8)) == [1, 2, 3, 6, 5, 10, 7, 14]
-    assert dec.witnesses["c"] == IndexMap((), (4,), (4,))
-    assert repr(b) == "IndexMap(head=(), slopes=(2, 4), offsets=(1, 2))"
+    assert dec.witnesses["c"] == AffineMap((), 4, 4)
+    assert repr(b) == (
+        "WovenMap(head=(), first=AffineMap(head=(), slope=2, offset=1), "
+        "second=AffineMap(head=(), slope=4, offset=2))"
+    )
+
+
+def test_many_same_limit_strands_fold_into_a_map_of_linear_size():
+    strands = 20
+    text = "linear()"
+    for _ in range(strands):
+        text = f"interleave(const(0), {text})"
+    spec = parse_spec(text)
+    dec = decompose(spec)
+    b = dec.witnesses["b"]
+    # one woven node per fold: a flat periodic form would need 2**19 residues
+    assert repr(b).count("AffineMap") == strands
+    images = list(islice(b, 200))
+    assert images == [b(k) for k in range(1, 201)]
+    assert len(set(images)) == 200
+    assert all(eval_term(spec, i) == 0 for i in images)
+    assert dec.witness("c", 3) == 3 * 2**strands
 
 
 def test_prefix_head_leads_the_liminf_witness():
     dec = decompose(parse_spec("prefix(5, 7, interleave(const(0), linear()))"))
-    assert dec.witnesses["b"] == IndexMap((1, 2), (2,), (3,))
-    assert dec.witnesses["c"] == IndexMap((), (2,), (4,))
+    assert dec.witnesses["b"] == AffineMap((1, 2), 2, 3)
+    assert dec.witnesses["c"] == AffineMap((), 2, 4)
     assert list(islice(dec.emissions("b"), 4)) == [(1, F(5)), (2, F(7)), (3, F(0)), (5, F(0))]
+    dec = decompose(parse_spec(
+        "prefix(5, 7, 9, interleave(const(0), interleave(const(0), linear())))"
+    ))
+    b = dec.witnesses["b"]
+    assert b == WovenMap((1, 2, 3), AffineMap((), 2, 4), AffineMap((), 4, 5))
+    assert list(islice(b, 8)) == [1, 2, 3, 4, 5, 6, 9, 8]
 
 
 def test_decompose_witness_values_match_source_terms():
