@@ -14,6 +14,7 @@ from meanweave.balance import (
 )
 from meanweave.dsl import parse_spec
 from meanweave.errors import NonPositiveTerm, NotDivergent
+from meanweave.seqspec import AccumulationProfile, Affine, Constant, Linear
 
 F = Fraction
 
@@ -177,3 +178,103 @@ def test_linear_and_geometric_growth_fail_density():
 def test_density_requires_divergence_in_modulus():
     with pytest.raises(NotDivergent):
         density_condition(parse_spec("const(1)"))
+
+
+# ---------------------------------------------------------------------------
+# Every analytic balance and density rule, pinned with its reason text
+# (``meanweave balanced`` prints the reason).  Rules reachable only when a
+# declared profile overrides the structural one use a declared profile.
+
+B, NB, UB = BalanceKind.BALANCED, BalanceKind.NOT_BALANCED, BalanceKind.UNKNOWN
+H, X, U = Condition.HOLDS, Condition.FAILS, Condition.UNKNOWN
+DIVERGES = AccumulationProfile.of_points(pos_inf=True)
+
+BALANCE_RULES = [
+    ("linear()", B, "polynomial terms: ratio falls like 2/n", None),
+    ("pow(3)", B, "polynomial terms: ratio falls like 4/n", None),
+    ("geom(3)", NB, "geometric growth keeps the ratio near ratio-1 "
+     "(consecutive-term quotient stays below 1)", F(2)),
+    ("runlen(1)", B, "doubling blocks: ratio falls like 1/blocklength", None),
+    ("runlen(2)", B, "staircase blocks: prefix sums grow cubically", None),
+    ("runlen(3)", B, "factorial blocks: balance index grows with the block", None),
+    ("runlen(4)", B, "ceil-sqrt growth: ratio falls like 3/sqrt(n)", None),
+    ("sumjump()", NB, "each jump term exceeds the whole prefix sum", F(1)),
+    ("prefix(1, affine(pow(2), 2, 1))", B, "polynomial terms: ratio falls like "
+     "3/n (positive scaling and shift preserved) (finite prefix immaterial)", None),
+    ("affine(neglinear(), -1, 0)", UB, "non-positive scale leaves no rule", None),
+    ("sum(linear(), pow(2))", B, "index-aligned sum of balanced sequences", None),
+    ("sum(linear(), geom(2))", UB, "sum closure needs both sides balanced", None),
+    ("interleave(linear(), pow(2))", UB,
+     "no analytic rule for interleaved strands", None),
+    ("neg(neglinear())", UB, "no analytic rule for Negate", None),
+    ("square(prefix(1, linear()))", B,
+     "square of polynomial terms is polynomial (degree 2)", None),
+    ("square(pow(2))", B, "square of polynomial terms is polynomial (degree 4)", None),
+    ("square(geom(2))", NB, "square of geometric growth is geometric", F(3)),
+    ("square(runlen(3))", NB, "squared factorial blocks: the balance index at "
+     "each block boundary stays below 2", F(1, 2)),
+    ("square(runlen(1))", B, "squared sub-geometric blocks keep a vanishing ratio", None),
+    ("square(sumjump())", NB, "squared jumps still exceed the squared prefix sum", F(1)),
+    ("square(neglinear())", UB, "no analytic rule for this square", None),
+]
+
+
+@pytest.mark.parametrize("text,kind,reason,estimate", BALANCE_RULES,
+                         ids=[row[0] for row in BALANCE_RULES])
+def test_each_balance_rule_gives_its_verdict_and_reason(text, kind, reason, estimate):
+    v = balanced_verdict(parse_spec(text))
+    assert (v.kind, v.reason, v.limsup_estimate) == (kind, reason, estimate)
+
+
+ROOT = "block values grow like the square root of the index"
+DENSITY_RULES = [
+    ("linear()", X, "|term|/n is constantly 1", None),
+    ("neglinear()", X, "|term|/n is constantly 1", None),
+    ("pow(1)", X, "|term|/n is constantly 1", None),
+    ("pow(2)", X, "|term|/n grows polynomially", None),
+    ("geom(2)", X, "|term|/n is increasing from index 2 onward", None),
+    ("sumjump()", X, "jump terms dominate the index", None),
+    ("runlen(2)", H, ROOT, ()),
+    ("runlen(1)", X, "block values outgrow the index", None),
+    ("neg(runlen(2))", H, ROOT, ()),
+    (Affine(Linear(), 0, 0, declared_profile=DIVERGES), U, "degenerate scale", None),
+    ("affine(runlen(4), 2, 1)", H, ROOT + " (affine image)", ()),
+    ("prefix(1, runlen(2))", H, ROOT + " (finite prefix immaterial)", ()),
+    ("square(linear())", X, "square of a dense-failing base", None),
+    ("square(runlen(2))", X,
+     "squared root-growth values keep |term|/n bounded away from 0", None),
+    ("square(prefix(1, runlen(4)))", U, "no analytic rule for this square", None),
+    ("interleave(runlen(2), linear())", H, ROOT + " (along the first strand)",
+     ("first",)),
+    ("interleave(neg(linear()), affine(interleave(geom(2), runlen(2)), -2, 1))", H,
+     ROOT + " (along the second strand) (affine image) (along the second strand)",
+     ("second", "second")),
+    ("interleave(linear(), geom(2))", X, "both strands fail the condition", None),
+    ("interleave(linear(), sum(linear(), linear()))", U,
+     "strand verdicts incomplete", None),
+    (Constant(1, declared_profile=DIVERGES), U, "not divergent", None),
+    ("sum(linear(), linear())", U, "no analytic rule for PointwiseSum", None),
+]
+
+
+@pytest.mark.parametrize("spec,condition,reason,path", DENSITY_RULES,
+                         ids=[str(row[0]) if isinstance(row[0], str)
+                              else type(row[0]).__name__ for row in DENSITY_RULES])
+def test_each_density_rule_gives_its_condition_reason_and_path(spec, condition,
+                                                               reason, path):
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    rep = density_report(spec)
+    assert (rep.condition, rep.reason, rep.path) == (condition, reason, path)
+    assert density_condition(spec) is condition
+
+
+@pytest.mark.parametrize("check,text", [
+    (balanced_verdict, "const(1)"),
+    (balanced_verdict, "sum(interleave(const(0), const(1)), linear())"),
+    (density_report, "interleave(const(0), linear())"),
+    (density_report, "sum(interleave(const(0), const(1)), linear())"),
+])
+def test_rules_refuse_what_does_not_diverge(check, text):
+    with pytest.raises(NotDivergent):
+        check(parse_spec(text))
