@@ -8,31 +8,18 @@ round-trip specs losslessly.
 
 from __future__ import annotations
 
+import re
+from dataclasses import fields
 from fractions import Fraction
 from typing import List, Tuple, Union
 
+from . import seqspec
 from .errors import MalformedDescriptor, ParseError
-from .seqspec import (
-    Affine,
-    Constant,
-    ExplicitPrefix,
-    Geometric,
-    Interleave,
-    Linear,
-    NegLinear,
-    Negate,
-    PointwiseSquare,
-    PointwiseSum,
-    PowerOfIndex,
-    RunLength,
-    SequenceSpec,
-    SumJump,
-)
+from .seqspec import SequenceSpec
 
 __all__ = ["parse_spec", "render"]
 
 Arg = Union[Fraction, SequenceSpec]
-
 
 def _skip_ws(text: str, i: int) -> int:
     while i < len(text) and text[i].isspace():
@@ -112,69 +99,16 @@ def _parse_call(text: str, i: int) -> Tuple[SequenceSpec, int]:
         raise ParseError(name_at, str(exc)) from exc
 
 
-def _want(args: List[Arg], shape: str, name: str, at: int) -> None:
-    """shape: one letter per argument, 'q' rational or 's' spec."""
-    kinds = "".join("q" if isinstance(a, Fraction) else "s" for a in args)
-    if kinds != shape:
-        raise ParseError(
-            at, f"{name} takes ({', '.join(_SHAPE_WORDS[c] for c in shape) or ''})"
-        )
-
-
-_SHAPE_WORDS = {"q": "rational", "s": "spec"}
-
-
 def _build(name: str, args: List[Arg], at: int) -> SequenceSpec:
-    if name == "const":
-        _want(args, "q", name, at)
-        return Constant(args[0])
-    if name == "pow":
-        _want(args, "q", name, at)
-        k = args[0]
-        if k.denominator != 1:
-            raise ParseError(at, "pow takes an integer exponent")
-        return PowerOfIndex(int(k))
-    if name == "geom":
-        _want(args, "q", name, at)
-        return Geometric(args[0])
-    if name == "linear":
-        _want(args, "", name, at)
-        return Linear()
-    if name == "neglinear":
-        _want(args, "", name, at)
-        return NegLinear()
-    if name == "sumjump":
-        _want(args, "", name, at)
-        return SumJump()
-    if name == "neg":
-        _want(args, "s", name, at)
-        return Negate(args[0])
-    if name == "square":
-        _want(args, "s", name, at)
-        return PointwiseSquare(args[0])
-    if name == "affine":
-        _want(args, "sqq", name, at)
-        return Affine(args[0], args[1], args[2])
-    if name == "interleave":
-        _want(args, "ss", name, at)
-        return Interleave(args[0], args[1])
-    if name == "sum":
-        _want(args, "ss", name, at)
-        return PointwiseSum(args[0], args[1])
-    if name == "runlen":
-        _want(args, "q", name, at)
-        rule = args[0]
-        if rule.denominator != 1:
-            raise ParseError(at, "runlen takes an integer rule number")
-        return RunLength(int(rule))
-    if name == "prefix":
-        if len(args) < 2 or not isinstance(args[-1], SequenceSpec):
-            raise ParseError(at, "prefix takes (rational..., spec)")
-        values = args[:-1]
-        if not all(isinstance(v, Fraction) for v in values):
-            raise ParseError(at, "prefix takes (rational..., spec)")
-        return ExplicitPrefix(tuple(values), args[-1])
-    raise ParseError(at, "a known constructor name")
+    try:
+        family, fits = _BY_NAME[name]
+    except KeyError:
+        raise ParseError(at, "a known constructor name") from None
+    kinds = "".join("q" if isinstance(a, Fraction) else "s" for a in args)
+    if not fits(kinds):
+        words = ", ".join(_TOKENS[t][0] for t in _TOKEN.findall(family.dsl_shape))
+        raise ParseError(at, f"{name} takes ({words})")
+    return family._from_dsl(args)
 
 
 def parse_spec(text: str) -> SequenceSpec:
@@ -196,33 +130,36 @@ def _rat(q: Fraction) -> str:
 
 def render(spec: SequenceSpec) -> str:
     """Inverse of parse_spec on all constructible spec types."""
-    if isinstance(spec, Constant):
-        return f"const({_rat(spec.value)})"
-    if isinstance(spec, PowerOfIndex):
-        return f"pow({spec.exponent})"
-    if isinstance(spec, Geometric):
-        return f"geom({_rat(spec.ratio)})"
-    if isinstance(spec, Linear):
-        return "linear()"
-    if isinstance(spec, NegLinear):
-        return "neglinear()"
-    if isinstance(spec, SumJump):
-        return "sumjump()"
-    if isinstance(spec, Negate):
-        return f"neg({render(spec.base)})"
-    if isinstance(spec, PointwiseSquare):
-        return f"square({render(spec.base)})"
-    if isinstance(spec, Affine):
-        return (
-            f"affine({render(spec.base)}, {_rat(spec.scale)}, {_rat(spec.shift)})"
-        )
-    if isinstance(spec, Interleave):
-        return f"interleave({render(spec.first)}, {render(spec.second)})"
-    if isinstance(spec, PointwiseSum):
-        return f"sum({render(spec.first)}, {render(spec.second)})"
-    if isinstance(spec, RunLength):
-        return f"runlen({int(spec.rule)})"
-    if isinstance(spec, ExplicitPrefix):
-        vals = ", ".join(_rat(v) for v in spec.values)
-        return f"prefix({vals}, {render(spec.tail)})"
-    raise MalformedDescriptor(f"no textual form for {type(spec).__name__}")
+    args = _ARGS.get(type(spec))
+    if args is None:
+        raise MalformedDescriptor(f"no textual form for {type(spec).__name__}")
+    shown = []
+    for name, show in args:
+        shown.append(show(getattr(spec, name)))
+    return f"{spec.dsl_name}({', '.join(shown)})"
+
+
+# Every family the language spells.  A family's ``dsl_shape`` checks the
+# arguments of a call and picks how each of its fields renders, in order.
+_FAMILIES = (
+    seqspec.Constant, seqspec.PowerOfIndex, seqspec.Geometric, seqspec.Linear,
+    seqspec.NegLinear, seqspec.SumJump, seqspec.Negate, seqspec.PointwiseSquare,
+    seqspec.Affine, seqspec.Interleave, seqspec.PointwiseSum, seqspec.RunLength,
+    seqspec.ExplicitPrefix,
+)
+# name -> (family, test of the argument kinds); a shape without a repeat is
+# compared as a string, which costs a fifth of a regex match per node
+_BY_NAME = {
+    f.dsl_name: (f, re.compile(f.dsl_shape).fullmatch if "+" in f.dsl_shape
+                 else f.dsl_shape.__eq__)
+    for f in _FAMILIES
+}
+# shape token -> its word in error messages and how its field renders
+_TOKEN = re.compile(r".\+?")
+_TOKENS = {"q": ("rational", _rat), "s": ("spec", render),
+           "q+": ("rational...", lambda values: ", ".join([_rat(v) for v in values]))}
+_ARGS = {
+    f: tuple(zip([a.name for a in fields(f) if a.compare and not a.kw_only],
+                 [_TOKENS[t][1] for t in _TOKEN.findall(f.dsl_shape)], strict=True))
+    for f in _FAMILIES
+}

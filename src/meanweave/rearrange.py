@@ -35,21 +35,14 @@ from .errors import (
 from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
 from .seqspec import (
     IDENTITY_MAP,
-    Affine,
     Decomposition,
-    ExplicitPrefix,
-    Geometric,
     IndexMap,
     Interleave,
-    Linear,
-    PointwiseSquare,
-    PowerOfIndex,
-    RunLength,
     SequenceSpec,
-    SumJump,
     decompose,
     negated_spec,
     profile,
+    push_pointwise,
     strands,
 )
 
@@ -507,47 +500,29 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
 # Sorting a divergent part
 
 
-def _eventually_nondecreasing(spec: SequenceSpec) -> bool:
-    if isinstance(spec, (Linear, PowerOfIndex, Geometric, RunLength, SumJump)):
-        return True
-    if isinstance(spec, Affine):
-        return spec.scale > 0 and _eventually_nondecreasing(spec.base)
-    if isinstance(spec, PointwiseSquare):
-        return _eventually_nondecreasing(spec.base)
-    if isinstance(spec, ExplicitPrefix):
-        return _eventually_nondecreasing(spec.tail)
-    return False
-
-
 def _sorted_emissions(part: PartStream) -> Iterator[Emission]:
     """Emissions of a +inf part in nondecreasing value order (ties by index).
 
     Works for interleaves of catalog strands that are nondecreasing after a
-    finite prefix, also under pointwise wrappers, which ``strands`` pushes
-    onto each strand; explicit prefixes are buffered until the tail passes
-    them.
+    finite head, also under pointwise wrappers, which ``strands`` pushes
+    onto each strand; the head (``_sort_head`` terms, such as an explicit
+    prefix) is buffered until the rest passes it.
     """
     import heapq
 
-    # Each strand yields (value, src) nondecreasing; buffer explicit prefixes.
+    # Each strand yields (value, src) nondecreasing.
     def strand_iter(spec: SequenceSpec, wit: IndexMap):
-        images = iter(wit)
-        buffered: List[Tuple[Fraction, int]] = []
-        body = spec
-        while isinstance(body, ExplicitPrefix):
-            buffered.extend(zip(body.values, images))
-            body = body.tail
-        if not _eventually_nondecreasing(body):
+        head = spec._sort_head()
+        if head is None:
             raise NotDivergent(
-                f"cannot stream-sort a {type(body).__name__} strand"
+                f"cannot stream-sort a {type(spec._body).__name__} strand"
             )
-        buffered.sort()
-        pending = deque(buffered)
-        for v, src in zip(body.iter_terms(), images):
-            while pending and pending[0] <= (v, src):
-                pv, psrc = pending.popleft()
-                yield pv, psrc
-            yield v, src
+        pairs = zip(spec.iter_terms(), wit)
+        pending = deque(sorted(itertools.islice(pairs, head)))
+        for pair in pairs:
+            while pending and pending[0] <= pair:
+                yield pending.popleft()
+            yield pair
 
     iters = [strand_iter(s, w) for s, w in strands(part.spec, part.witness)]
     merged = heapq.merge(*iters)
@@ -684,8 +659,12 @@ def target_above_limsup(
 
 
 def _strand_for_path(part: PartStream, path: Tuple[str, ...]):
-    """Select an interleave strand by path; siblings become leftover parts."""
-    selected_spec = part.spec
+    """Select an interleave strand by path; siblings become leftover parts.
+
+    The path is walked over the same pushed tree that ``strands`` walks, so
+    it also passes through pointwise wrappers of an interleave.
+    """
+    selected_spec = push_pointwise(part.spec)
     selected_wit = part.witness
     leftovers: List[PartStream] = []
     for step in path:

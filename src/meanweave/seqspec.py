@@ -5,6 +5,11 @@ A ``SequenceSpec`` describes an infinite rational sequence by structure
 maps...) rather than by samples.  Every spec can evaluate any term exactly,
 and carries enough structure that accumulation behaviour (its *profile*) is
 derived symbolically — never estimated from numbers.
+
+Each family class keeps its own rules: its profile, negation, balance and
+density verdicts, how far its terms are unsorted, and its DSL spelling.  The
+module functions (``profile``, ``negated_spec``, ``strands``...) and the
+balance and DSL modules dispatch to those methods.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from enum import IntEnum
+from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
@@ -132,6 +137,31 @@ class AccumulationProfile:
 
 
 # ---------------------------------------------------------------------------
+# Analytic verdicts the family rules return
+
+
+class BalanceKind(Enum):
+    BALANCED = "Balanced"
+    NOT_BALANCED = "NotBalanced"
+    UNKNOWN = "Unknown"
+
+
+class Condition(Enum):
+    HOLDS = "Holds"
+    FAILS = "Fails"
+    UNKNOWN = "Unknown"
+
+
+@dataclass(frozen=True)
+class DensityReport:
+    condition: Condition
+    reason: str
+    # Interleave-branch path ("first"/"second" steps) selecting a strand
+    # along which |term|/n -> 0; () means the whole sequence qualifies.
+    path: Optional[Tuple[str, ...]] = None
+
+
+# ---------------------------------------------------------------------------
 # Sequence descriptors
 
 
@@ -141,11 +171,18 @@ class SequenceSpec:
 
     ``declared_profile`` lets callers assert accumulation behaviour the
     structural rules cannot see; it takes precedence in ``profile()``.
+
+    A family overrides the rules it has; the defaults here know nothing.
+    ``dsl_name`` and ``dsl_shape`` spell the family in the descriptor
+    language: the shape has one letter per argument, ``q`` a rational and
+    ``s`` a spec, with ``+`` for one or more.
     """
 
     declared_profile: Optional[AccumulationProfile] = field(
         default=None, kw_only=True
     )
+
+    dsl_name, dsl_shape = None, ""
 
     def term(self, n: int) -> Fraction:
         raise NotImplementedError
@@ -161,10 +198,47 @@ class SequenceSpec:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"term index must be a positive integer, got {n!r}")
 
+    @classmethod
+    def _from_dsl(cls, args) -> "SequenceSpec":
+        """The spec a descriptor spells with these (shape-checked) args."""
+        return cls(*args)
+
+    def _profile(self) -> AccumulationProfile:
+        """Structural profile; ``profile()`` prefers a declared one."""
+        raise UnknownProfile(f"no profile rule for {type(self).__name__}")
+
+    def _negated(self) -> "SequenceSpec":
+        return Negate(self)
+
+    def _balance(self) -> Tuple[BalanceKind, str, Optional[Fraction]]:
+        """Analytic balance rule for a spec known to tend to +inf: the kind,
+        the reason and the limsup estimate of the term/prefix-sum ratio."""
+        return BalanceKind.UNKNOWN, f"no analytic rule for {type(self).__name__}", None
+
+    def _square_balance(self) -> Tuple[BalanceKind, str, Optional[Fraction]]:
+        """Analytic balance rule for the pointwise square of this spec."""
+        return BalanceKind.UNKNOWN, "no analytic rule for this square", None
+
+    def _density(self) -> DensityReport:
+        """Whether liminf |term|/n = 0, for a spec diverging in modulus."""
+        reason = f"no analytic rule for {type(self).__name__}"
+        return DensityReport(Condition.UNKNOWN, reason)
+
+    def _sort_head(self) -> Optional[int]:
+        """How many leading terms may exceed later ones: past them the terms
+        never decrease.  None when no such count is known (not sortable)."""
+        return None
+
+    @property
+    def _body(self) -> "SequenceSpec":
+        """This spec behind its explicit prefixes."""
+        return self
+
 
 @dataclass(frozen=True)
 class Constant(SequenceSpec):
     value: Fraction
+    dsl_name, dsl_shape = "const", "q"
 
     def __post_init__(self):
         object.__setattr__(self, "value", as_fraction(self.value))
@@ -173,12 +247,50 @@ class Constant(SequenceSpec):
         self._check_index(n)
         return self.value
 
+    def _profile(self):
+        return AccumulationProfile.of_points(self.value)
+
+    def _negated(self):
+        return Constant(-self.value)
+
+    def _density(self):
+        return DensityReport(Condition.UNKNOWN, "not divergent")
+
+
+class _Increasing(SequenceSpec):
+    """Families whose terms never decrease and tend to +inf."""
+
+    def _profile(self):
+        return AccumulationProfile.of_points(pos_inf=True)
+
+    def _sort_head(self):
+        return 0
+
+
+class _Polynomial(_Increasing):
+    """n^exponent: the rules of ``Linear`` and ``PowerOfIndex``."""
+
+    def _balance(self):
+        reason = f"polynomial terms: ratio falls like {self.exponent + 1}/n"
+        return BalanceKind.BALANCED, reason, None
+
+    def _square_balance(self):
+        degree = 2 * self.exponent
+        reason = f"square of polynomial terms is polynomial (degree {degree})"
+        return BalanceKind.BALANCED, reason, None
+
+    def _density(self):
+        if self.exponent == 1:
+            return DensityReport(Condition.FAILS, "|term|/n is constantly 1")
+        return DensityReport(Condition.FAILS, "|term|/n grows polynomially")
+
 
 @dataclass(frozen=True)
-class PowerOfIndex(SequenceSpec):
+class PowerOfIndex(_Polynomial):
     """n^k for a fixed positive integer exponent k."""
 
     exponent: int
+    dsl_name, dsl_shape = "pow", "q"
 
     def __post_init__(self):
         if not isinstance(self.exponent, int) or self.exponent < 1:
@@ -190,12 +302,19 @@ class PowerOfIndex(SequenceSpec):
         self._check_index(n)
         return Fraction(n**self.exponent)
 
+    @classmethod
+    def _from_dsl(cls, args):
+        if args[0].denominator != 1:
+            raise MalformedDescriptor("pow takes an integer exponent")
+        return cls(int(args[0]))
+
 
 @dataclass(frozen=True)
-class Geometric(SequenceSpec):
+class Geometric(_Increasing):
     """ratio^n with rational ratio > 1."""
 
     ratio: Fraction
+    dsl_name, dsl_shape = "geom", "q"
 
     def __post_init__(self):
         r = as_fraction(self.ratio)
@@ -213,19 +332,52 @@ class Geometric(SequenceSpec):
             yield value
             value *= self.ratio
 
+    def _balance(self):
+        return (
+            BalanceKind.NOT_BALANCED,
+            "geometric growth keeps the ratio near ratio-1 "
+            "(consecutive-term quotient stays below 1)",
+            self.ratio - 1,
+        )
+
+    def _square_balance(self):
+        reason = "square of geometric growth is geometric"
+        return BalanceKind.NOT_BALANCED, reason, self.ratio * self.ratio - 1
+
+    def _density(self):
+        reason = "|term|/n is increasing from index 2 onward"
+        return DensityReport(Condition.FAILS, reason)
+
 
 @dataclass(frozen=True)
-class Linear(SequenceSpec):
+class Linear(_Polynomial):
+    exponent = 1
+    dsl_name, dsl_shape = "linear", ""
+
     def term(self, n: int) -> Fraction:
         self._check_index(n)
         return Fraction(n)
 
+    def _negated(self):
+        return NegLinear()
+
 
 @dataclass(frozen=True)
 class NegLinear(SequenceSpec):
+    dsl_name, dsl_shape = "neglinear", ""
+
     def term(self, n: int) -> Fraction:
         self._check_index(n)
         return Fraction(-n)
+
+    def _profile(self):
+        return AccumulationProfile.of_points(neg_inf=True)
+
+    def _negated(self):
+        return Linear()
+
+    def _density(self):
+        return DensityReport(Condition.FAILS, "|term|/n is constantly 1")
 
 
 class RunRule(IntEnum):
@@ -243,9 +395,18 @@ class RunRule(IntEnum):
     CEIL_SQRT = 4
 
 
+_RUN_BALANCE = {
+    RunRule.DOUBLING: "doubling blocks: ratio falls like 1/blocklength",
+    RunRule.STAIRS: "staircase blocks: prefix sums grow cubically",
+    RunRule.FACTORIAL: "factorial blocks: balance index grows with the block",
+    RunRule.CEIL_SQRT: "ceil-sqrt growth: ratio falls like 3/sqrt(n)",
+}
+
+
 @dataclass(frozen=True)
-class RunLength(SequenceSpec):
+class RunLength(_Increasing):
     rule: RunRule
+    dsl_name, dsl_shape = "runlen", "q"
 
     def __post_init__(self):
         try:
@@ -297,9 +458,38 @@ class RunLength(SequenceSpec):
                 yield value
             b += 1
 
+    @classmethod
+    def _from_dsl(cls, args):
+        if args[0].denominator != 1:
+            raise MalformedDescriptor("runlen takes an integer rule number")
+        return cls(int(args[0]))
+
+    def _balance(self):
+        return BalanceKind.BALANCED, _RUN_BALANCE[self.rule], None
+
+    def _square_balance(self):
+        if self.rule is RunRule.FACTORIAL:
+            return (
+                BalanceKind.NOT_BALANCED,
+                "squared factorial blocks: the balance index at each block "
+                "boundary stays below 2",
+                Fraction(1, 2),
+            )
+        reason = "squared sub-geometric blocks keep a vanishing ratio"
+        return BalanceKind.BALANCED, reason, None
+
+    def _density(self):
+        if self.rule in (RunRule.STAIRS, RunRule.CEIL_SQRT):
+            return DensityReport(
+                Condition.HOLDS,
+                "block values grow like the square root of the index",
+                path=(),
+            )
+        return DensityReport(Condition.FAILS, "block values outgrow the index")
+
 
 @dataclass(frozen=True)
-class SumJump(SequenceSpec):
+class SumJump(_Increasing):
     """Step-by-one growth that jumps past its own prefix sum.
 
     At indices that are powers of two the term is 1 + (sum of all earlier
@@ -309,6 +499,7 @@ class SumJump(SequenceSpec):
 
     _values: list = field(default_factory=list, compare=False, repr=False)
     _sums: list = field(default_factory=list, compare=False, repr=False)
+    dsl_name, dsl_shape = "sumjump", ""
 
     def _extend_to(self, n: int):
         vals, sums = self._values, self._sums
@@ -336,6 +527,17 @@ class SumJump(SequenceSpec):
             yield self._values[n - 1]
             n += 1
 
+    def _balance(self):
+        reason = "each jump term exceeds the whole prefix sum"
+        return BalanceKind.NOT_BALANCED, reason, Fraction(1)
+
+    def _square_balance(self):
+        reason = "squared jumps still exceed the squared prefix sum"
+        return BalanceKind.NOT_BALANCED, reason, Fraction(1)
+
+    def _density(self):
+        return DensityReport(Condition.FAILS, "jump terms dominate the index")
+
 
 @dataclass(frozen=True)
 class ExplicitPrefix(SequenceSpec):
@@ -343,6 +545,7 @@ class ExplicitPrefix(SequenceSpec):
 
     values: Tuple[Fraction, ...]
     tail: SequenceSpec
+    dsl_name, dsl_shape = "prefix", "q+s"
 
     def __post_init__(self):
         object.__setattr__(
@@ -359,6 +562,37 @@ class ExplicitPrefix(SequenceSpec):
         yield from self.values
         yield from self.tail.iter_terms()
 
+    @classmethod
+    def _from_dsl(cls, args):
+        return cls(tuple(args[:-1]), args[-1])
+
+    def _profile(self):
+        return profile(self.tail)
+
+    def _negated(self):
+        return ExplicitPrefix(tuple(-v for v in self.values), negated_spec(self.tail))
+
+    def _balance(self):
+        kind, reason, est = self.tail._balance()
+        return kind, reason + " (finite prefix immaterial)", est
+
+    def _square_balance(self):
+        return self.tail._square_balance()
+
+    def _density(self):
+        inner = self.tail._density()
+        return DensityReport(
+            inner.condition, inner.reason + " (finite prefix immaterial)", inner.path
+        )
+
+    def _sort_head(self):
+        head = self.tail._sort_head()
+        return None if head is None else len(self.values) + head
+
+    @property
+    def _body(self):
+        return self.tail._body
+
 
 @dataclass(frozen=True)
 class Affine(SequenceSpec):
@@ -367,6 +601,7 @@ class Affine(SequenceSpec):
     base: SequenceSpec
     scale: Fraction
     shift: Fraction
+    dsl_name, dsl_shape = "affine", "sqq"
 
     def __post_init__(self):
         object.__setattr__(self, "scale", as_fraction(self.scale))
@@ -379,10 +614,36 @@ class Affine(SequenceSpec):
         for v in self.base.iter_terms():
             yield self.scale * v + self.shift
 
+    def _over(self, base: SequenceSpec) -> "Affine":
+        return Affine(base, self.scale, self.shift)
+
+    def _profile(self):
+        return profile(self.base).affine(self.scale, self.shift)
+
+    def _negated(self):
+        return Affine(self.base, -self.scale, -self.shift)
+
+    def _balance(self):
+        if self.scale > 0:
+            kind, reason, est = self.base._balance()
+            return kind, reason + " (positive scaling and shift preserved)", est
+        return BalanceKind.UNKNOWN, "non-positive scale leaves no rule", None
+
+    def _density(self):
+        if self.scale == 0:
+            return DensityReport(Condition.UNKNOWN, "degenerate scale")
+        inner = self.base._density()
+        reason = inner.reason + " (affine image)"
+        return DensityReport(inner.condition, reason, inner.path)
+
+    def _sort_head(self):
+        return self.base._sort_head() if self.scale > 0 else None
+
 
 @dataclass(frozen=True)
 class PointwiseSquare(SequenceSpec):
     base: SequenceSpec
+    dsl_name, dsl_shape = "square", "s"
 
     def term(self, n: int) -> Fraction:
         v = self.base.term(n)
@@ -392,10 +653,39 @@ class PointwiseSquare(SequenceSpec):
         for v in self.base.iter_terms():
             yield v * v
 
+    def _over(self, base: SequenceSpec) -> "PointwiseSquare":
+        return PointwiseSquare(base)
+
+    def _profile(self):
+        return profile(self.base).square()
+
+    def _balance(self):
+        return self.base._square_balance()
+
+    def _density(self):
+        inner = self.base._density()
+        if inner.condition is Condition.FAILS:
+            return DensityReport(Condition.FAILS, "square of a dense-failing base")
+        # a run-length base that passes the density rule grows like a root
+        if isinstance(self.base, RunLength):
+            return DensityReport(
+                Condition.FAILS,
+                "squared root-growth values keep |term|/n bounded away from 0",
+            )
+        return DensityReport(Condition.UNKNOWN, "no analytic rule for this square")
+
+    def _sort_head(self):
+        # squaring keeps the order only once the base stays nonnegative
+        head = self.base._sort_head()
+        if head is None or self.base.term(head + 1) < 0:
+            return None
+        return head
+
 
 @dataclass(frozen=True)
 class Negate(SequenceSpec):
     base: SequenceSpec
+    dsl_name, dsl_shape = "neg", "s"
 
     def term(self, n: int) -> Fraction:
         return -self.base.term(n)
@@ -404,6 +694,18 @@ class Negate(SequenceSpec):
         for v in self.base.iter_terms():
             yield -v
 
+    def _over(self, base: SequenceSpec) -> "Negate":
+        return Negate(base)
+
+    def _profile(self):
+        return profile(self.base).negate()
+
+    def _negated(self):
+        return self.base
+
+    def _density(self):
+        return self.base._density()
+
 
 @dataclass(frozen=True)
 class Interleave(SequenceSpec):
@@ -411,6 +713,7 @@ class Interleave(SequenceSpec):
 
     first: SequenceSpec
     second: SequenceSpec
+    dsl_name, dsl_shape = "interleave", "ss"
 
     def term(self, n: int) -> Fraction:
         self._check_index(n)
@@ -424,6 +727,34 @@ class Interleave(SequenceSpec):
             yield next(a)
             yield next(b)
 
+    def _profile(self):
+        return profile(self.first).union(profile(self.second))
+
+    def _negated(self):
+        return Interleave(negated_spec(self.first), negated_spec(self.second))
+
+    def _balance(self):
+        return BalanceKind.UNKNOWN, "no analytic rule for interleaved strands", None
+
+    def _density(self):
+        first = self.first._density()
+        if first.condition is Condition.HOLDS:
+            return DensityReport(
+                Condition.HOLDS,
+                first.reason + " (along the first strand)",
+                path=("first",) + (first.path or ()),
+            )
+        second = self.second._density()
+        if second.condition is Condition.HOLDS:
+            return DensityReport(
+                Condition.HOLDS,
+                second.reason + " (along the second strand)",
+                path=("second",) + (second.path or ()),
+            )
+        if first.condition is Condition.FAILS and second.condition is Condition.FAILS:
+            return DensityReport(Condition.FAILS, "both strands fail the condition")
+        return DensityReport(Condition.UNKNOWN, "strand verdicts incomplete")
+
 
 @dataclass(frozen=True)
 class PointwiseSum(SequenceSpec):
@@ -431,6 +762,7 @@ class PointwiseSum(SequenceSpec):
 
     first: SequenceSpec
     second: SequenceSpec
+    dsl_name, dsl_shape = "sum", "ss"
 
     def term(self, n: int) -> Fraction:
         return self.first.term(n) + self.second.term(n)
@@ -438,6 +770,28 @@ class PointwiseSum(SequenceSpec):
     def iter_terms(self) -> Iterator[Fraction]:
         for u, v in zip(self.first.iter_terms(), self.second.iter_terms()):
             yield u + v
+
+    def _profile(self):
+        u = profile(self.first).converges_to()
+        v = profile(self.second).converges_to()
+        if u is None or v is None:
+            raise UnknownProfile(
+                "pointwise sum needs both sides convergent in the extended reals"
+            )
+        if u.is_finite and v.is_finite:
+            return AccumulationProfile.of_points(u.value + v.value)
+        infinities = {p for p in (u, v) if not p.is_finite}
+        if len(infinities) == 1:
+            inf = infinities.pop()
+            return AccumulationProfile.of_points(pos_inf=inf.is_pos_inf,
+                                                 neg_inf=inf.is_neg_inf)
+        raise UnknownProfile("sum of opposite infinities is indeterminate")
+
+    def _balance(self):
+        left, right = self.first._balance(), self.second._balance()
+        if left[0] is BalanceKind.BALANCED and right[0] is BalanceKind.BALANCED:
+            return BalanceKind.BALANCED, "index-aligned sum of balanced sequences", None
+        return BalanceKind.UNKNOWN, "sum closure needs both sides balanced", None
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +809,7 @@ def negated_spec(spec: SequenceSpec) -> SequenceSpec:
     Keeping the result inside the named spec families (instead of a blanket
     Negate wrapper) lets the analytic profile/balance rules recognize it.
     """
-    if isinstance(spec, Negate):
-        return spec.base
-    if isinstance(spec, Constant):
-        return Constant(-spec.value)
-    if isinstance(spec, Linear):
-        return NegLinear()
-    if isinstance(spec, NegLinear):
-        return Linear()
-    if isinstance(spec, Affine):
-        return Affine(spec.base, -spec.scale, -spec.shift)
-    if isinstance(spec, Interleave):
-        return Interleave(negated_spec(spec.first), negated_spec(spec.second))
-    if isinstance(spec, ExplicitPrefix):
-        return ExplicitPrefix(
-            tuple(-v for v in spec.values), negated_spec(spec.tail)
-        )
-    return Negate(spec)
+    return spec._negated()
 
 
 def run_table(pairs, tail: SequenceSpec) -> SequenceSpec:
@@ -504,38 +842,7 @@ def profile(spec: SequenceSpec) -> AccumulationProfile:
     """
     if spec.declared_profile is not None:
         return spec.declared_profile
-    if isinstance(spec, Constant):
-        return AccumulationProfile.of_points(spec.value)
-    if isinstance(spec, (PowerOfIndex, Geometric, Linear, RunLength, SumJump)):
-        return AccumulationProfile.of_points(pos_inf=True)
-    if isinstance(spec, NegLinear):
-        return AccumulationProfile.of_points(neg_inf=True)
-    if isinstance(spec, ExplicitPrefix):
-        return profile(spec.tail)
-    if isinstance(spec, Negate):
-        return profile(spec.base).negate()
-    if isinstance(spec, Affine):
-        return profile(spec.base).affine(spec.scale, spec.shift)
-    if isinstance(spec, PointwiseSquare):
-        return profile(spec.base).square()
-    if isinstance(spec, Interleave):
-        return profile(spec.first).union(profile(spec.second))
-    if isinstance(spec, PointwiseSum):
-        u = profile(spec.first).converges_to()
-        v = profile(spec.second).converges_to()
-        if u is None or v is None:
-            raise UnknownProfile(
-                "pointwise sum needs both sides convergent in the extended reals"
-            )
-        if u.is_finite and v.is_finite:
-            return AccumulationProfile.of_points(u.value + v.value)
-        infinities = {p for p in (u, v) if not p.is_finite}
-        if len(infinities) == 1:
-            inf = infinities.pop()
-            return AccumulationProfile.of_points(pos_inf=inf.is_pos_inf,
-                                                 neg_inf=inf.is_neg_inf)
-        raise UnknownProfile("sum of opposite infinities is indeterminate")
-    raise UnknownProfile(f"no profile rule for {type(spec).__name__}")
+    return spec._profile()
 
 
 # ---------------------------------------------------------------------------
@@ -685,41 +992,24 @@ class Decomposition:
         return tuple(out)
 
 
-def _push_pointwise(spec: SequenceSpec) -> SequenceSpec:
+def push_pointwise(spec: SequenceSpec) -> SequenceSpec:
     """Distribute pointwise wrappers over interleaves.
 
     Negate/Affine/Square act term-by-term, so they commute with the strict
     alternation of Interleave; pushing them inward exposes the convergent
-    strands to the leaf walk.
+    strands to the leaf walk.  The result has the same terms; a pushed
+    wrapper carries no declared profile.
     """
-    if isinstance(spec, Negate):
-        base = _push_pointwise(spec.base)
+    if isinstance(spec, (Negate, Affine, PointwiseSquare)):
+        base = push_pointwise(spec.base)
         if isinstance(base, Interleave):
             return Interleave(
-                _push_pointwise(Negate(base.first)),
-                _push_pointwise(Negate(base.second)),
+                push_pointwise(spec._over(base.first)),
+                push_pointwise(spec._over(base.second)),
             )
-        return Negate(base)
-    if isinstance(spec, Affine):
-        base = _push_pointwise(spec.base)
-        if isinstance(base, Interleave):
-            return Interleave(
-                _push_pointwise(Affine(base.first, spec.scale, spec.shift)),
-                _push_pointwise(Affine(base.second, spec.scale, spec.shift)),
-            )
-        return Affine(base, spec.scale, spec.shift)
-    if isinstance(spec, PointwiseSquare):
-        base = _push_pointwise(spec.base)
-        if isinstance(base, Interleave):
-            return Interleave(
-                _push_pointwise(PointwiseSquare(base.first)),
-                _push_pointwise(PointwiseSquare(base.second)),
-            )
-        return PointwiseSquare(base)
+        return spec._over(base)
     if isinstance(spec, Interleave):
-        return Interleave(
-            _push_pointwise(spec.first), _push_pointwise(spec.second)
-        )
+        return Interleave(push_pointwise(spec.first), push_pointwise(spec.second))
     return spec
 
 
@@ -736,7 +1026,7 @@ def strands(spec: SequenceSpec, index_map: IndexMap = IDENTITY_MAP):
     Pointwise wrappers are pushed through interleaves first; each interleave
     then splits its map into the odd and the even elements.
     """
-    return _walk(_push_pointwise(spec), index_map)
+    return _walk(push_pointwise(spec), index_map)
 
 
 def fold_strands(group) -> Tuple[SequenceSpec, IndexMap]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from meanweave.dsl import parse_spec, render
-from meanweave.errors import ParseError
+from meanweave.errors import MalformedDescriptor, ParseError
 from meanweave.seqspec import (
     Affine,
     Constant,
@@ -16,6 +16,7 @@ from meanweave.seqspec import (
     Negate,
     PointwiseSquare,
     PowerOfIndex,
+    SequenceSpec,
     eval_term,
 )
 
@@ -68,6 +69,29 @@ def test_parse_errors_carry_offset_and_expectation(text, offset, expected_fragme
         parse_spec(text)
     assert exc.value.offset == offset
     assert expected_fragment in exc.value.expected
+
+
+@pytest.mark.parametrize(
+    "text,offset,expected",
+    [
+        ("pow(3/2)", 0, "pow takes an integer exponent"),
+        ("runlen(5/2)", 0, "runlen takes an integer rule number"),
+        ("prefix(1, 2)", 0, "prefix takes (rational..., spec)"),
+        ("interleave(const(0), prefix(linear()))", 21, "prefix takes (rational..., spec)"),
+        ("prefix(linear(), 1, linear())", 0, "prefix takes (rational..., spec)"),
+        ("affine(linear(), 1)", 0, "affine takes (spec, rational, rational)"),
+        ("linear(1)", 0, "linear takes ()"),
+    ],
+)
+def test_argument_errors_name_the_family_shape(text, offset, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_spec(text)
+    assert (exc.value.offset, exc.value.expected) == (offset, expected)
+
+
+def test_render_refuses_a_spec_without_a_textual_form():
+    with pytest.raises(MalformedDescriptor, match="no textual form for SequenceSpec"):
+        render(SequenceSpec())
 
 
 def test_error_offset_points_at_the_failing_constructor():

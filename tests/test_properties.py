@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import islice
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -404,12 +405,18 @@ def test_classifier_output_is_canonical_and_honest(prof, bb, cb, bd, cd):
 # Placement law of the above-limsup construction
 
 
+@pytest.mark.parametrize("text", [
+    "interleave(const(0), linear())",
+    # the explicit prefix sits under a wrapper: 30, 1, 2, 3, ... sorts to
+    # 1, 2, ..., 29, 30, 30, 31, ...
+    "interleave(const(0), affine(prefix(30, linear()), 1, 0))",
+], ids=["plain", "wrapped_prefix"])
 @settings(max_examples=12, **COMMON)
 @given(st.fractions(min_value=F(1, 2), max_value=4, max_denominator=6))
-def test_placement_slots_follow_the_survivor_sums(target):
+def test_placement_slots_follow_the_survivor_sums(text, target):
     from meanweave.rearrange import PartStream, target_above_limsup
 
-    dec = decompose(parse_spec("interleave(const(0), linear())"))
+    dec = decompose(parse_spec(text))
     r = target_above_limsup(
         PartStream.from_decomposition(dec, "b"),
         PartStream.from_decomposition(dec, "c"),
@@ -418,12 +425,13 @@ def test_placement_slots_follow_the_survivor_sums(target):
     # meta["placements"] reads the "place" emissions off a replay of the
     # stream, so this checks the output ranks actually emitted.
     placements = r.meta["placements"](12)
-    # Independent recomputation: the divergent strand in increasing order is
-    # 1, 2, 3, ...; survivors are the values above max(1, 2*target); the
-    # n-th survivor x_n sits at slot floor((s_n - x_n/2) / target), where
-    # s_n is the sum of survivors so far.
+    # Independent recomputation: sort the divergent strand's first terms
+    # (the smallest values needed here all lie among them); survivors are
+    # the values above max(1, 2*target); the n-th survivor x_n sits at slot
+    # floor((s_n - x_n/2) / target), where s_n is the sum of survivors so far.
     bar = max(F(1), 2 * target)
-    survivors = (F(v) for v in range(1, 10**6) if F(v) > bar)
+    ordered = sorted(islice(parse_spec(text).second.iter_terms(), 200))
+    survivors = (v for v in ordered if v > bar)
     s = F(0)
     expected = []
     for v in survivors:

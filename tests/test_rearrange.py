@@ -25,6 +25,7 @@ from meanweave.rearrange import (
     oscillator,
     sort_increasing,
     target_above_limsup,
+    two_sided_balance,
     two_sided_from_spec,
     weighted_merge,
 )
@@ -228,6 +229,31 @@ def test_sort_increasing_splits_an_affine_wrapped_interleave():
     assert all(spec.term(e.source_index) == e.value for e in entries)
 
 
+@pytest.mark.parametrize("text,around", [
+    # terms 100, 1, 2, 3, ...: the prefix value joins the run of 100s
+    ("affine(prefix(100, linear()), 1, 0)",
+     [(99, 98), (100, 99), (1, 100), (101, 100), (102, 101)]),
+    # terms 400, 1, 4, 9, ...: the squared prefix value waits for 20^2
+    ("square(prefix(-20, linear()))",
+     [(19, 324), (20, 361), (1, 400), (21, 400), (22, 441)]),
+], ids=["affine_prefix", "square_prefix"])
+def test_sort_increasing_buffers_a_prefix_under_a_pointwise_wrapper(text, around):
+    spec = parse_spec(text)
+    entries = list(iter_trace(sort_increasing(spec), 120))
+    pairs = [(e.source_index, e.value) for e in entries]
+    assert pairs[:3] == [(2, spec.term(2)), (3, spec.term(3)), (4, spec.term(4))]
+    start = pairs.index(around[0])
+    assert pairs[start:start + 5] == around
+    assert [v for _, v in pairs] == sorted(v for _, v in pairs)
+
+
+def test_sort_increasing_refuses_a_square_whose_base_starts_negative():
+    # (n - 10)^2 falls before it rises: the base is negative past its head
+    with pytest.raises(NotDivergent):
+        list(islice(sort_increasing(parse_spec("square(affine(linear(), 1, -10))"))
+                    .stream(), 5))
+
+
 def test_sort_increasing_requires_divergence_to_plus_infinity():
     with pytest.raises(NotDivergent):
         sort_increasing(parse_spec("const(1)"))
@@ -325,6 +351,20 @@ def test_two_sided_nonzero_target():
         if e.n >= 10000:
             worst = max(worst, abs(e.average - 5))
     assert worst == F(37, 5039)
+
+
+@pytest.mark.parametrize("wrapped", [
+    "affine(interleave(runlen(2), linear()), 1, 0)",
+    "neg(neg(interleave(runlen(2), linear())))",
+])
+def test_two_sided_balance_follows_the_density_path_through_wrappers(wrapped):
+    negative = PartStream.whole(parse_spec("neg(runlen(2))"))
+
+    def first_emissions(text):
+        positive = PartStream.whole(parse_spec(text))
+        return list(islice(two_sided_balance(negative, positive, 0).stream(), 200))
+
+    assert first_emissions(wrapped) == first_emissions("interleave(runlen(2), linear())")
 
 
 def test_two_sided_refuses_when_density_fails():
