@@ -68,6 +68,7 @@ from .errors import (
     ParseError,
     TargetNotAbove,
     TargetUnreachable,
+    TermTooLarge,
     UndeclaredLimit,
     UnknownProfile,
     WeightOutOfRange,

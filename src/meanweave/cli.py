@@ -126,6 +126,13 @@ def _cmd_verify(args) -> int:
             f"from={args.from_index}: {'PASS' if tube_ok else 'FAIL'}"
         )
         ok = ok and tube_ok
+    rows = {}
+    for e in t:
+        if e.source_index in rows:
+            first = rows[e.source_index]
+            print(f"source index {e.source_index} repeats: rows n={first} and n={e.n}")
+            return 1
+        rows[e.source_index] = e.n
     return 0 if ok else 1
 
 

@@ -25,6 +25,10 @@ class NonPositiveTerm(MeanweaveError):
     """A strictly-positive-terms operation met a term <= 0."""
 
 
+class TermTooLarge(MeanweaveError):
+    """A term lies past the size limit its family computes exactly."""
+
+
 class NotDivergent(MeanweaveError):
     """An operation requiring divergence met a non-divergent sequence."""
 

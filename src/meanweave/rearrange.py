@@ -37,7 +37,6 @@ from .seqspec import (
     IDENTITY_MAP,
     Decomposition,
     IndexMap,
-    Interleave,
     SequenceSpec,
     decompose,
     negated_spec,
@@ -504,9 +503,9 @@ def _sorted_emissions(part: PartStream) -> Iterator[Emission]:
     """Emissions of a +inf part in nondecreasing value order (ties by index).
 
     Works for interleaves of catalog strands that are nondecreasing after a
-    finite head, also under pointwise wrappers, which ``strands`` pushes
-    onto each strand; the head (``_sort_head`` terms, such as an explicit
-    prefix) is buffered until the rest passes it.
+    finite head, also under pointwise wrappers and explicit prefixes, which
+    ``strands`` pushes onto each strand; the head (``_sort_head`` terms, such
+    as a prefix or a squared negative run) is buffered until the rest passes it.
     """
     import heapq
 
@@ -658,29 +657,27 @@ def target_above_limsup(
 # Two-sided balance: finite targets from opposite infinities
 
 
-def _strand_for_path(part: PartStream, path: Tuple[str, ...]):
-    """Select an interleave strand by path; siblings become leftover parts.
+def _strand_for_path(part: PartStream, side: str):
+    """Select the strand on which liminf |term|/n = 0 holds; its siblings
+    become leftover parts.
 
-    The path is walked over the same pushed tree that ``strands`` walks, so
-    it also passes through pointwise wrappers of an interleave.
+    The density rule reads its path off ``push_pointwise(part.spec)``, the
+    tree that ``strands`` walks, where every interleave sits above every
+    pointwise wrapper and explicit prefix; so each step of the path is an
+    interleave of that tree.
     """
-    selected_spec = push_pointwise(part.spec)
-    selected_wit = part.witness
+    spec, wit = push_pointwise(part.spec), part.witness
+    rep = density_report(spec)
+    if rep.condition is not Condition.HOLDS:
+        raise DensityFails(f"{side} side: {rep.reason} ({rep.condition.value})")
     leftovers: List[PartStream] = []
-    for step in path:
-        if not isinstance(selected_spec, Interleave):
-            raise DensityFails("density path does not match the part structure")
-        first_w, second_w = selected_wit.split()
-        if step == "first":
-            sibling = PartStream(selected_spec.second, second_w,
-                                 _limit_of(selected_spec.second))
-            selected_spec, selected_wit = selected_spec.first, first_w
-        else:
-            sibling = PartStream(selected_spec.first, first_w,
-                                 _limit_of(selected_spec.first))
-            selected_spec, selected_wit = selected_spec.second, second_w
-        leftovers.append(sibling)
-    return PartStream(selected_spec, selected_wit, part.limit), leftovers
+    for step in rep.path:
+        halves = list(zip((spec.first, spec.second), wit.split()))
+        if step == "second":
+            halves.reverse()
+        (spec, wit), (other, other_wit) = halves
+        leftovers.append(PartStream(other, other_wit, _limit_of(other)))
+    return PartStream(spec, wit, part.limit), leftovers
 
 
 def _limit_of(spec: SequenceSpec) -> Optional[ExtendedReal]:
@@ -706,18 +703,8 @@ def two_sided_balance(
         raise DensityFails("first part must tend to -inf")
     if c_part.limit != POS_INF:
         raise DensityFails("second part must tend to +inf")
-    rep_b = density_report(b_part.spec)
-    if rep_b.condition is not Condition.HOLDS:
-        raise DensityFails(
-            f"negative side: {rep_b.reason} ({rep_b.condition.value})"
-        )
-    rep_c = density_report(c_part.spec)
-    if rep_c.condition is not Condition.HOLDS:
-        raise DensityFails(
-            f"positive side: {rep_c.reason} ({rep_c.condition.value})"
-        )
-    b_sel, b_rest = _strand_for_path(b_part, rep_b.path or ())
-    c_sel, c_rest = _strand_for_path(c_part, rep_c.path or ())
+    b_sel, b_rest = _strand_for_path(b_part, "negative")
+    c_sel, c_rest = _strand_for_path(c_part, "positive")
 
     deferred_parts: List[PartStream] = list(b_rest) + list(c_rest)
     if extras is not None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from .aarset import Interval, _canonicalize
-from .errors import MalformedDescriptor, UnknownProfile
+from .errors import MalformedDescriptor, TermTooLarge, UnknownProfile
 from .extreal import NEG_INF, POS_INF, ExtendedReal, Rational, as_fraction
 
 
@@ -403,6 +403,23 @@ _RUN_BALANCE = {
 }
 
 
+# FACTORIAL's term() stops at this block (10_000! has 35,660 digits)
+FACTORIAL_BLOCK_LIMIT = 10_000
+
+
+def _factorial_count(v: int) -> int:
+    """How many FACTORIAL terms blocks 1..v hold."""
+    return (v + 1) * (v + 2) * (2 * v + 3) // 6 - 1
+
+
+def _icbrt(x: int) -> int:
+    """floor(x ** (1/3)) for an integer x >= 1, by Newton's method from above."""
+    r = 1 << -(-x.bit_length() // 3)
+    while (s := (2 * r + x // (r * r)) // 3) < r:
+        r = s
+    return r
+
+
 @dataclass(frozen=True)
 class RunLength(_Increasing):
     rule: RunRule
@@ -442,11 +459,12 @@ class RunLength(_Increasing):
             while v * (v + 3) // 2 < n:
                 v += 1
             return Fraction(v)
-        # FACTORIAL: cumulative count through v is (v+1)(v+2)(2v+3)/6 - 1
-        v = max(1, round((3 * n) ** (1 / 3)) - 2)
-        while (v + 1) * (v + 2) * (2 * v + 3) // 6 - 1 < n:
+        if n > _factorial_count(FACTORIAL_BLOCK_LIMIT):
+            raise TermTooLarge(f"factorial terms stop at block {FACTORIAL_BLOCK_LIMIT}")
+        v = max(1, _icbrt(3 * n) - 2)
+        while _factorial_count(v) < n:
             v += 1
-        while v > 1 and v * (v + 1) * (2 * v + 1) // 6 - 1 >= n:
+        while v > 1 and _factorial_count(v - 1) >= n:
             v -= 1
         return Fraction(math.factorial(v))
 
@@ -667,7 +685,7 @@ class PointwiseSquare(SequenceSpec):
         if inner.condition is Condition.FAILS:
             return DensityReport(Condition.FAILS, "square of a dense-failing base")
         # a run-length base that passes the density rule grows like a root
-        if isinstance(self.base, RunLength):
+        if isinstance(self.base._body, RunLength):
             return DensityReport(
                 Condition.FAILS,
                 "squared root-growth values keep |term|/n bounded away from 0",
@@ -675,11 +693,13 @@ class PointwiseSquare(SequenceSpec):
         return DensityReport(Condition.UNKNOWN, "no analytic rule for this square")
 
     def _sort_head(self):
-        # squaring keeps the order only once the base stays nonnegative
+        # past its head the base never decreases, so its square falls only
+        # while the base is negative; that run joins the head
         head = self.base._sort_head()
-        if head is None or self.base.term(head + 1) < 0:
+        if head is None:
             return None
-        return head
+        past = itertools.islice(self.base.iter_terms(), head, None)
+        return head + sum(1 for _ in itertools.takewhile(lambda v: v < 0, past))
 
 
 @dataclass(frozen=True)
@@ -856,8 +876,8 @@ class IndexMap:
     tail, which is affine in ``AffineMap`` and alternates between two maps
     in ``WovenMap``.  Maps are frozen values; equality compares this
     representation.  A subclass describes its tail without the head:
-    ``_at(j)`` is its j-th image, ``_images()`` iterates them, ``_halves()``
-    gives its odd and its even elements and ``_moved(n)`` moves it up by n.
+    ``_at(j)`` is its j-th image, ``_images()`` iterates them and
+    ``_halves()`` gives its odd and its even elements.
     """
 
     __slots__ = ()
@@ -891,12 +911,6 @@ class IndexMap:
         even k -> other(k/2)."""
         return WovenMap((), self, other)
 
-    def shifted(self, n: int, lead: bool = False) -> "IndexMap":
-        """This map behind an n-element source prefix: every image moves up
-        by n, and with ``lead`` the prefix's own indices 1..n come first."""
-        head = tuple(range(1, n + 1)) if lead else ()
-        return self._moved(n)._behind(head + tuple(i + n for i in self.head))
-
 
 @dataclass(frozen=True, slots=True)
 class AffineMap(IndexMap):
@@ -916,9 +930,6 @@ class AffineMap(IndexMap):
         s, o = self.slope, self.offset
         return AffineMap((), 2 * s, o), AffineMap((), 2 * s, o + s)
 
-    def _moved(self, n: int) -> IndexMap:
-        return AffineMap((), self.slope, self.offset + n)
-
 
 @dataclass(frozen=True, slots=True)
 class WovenMap(IndexMap):
@@ -937,9 +948,6 @@ class WovenMap(IndexMap):
 
     def _halves(self) -> Tuple[IndexMap, IndexMap]:
         return self.first, self.second
-
-    def _moved(self, n: int) -> IndexMap:
-        return WovenMap((), self.first.shifted(n), self.second.shifted(n))
 
 
 IDENTITY_MAP = AffineMap((), 1, 1)
@@ -993,12 +1001,15 @@ class Decomposition:
 
 
 def push_pointwise(spec: SequenceSpec) -> SequenceSpec:
-    """Distribute pointwise wrappers over interleaves.
+    """Distribute pointwise wrappers and explicit prefixes over interleaves.
 
     Negate/Affine/Square act term-by-term, so they commute with the strict
-    alternation of Interleave; pushing them inward exposes the convergent
-    strands to the leaf walk.  The result has the same terms; a pushed
-    wrapper carries no declared profile.
+    alternation of Interleave.  ``prefix(v1, ..., vn, interleave(A, B))``
+    becomes ``interleave(prefix(v1, v3, ..., A), prefix(v2, v4, ..., B))``,
+    with A and B swapped when n is odd (the tail then starts on an even
+    rank).  So every interleave of the result sits above every wrapper and
+    prefix, and the leaf walk sees the convergent strands.  The result has
+    the same terms; a pushed wrapper or prefix has no declared profile.
     """
     if isinstance(spec, (Negate, Affine, PointwiseSquare)):
         base = push_pointwise(spec.base)
@@ -1010,7 +1021,21 @@ def push_pointwise(spec: SequenceSpec) -> SequenceSpec:
         return spec._over(base)
     if isinstance(spec, Interleave):
         return Interleave(push_pointwise(spec.first), push_pointwise(spec.second))
+    if isinstance(spec, ExplicitPrefix):
+        tail = push_pointwise(spec.tail)
+        if isinstance(tail, Interleave):
+            return _deal(spec.values, tail)
     return spec
+
+
+def _deal(values: Tuple[Fraction, ...], tail: SequenceSpec) -> SequenceSpec:
+    """``prefix(values, tail)`` with the values dealt down a pushed tail."""
+    if not isinstance(tail, Interleave):
+        return ExplicitPrefix(values, tail) if values else tail
+    first, second = tail.first, tail.second
+    if len(values) % 2:
+        first, second = second, first
+    return Interleave(_deal(values[0::2], first), _deal(values[1::2], second))
 
 
 def _walk(spec: SequenceSpec, index_map: IndexMap):
@@ -1048,10 +1073,6 @@ def decompose(
     """
     if prof is None:
         prof = profile(spec)
-    if isinstance(spec, ExplicitPrefix):
-        if not spec.values:
-            return decompose(spec.tail, prof)
-        return _decompose_behind_prefix(spec, prof)
     leaf_list = []
     for leaf_spec, index_map in strands(spec):
         limit = profile(leaf_spec).converges_to()
@@ -1096,28 +1117,3 @@ def decompose(
         witnesses=witnesses,
     )
 
-
-def _decompose_behind_prefix(
-    spec: ExplicitPrefix, prof: AccumulationProfile
-) -> Decomposition:
-    """Decompose a finitely-modified spec via its tail.
-
-    The head values join the liminf strand (finitely many values cannot
-    change a strand's limit) and every tail witness shifts by the head
-    length, so the witnesses still partition the source index set.
-    """
-    head = len(spec.values)
-    inner = decompose(spec.tail)
-    witnesses = {part: w.shifted(head) for part, w in inner.witnesses.items()}
-    witnesses["b"] = inner.witnesses["b"].shifted(head, lead=True)
-
-    return Decomposition(
-        source=spec,
-        b_part=ExplicitPrefix(spec.values, inner.b_part),
-        b_limit=inner.b_limit,
-        c_part=inner.c_part,
-        c_limit=inner.c_limit,
-        d_part=inner.d_part,
-        d_limits=inner.d_limits,
-        witnesses=witnesses,
-    )

@@ -243,7 +243,8 @@ DENSITY_RULES = [
     ("square(linear())", X, "square of a dense-failing base", None),
     ("square(runlen(2))", X,
      "squared root-growth values keep |term|/n bounded away from 0", None),
-    ("square(prefix(1, runlen(4)))", U, "no analytic rule for this square", None),
+    ("square(prefix(1, runlen(4)))", X,
+     "squared root-growth values keep |term|/n bounded away from 0", None),
     ("interleave(runlen(2), linear())", H, ROOT + " (along the first strand)",
      ("first",)),
     ("interleave(neg(linear()), affine(interleave(geom(2), runlen(2)), -2, 1))", H,

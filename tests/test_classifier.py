@@ -50,6 +50,10 @@ def test_standard_catalog(catalog_specs):
         # A finite head never changes the attainable set.
         ("prefix(100, interleave(const(0), geom(2)))", "{0} ∪ {+inf}"),
         ("prefix(-5, 11, interleave(const(0), pow(2)))", "[0, +inf]"),
+        ("interleave(const(0), prefix(5, interleave(const(1), linear())))",
+         "[0, +inf]"),
+        ("interleave(neg(runlen(4)), square(prefix(1, runlen(4))))",
+         "{-inf} ∪ {+inf}"),
     ],
 )
 def test_classify_spec_derives_needed_verdicts(text, expected):

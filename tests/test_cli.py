@@ -142,6 +142,27 @@ def test_verify_checks_identities_and_tube(tmp_path):
     assert out == "identities: PASS\ntube target=1/3 eps=1/10000 from=150: FAIL\n"
 
 
+def test_verify_rejects_a_repeated_source_index(tmp_path):
+    base = tmp_path / "run"
+    run("construct", "--target", "1/3", "--n", "200", "--out", str(base),
+        "interleave(const(0), const(1))")
+    path = tmp_path / "run.trace.csv"
+    lines = path.read_text().splitlines()
+    # rows n=4 and n=7 both emit a 0; let n=7 claim the source index of n=4
+    row4, row7 = lines[4].split(","), lines[7].split(",")
+    assert row4[2] == row7[2] == "0/1" and row4[1] != row7[1]
+    row7[1] = row4[1]
+    lines[7] = ",".join(row7)
+    path.write_text("\n".join(lines) + "\n")
+
+    code, out, _ = run("verify", str(path), "--tube", "1/3", "1/100", "--from", "150")
+    assert code == 1
+    assert out == (
+        "identities: PASS\ntube target=1/3 eps=1/100 from=150: PASS\n"
+        f"source index {row4[1]} repeats: rows n=4 and n=7\n"
+    )
+
+
 def test_verify_missing_file_is_an_io_error():
     code, _, err = run("verify", "/nonexistent/trace.csv")
     assert code == 2 and err.startswith("ERROR IOError: ")

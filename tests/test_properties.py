@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from meanweave.aarset import AARSet, Interval
 from meanweave.balance import ratio_series
-from meanweave.classifier import classify
+from meanweave.classifier import classify, classify_spec
 from meanweave.dsl import parse_spec, render
 from meanweave.errors import MeanweaveError, ParseError
 from meanweave.extreal import NEG_INF, POS_INF, ExtendedReal
@@ -31,13 +31,16 @@ from meanweave.seqspec import (
     ExplicitPrefix,
     Geometric,
     Interleave,
+    Linear,
     Negate,
     PointwiseSquare,
     PowerOfIndex,
+    RunLength,
     WovenMap,
     decompose,
     eval_term,
     negated_spec,
+    push_pointwise,
 )
 
 F = Fraction
@@ -146,6 +149,67 @@ def _past(w, k):
     return len(w.head) + 2 * max(_past(w.first, k), _past(w.second, k))
 
 
+# Trees with explicit prefixes at any depth, over interleaves or not.
+prefixed_trees = st.recursive(
+    st.one_of(leaf_specs, st.sampled_from([Linear(), RunLength(2), RunLength(4)])),
+    lambda inner: st.one_of(
+        inner.map(Negate),
+        inner.map(PointwiseSquare),
+        st.tuples(inner, rationals, rationals).map(lambda t: Affine(*t)),
+        st.tuples(inner, inner).map(lambda t: Interleave(*t)),
+        st.tuples(st.lists(rationals, min_size=1, max_size=3), inner).map(
+            lambda t: ExplicitPrefix(tuple(t[0]), t[1])),
+    ),
+    max_leaves=6,
+)
+
+
+def _without_prefixes(spec):
+    if isinstance(spec, ExplicitPrefix):
+        return _without_prefixes(spec.tail)
+    if isinstance(spec, (Negate, PointwiseSquare)):
+        return type(spec)(_without_prefixes(spec.base))
+    if isinstance(spec, Affine):
+        return Affine(_without_prefixes(spec.base), spec.scale, spec.shift)
+    if isinstance(spec, Interleave):
+        return Interleave(_without_prefixes(spec.first), _without_prefixes(spec.second))
+    return spec
+
+
+@settings(max_examples=60, **COMMON)
+@given(prefixed_trees, st.integers(1, 60))
+def test_pushed_prefixes_keep_the_terms_and_the_partition(spec, k):
+    pushed = push_pointwise(spec)
+    assert list(islice(pushed.iter_terms(), 200)) == list(islice(spec.iter_terms(), 200))
+    try:
+        dec = decompose(spec)
+    except MeanweaveError:
+        return
+    hits = []
+    for part in dec.parts_present:
+        w = dec.witnesses[part]
+        images = list(islice(w, _past(w, k)))
+        values = islice(dec.part_spec(part).iter_terms(), len(images))
+        assert all(eval_term(spec, i) == v for i, v in zip(images, values))
+        hits.extend(i for i in images if i <= k)
+    assert sorted(hits) == list(range(1, k + 1))
+
+
+def _classified(spec):
+    try:
+        return classify_spec(spec)
+    except MeanweaveError:
+        return None
+
+
+@settings(max_examples=150, **COMMON)
+@given(prefixed_trees)
+def test_a_finite_head_never_changes_the_classification(spec):
+    with_heads, without = _classified(spec), _classified(_without_prefixes(spec))
+    if with_heads is not None or without is not None:
+        assert with_heads == without
+
+
 heads = st.lists(st.integers(1, 50), max_size=5).map(tuple)
 index_maps = st.recursive(
     st.builds(AffineMap, heads, st.integers(1, 6), st.integers(1, 9)),
@@ -155,20 +219,17 @@ index_maps = st.recursive(
 
 
 @settings(max_examples=80, **COMMON)
-@given(index_maps, index_maps, st.integers(0, 4))
-def test_index_map_operations_follow_their_pointwise_definitions(m, other, n):
+@given(index_maps, index_maps)
+def test_index_map_operations_follow_their_pointwise_definitions(m, other):
     ks = range(1, 41)
     odd, even = m.split()
     paired = m.pair(other)
-    behind, leading = m.shifted(n), m.shifted(n, lead=True)
     assert [odd(k) for k in ks] == [m(2 * k - 1) for k in ks]
     assert [even(k) for k in ks] == [m(2 * k) for k in ks]
     assert [paired(k) for k in ks] == [
         m((k + 1) // 2) if k % 2 else other(k // 2) for k in ks
     ]
-    assert [behind(k) for k in ks] == [n + m(k) for k in ks]
-    assert [leading(k) for k in ks] == [k if k <= n else n + m(k - n) for k in ks]
-    for w in (m, odd, even, paired, behind, leading):
+    for w in (m, odd, even, paired):
         assert list(islice(w, 40)) == [w(k) for k in ks]
 
 

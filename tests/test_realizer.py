@@ -176,3 +176,13 @@ def test_early_schedule_windows_hold_on_a_fresh_pass():
     assert first_beyond is not None
     truncated = (e for e in iter_trace(r, first_beyond - 1))
     assert check_schedule(truncated, sched)
+
+
+def test_an_explicit_prefix_joins_the_strand_it_heads():
+    # prefix(5, ...) deals the head to the +inf strand square(linear())
+    spec = parse_spec(f"prefix(5, {FOUR_STRANDS})")
+    entries = list(iter_trace(realizer_from_spec(spec, [F(1, 2)]), 3000))
+    sources = [e.source_index for e in entries]
+    assert len(set(sources)) == 3000
+    assert sources.index(1) == 32 and entries[32].value == 5
+    assert all(spec.term(e.source_index) == e.value for e in entries)

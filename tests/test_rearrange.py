@@ -236,7 +236,10 @@ def test_sort_increasing_splits_an_affine_wrapped_interleave():
     # terms 400, 1, 4, 9, ...: the squared prefix value waits for 20^2
     ("square(prefix(-20, linear()))",
      [(19, 324), (20, 361), (1, 400), (21, 400), (22, 441)]),
-], ids=["affine_prefix", "square_prefix"])
+    # terms 7, 1, 1, 2, 4, 3, 9, ...: the head joins the pow(2) strand
+    ("prefix(7, interleave(linear(), pow(2)))",
+     [(10, 5), (12, 6), (1, 7), (14, 7), (16, 8)]),
+], ids=["affine_prefix", "square_prefix", "interleave_prefix"])
 def test_sort_increasing_buffers_a_prefix_under_a_pointwise_wrapper(text, around):
     spec = parse_spec(text)
     entries = list(iter_trace(sort_increasing(spec), 120))
@@ -247,11 +250,19 @@ def test_sort_increasing_buffers_a_prefix_under_a_pointwise_wrapper(text, around
     assert [v for _, v in pairs] == sorted(v for _, v in pairs)
 
 
-def test_sort_increasing_refuses_a_square_whose_base_starts_negative():
-    # (n - 10)^2 falls before it rises: the base is negative past its head
-    with pytest.raises(NotDivergent):
-        list(islice(sort_increasing(parse_spec("square(affine(linear(), 1, -10))"))
-                    .stream(), 5))
+@pytest.mark.parametrize("text,values", [
+    # (n - 10)^2 falls to 0 before it rises: the nine negative base terms
+    # are buffered
+    ("square(affine(linear(), 1, -10))", [0, 1, 1, 4, 4, 9, 9, 16]),
+    ("square(affine(linear(), 1/3, -1/2))",
+     [F(1, 36), F(1, 36), F(1, 4), F(25, 36), F(49, 36), F(9, 4)]),
+], ids=["integer_base", "rational_base"])
+def test_sort_increasing_buffers_the_negative_run_of_a_squared_base(text, values):
+    spec = parse_spec(text)
+    pairs = list(islice(sort_increasing(spec).stream(), 200))
+    assert [v for _, v in pairs[:len(values)]] == values
+    assert [v for _, v in pairs] == sorted(v for _, v in pairs)
+    assert all(spec.term(src) == v for src, v in pairs)
 
 
 def test_sort_increasing_requires_divergence_to_plus_infinity():
@@ -365,6 +376,28 @@ def test_two_sided_balance_follows_the_density_path_through_wrappers(wrapped):
         return list(islice(two_sided_balance(negative, positive, 0).stream(), 200))
 
     assert first_emissions(wrapped) == first_emissions("interleave(runlen(2), linear())")
+
+
+def test_construct_target_two_sided_route_through_an_explicit_prefix():
+    # the head 1 deals linear() onto the first rank of the positive side, so
+    # the density path selects runlen(2) and the head returns as an extra
+    spec = parse_spec(
+        "interleave(neg(runlen(2)), prefix(1, interleave(runlen(2), linear())))"
+    )
+    r = construct_target(spec, F(0))
+    entries = list(iter_trace(r, 3000))
+    assert [(e.source_index, e.value) for e in entries[:8]] == [
+        (4, 1), (1, -1), (8, 1), (3, -1), (12, 2), (5, -2), (2, 1), (16, 2)]
+    assert len({e.source_index for e in entries}) == 3000
+    assert all(spec.term(e.source_index) == e.value for e in entries)
+    assert abs(entries[-1].average) < F(1, 100)
+    # handed over whole, the positive side is walked through the same
+    # pushed tree: the high elements come from runlen(2) on its even ranks
+    negative = PartStream.whole(parse_spec("neg(runlen(2))"))
+    positive = PartStream.whole(parse_spec("prefix(1, interleave(runlen(2), linear()))"))
+    tagged = list(islice(two_sided_balance(negative, positive, 0).tagged_stream(), 8))
+    assert [(src, v) for src, v, tag in tagged if tag == "high"] == [
+        (2, 1), (4, 1), (6, 2), (8, 2)]
 
 
 def test_two_sided_refuses_when_density_fails():

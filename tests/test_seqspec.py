@@ -5,8 +5,8 @@ from itertools import islice
 
 import pytest
 
-from meanweave.dsl import parse_spec
-from meanweave.errors import MalformedDescriptor
+from meanweave.dsl import parse_spec, render
+from meanweave.errors import MalformedDescriptor, TermTooLarge
 from meanweave.seqspec import (
     AffineMap,
     Constant,
@@ -20,6 +20,7 @@ from meanweave.seqspec import (
     eval_term,
     negated_spec,
     profile,
+    push_pointwise,
     run_table,
 )
 
@@ -74,6 +75,18 @@ def test_runlen_ceiling_sqrt_matches_closed_form():
     spec = parse_spec("runlen(4)")
     for n in range(1, 400):
         assert eval_term(spec, n) == F(math.isqrt(n - 1) + 1)
+
+
+def test_factorial_terms_follow_the_blocks_up_to_the_block_limit():
+    spec = RunLength(3)
+    assert list(islice(spec.iter_terms(), 5000)) == terms(spec, 5000)
+    # block v ends at index (v+1)(v+2)(2v+3)/6 - 1: the last block is exact
+    last = 10_001 * 10_002 * 20_003 // 6 - 1
+    assert eval_term(spec, last - 10_001**2 + 1) == eval_term(spec, last)
+    assert eval_term(spec, last) == 10_000 * eval_term(spec, last - 10_001**2)
+    for n in (last + 1, 10**40, 10**400):
+        with pytest.raises(TermTooLarge):
+            eval_term(spec, n)
 
 
 def test_iter_terms_agrees_with_eval_term():
@@ -172,17 +185,37 @@ def test_many_same_limit_strands_fold_into_a_map_of_linear_size():
     assert dec.witness("c", 3) == 3 * 2**strands
 
 
-def test_prefix_head_leads_the_liminf_witness():
-    dec = decompose(parse_spec("prefix(5, 7, interleave(const(0), linear()))"))
-    assert dec.witnesses["b"] == AffineMap((1, 2), 2, 3)
-    assert dec.witnesses["c"] == AffineMap((), 2, 4)
-    assert list(islice(dec.emissions("b"), 4)) == [(1, F(5)), (2, F(7)), (3, F(0)), (5, F(0))]
-    dec = decompose(parse_spec(
+def test_prefix_values_are_dealt_to_the_strand_maps():
+    # an even head keeps each strand in place: 5 | 7 | 0, 1 | 0, 2 | ...
+    spec = parse_spec("prefix(5, 7, interleave(const(0), linear()))")
+    assert render(push_pointwise(spec)) == (
+        "interleave(prefix(5, const(0)), prefix(7, linear()))"
+    )
+    dec = decompose(spec)
+    assert dec.witnesses["b"] == AffineMap((), 2, 1)
+    assert dec.witnesses["c"] == AffineMap((), 2, 2)
+    assert list(islice(dec.emissions("b"), 4)) == [(1, F(5)), (3, F(0)), (5, F(0)), (7, F(0))]
+    # an odd head starts the tail on an even rank, so its strands swap
+    spec = parse_spec(
         "prefix(5, 7, 9, interleave(const(0), interleave(const(0), linear())))"
-    ))
+    )
+    assert render(push_pointwise(spec)) == (
+        "interleave(interleave(prefix(5, const(0)), prefix(9, linear())), "
+        "prefix(7, const(0)))"
+    )
+    dec = decompose(spec)
     b = dec.witnesses["b"]
-    assert b == WovenMap((1, 2, 3), AffineMap((), 2, 4), AffineMap((), 4, 5))
-    assert list(islice(b, 8)) == [1, 2, 3, 4, 5, 6, 9, 8]
+    assert b == WovenMap((), AffineMap((), 4, 1), AffineMap((), 2, 2))
+    assert list(islice(b, 8)) == [1, 2, 5, 4, 9, 6, 13, 8]
+    assert dec.witnesses["c"] == AffineMap((), 4, 3)
+    assert [eval_term(spec, i) for i in islice(dec.witnesses["c"], 4)] == [9, 1, 2, 3]
+
+
+def test_a_prefix_over_one_strand_stays_whole():
+    spec = parse_spec("prefix(30, affine(linear(), 2, 0))")
+    assert push_pointwise(spec) is spec
+    dec = decompose(spec)
+    assert dec.b_part is spec and dec.witnesses["b"] == AffineMap((), 1, 1)
 
 
 def test_decompose_witness_values_match_source_terms():
