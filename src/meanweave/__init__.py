@@ -38,7 +38,6 @@ from .realizer import (
     realizer_from_spec,
 )
 from .rearrange import (
-    PartStream,
     Rearrangement,
     RunningAverage,
     bounded_target,
@@ -88,6 +87,7 @@ from .seqspec import (
     Linear,
     NegLinear,
     Negate,
+    PartStream,
     PointwiseSquare,
     PointwiseSum,
     PowerOfIndex,

@@ -85,14 +85,6 @@ class BalanceVerdict:
     limsup_estimate: Optional[Fraction] = None
     evidence: Optional[NumericEvidence] = None
 
-    @property
-    def is_balanced(self) -> bool:
-        return self.kind is BalanceKind.BALANCED
-
-    @property
-    def is_not_balanced(self) -> bool:
-        return self.kind is BalanceKind.NOT_BALANCED
-
 
 EVIDENCE_THRESHOLD = Fraction(1, 1000)
 

@@ -24,7 +24,6 @@ from .seqspec import (
     AccumulationProfile,
     SequenceSpec,
     decompose,
-    negated_spec,
     profile,
 )
 
@@ -146,11 +145,11 @@ def classify_spec(spec: SequenceSpec) -> AARSet:
     if not fa and prof.has_neg_inf and prof.has_pos_inf:
         dec = decompose(spec, prof)
         try:
-            kwargs["b_density"] = density_condition(dec.b_part)
+            kwargs["b_density"] = density_condition(dec.b.spec)
         except MeanweaveError:
             pass
         try:
-            kwargs["c_density"] = density_condition(dec.c_part)
+            kwargs["c_density"] = density_condition(dec.c.spec)
         except MeanweaveError:
             pass
     elif fa and fa[0].lo.is_finite and fa[-1].hi.is_finite and (
@@ -159,12 +158,12 @@ def classify_spec(spec: SequenceSpec) -> AARSet:
         dec = decompose(spec, prof)
         if prof.has_neg_inf:
             try:
-                kwargs["b_balance"] = balanced_verdict(negated_spec(dec.b_part))
+                kwargs["b_balance"] = balanced_verdict(dec.b.negated().spec)
             except MeanweaveError:
                 pass
         if prof.has_pos_inf:
             try:
-                kwargs["c_balance"] = balanced_verdict(dec.c_part)
+                kwargs["c_balance"] = balanced_verdict(dec.c.spec)
             except MeanweaveError:
                 pass
     return classify(prof, **kwargs)

@@ -175,8 +175,9 @@ def check_permutation(
     """Audit injectivity of the first n outputs and coverage at each probe.
 
     For each probe p the bound f(p) = coverage_bound(p) must see every
-    source index 1..p within the first f(p) outputs.  Raises
-    InjectivityViolation / CoverageViolation on failure.
+    source index 1..p within the first f(p) outputs.  Streaming stops once
+    the first n outputs are checked and every probe is covered, or at the
+    largest bound.  Raises InjectivityViolation / CoverageViolation on failure.
     """
     bounds = {p: r.coverage_bound(p) for p in probes}
     horizon = max([n, *bounds.values()]) if bounds else n
@@ -197,7 +198,7 @@ def check_permutation(
                 need.discard(src)
                 if not need:
                     satisfied[p] = rank
-        if rank >= horizon:
+        if rank >= horizon or (rank >= n and len(satisfied) == len(remaining)):
             break
     for p in probes:
         if p in satisfied and satisfied[p] <= bounds[p]:

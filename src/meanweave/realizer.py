@@ -35,14 +35,16 @@ from .errors import (
     MissingInfinity,
     ZOutsideRange,
 )
-from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
-from .rearrange import (
+from .extreal import NEG_INF, POS_INF, as_fraction
+from .rearrange import Rearrangement, RunningAverage, observed_coverage_bound
+from .seqspec import (
+    Constant,
     PartStream,
-    Rearrangement,
-    RunningAverage,
-    observed_coverage_bound,
+    SequenceSpec,
+    fold_part,
+    limited_strands,
+    profile,  # not called here; bench/workloads.py traces realizer.profile
 )
-from .seqspec import Constant, SequenceSpec, fold_strands, profile, strands
 
 __all__ = [
     "ScheduleEntry",
@@ -516,39 +518,26 @@ def accumulation_realizer(
 def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
     """Group a spec's strands by limit and realize Z over them.
 
-    The strand limits must include two distinct finite levels (the smallest
-    and largest finite accumulation points frame the steering band) and both
-    infinities.
+    Every strand must converge (else UnknownProfile), and the strand limits
+    must include two distinct finite levels (the smallest and largest finite
+    accumulation points frame the steering band) and both infinities.
     """
-    leaf_list = []
-    for leaf_spec, index_map in strands(spec):
-        limit = profile(leaf_spec).converges_to()
-        if limit is None:
-            raise MalformedDescriptor("every strand must converge for realizing")
-        leaf_list.append((leaf_spec, index_map, limit))
-
-    finite_limits = sorted({lim.value for _s, _w, lim in leaf_list if lim.is_finite})
+    leaves = limited_strands(spec)
+    finite_limits = sorted({p.limit.value for p in leaves if p.limit.is_finite})
     if len(finite_limits) < 2:
         raise MalformedDescriptor(
             "need two distinct finite strand limits to steer between"
         )
     a, b_val = finite_limits[0], finite_limits[-1]
-
-    def fold(matching, limit=None) -> Optional[PartStream]:
-        group = [(s, w) for s, w, lim in leaf_list if matching(lim)]
-        if not group:
-            return None
-        return PartStream(*fold_strands(group), limit)
-
-    low = fold(lambda lim: lim.is_finite and lim.value == a, ExtendedReal(a))
-    high = fold(lambda lim: lim.is_finite and lim.value == b_val, ExtendedReal(b_val))
-    down = fold(lambda lim: lim == NEG_INF, NEG_INF)
-    up = fold(lambda lim: lim == POS_INF, POS_INF)
+    low = fold_part(leaves, lambda lim: lim == a)
+    high = fold_part(leaves, lambda lim: lim == b_val)
+    down = fold_part(leaves, lambda lim: lim == NEG_INF)
+    up = fold_part(leaves, lambda lim: lim == POS_INF)
     if down is None:
         raise MissingInfinity("no strand tends to -inf")
     if up is None:
         raise MissingInfinity("no strand tends to +inf")
-    middle = fold(lambda lim: lim.is_finite and a < lim.value < b_val)
+    middle = fold_part(leaves, lambda lim: a < lim < b_val)
     extras = [middle] if middle is not None else []
 
     r = accumulation_realizer(low, high, down, up, zset, extras=extras)

@@ -2,8 +2,9 @@
 
 Every constructor here returns a ``Rearrangement``: a deterministic stream of
 ``(source_index, value)`` pairs that is injective by construction and comes
-with a coverage bound certifying eventual surjectivity, i.e. the stream
-really is a bijective reindexing of the source sequence.
+with a coverage bound for the audits.  Only the identity and the weighted
+merge certify theirs; the others read it off a replay of the same stream
+(``observed_coverage_bound``).
 
 Streams are lazy and restartable: ``stream()`` always starts a fresh,
 independent iterator (the constructors are deterministic, so every restart
@@ -15,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -29,17 +29,14 @@ from .errors import (
     TargetNotAbove,
     TargetUnreachable,
     UndeclaredLimit,
-    UnknownProfile,
     WeightOutOfRange,
 )
 from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
 from .seqspec import (
-    IDENTITY_MAP,
-    Decomposition,
     IndexMap,
+    PartStream,
     SequenceSpec,
     decompose,
-    negated_spec,
     profile,
     push_pointwise,
     strands,
@@ -111,40 +108,7 @@ class RunningAverage:
 
 
 # ---------------------------------------------------------------------------
-# Part streams and the Rearrangement type
-
-@dataclass(frozen=True, eq=False)
-class PartStream:
-    """One convergent strand of a source: spec + witness back to source indices."""
-
-    spec: SequenceSpec
-    witness: IndexMap
-    limit: ExtendedReal
-
-    def emissions(self) -> Iterator[Emission]:
-        return zip(self.witness, self.spec.iter_terms())
-
-    @staticmethod
-    def whole(spec: SequenceSpec, limit=None) -> "PartStream":
-        if limit is None:
-            limit = profile(spec).converges_to()
-            if limit is None:
-                raise UndeclaredLimit("part has no single limit")
-        return PartStream(spec, IDENTITY_MAP, ExtendedReal.of(limit))
-
-    @staticmethod
-    def from_decomposition(dec: Decomposition, part: str) -> Optional["PartStream"]:
-        spec = dec.part_spec(part)
-        if spec is None:
-            return None
-        limits = {"b": dec.b_limit, "c": dec.c_limit}
-        limit = limits.get(part)
-        if limit is None:
-            # The d-part may fold strands with several different limits;
-            # it is only ever used as an extras pool, so no limit is needed.
-            limit = _limit_of(spec)
-        return PartStream(spec, dec.witnesses[part], limit)
-
+# The Rearrangement type
 
 class Rearrangement:
     """Deterministic lazy rearrangement of a source sequence."""
@@ -228,7 +192,7 @@ def identity_rearrangement(
 
 
 class _InsertionGate:
-    """Decides when the next deferred element may enter the stream.
+    """Holds the deferred elements and decides when the next may enter.
 
     The l-th extra (value e) may be emitted at position n+1 once the three
     exact conditions hold for eps = 2^-l: the running average is within
@@ -238,23 +202,27 @@ class _InsertionGate:
     |average| beyond M+2, |e|/(n+1) < 1, and n+1 > M+2.
     """
 
-    def __init__(self, limit: ExtendedReal):
+    def __init__(self, limit: ExtendedReal, deferred: Iterator[Emission]):
         self.limit = limit
         self.level = 0
         self._advance()
+        self._deferred = deferred
+        self._pending = None
 
     def _advance(self):
         self.level += 1
         self.eps3 = Fraction(1, 3 * (1 << self.level))  # (2^-l)/3
         self.m_threshold = 1 << (self.level + 1)  # 2^(l+1)
+        if self.limit.is_finite:
+            l_val = self.limit.value
+            self.window = (l_val - self.eps3, l_val + self.eps3)
 
     def admits(self, avg: RunningAverage, value: Fraction) -> bool:
         if avg.n == 0:
             return False
         n1 = avg.n + 1
         if self.limit.is_finite:
-            l_val = self.limit.value
-            if not (avg.cmp(l_val - self.eps3) > 0 and avg.cmp(l_val + self.eps3) < 0):
+            if not avg.within(*self.window):
                 return False
             if abs(value) >= self.eps3 * n1:
                 return False
@@ -271,26 +239,31 @@ class _InsertionGate:
             return avg.cmp(Fraction(m2)) > 0
         return avg.cmp(Fraction(-m2)) < 0
 
-    def consumed(self):
+    def take(self, avg: RunningAverage) -> Optional[Emission]:
+        """The next deferred element if the gate admits it now, else None."""
+        pending = self._pending
+        if pending is None:
+            pending = self._pending = next(self._deferred, None)
+            if pending is None:
+                return None
+        if not self.admits(avg, pending[1]):
+            return None
+        self._pending = None
         self._advance()
+        return pending
 
-
-def _extras_factory(extras):
-    """Normalize an extras argument to a zero-arg emission-iterator factory."""
-    if extras is None:
-        return lambda: iter(())
-    if isinstance(extras, PartStream):
-        return extras.emissions
-    if callable(extras):
-        return extras
-    frozen = tuple(extras)
-    return lambda: iter(frozen)
+    def drain(self, avg: RunningAverage) -> Iterator[TaggedEmission]:
+        """Every deferred element the gate admits in a row, tagged "extra"
+        and added to the running average."""
+        while (item := self.take(avg)) is not None:
+            avg.add(item[1])
+            yield item[0], item[1], "extra"
 
 
 def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
     """Weave deferred elements into a stream without moving its average limit.
 
-    ``extras`` is an ordered collection (or stream factory) of
+    ``extras`` is a ``PartStream`` or an ordered collection of
     (source_index, value) pairs; each is inserted at the first position
     satisfying the insertion gate for its level, so perturbations shrink
     geometrically and the core's declared limit survives.
@@ -298,23 +271,16 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
     if core.limit_in_average is None:
         raise UndeclaredLimit("core rearrangement has no declared average limit")
     limit = core.limit_in_average
-    extras_f = _extras_factory(extras)
+    if isinstance(extras, PartStream):
+        fresh_extras = extras.emissions
+    else:
+        fresh_extras = tuple(extras).__iter__
 
     def factory():
-        gate = _InsertionGate(limit)
+        gate = _InsertionGate(limit, fresh_extras())
         avg = RunningAverage()
-        pending = None
-        extras_it = extras_f()
         for src, value, tag in core.tagged_stream():
-            while True:
-                if pending is None:
-                    pending = next(extras_it, None)
-                if pending is None or not gate.admits(avg, pending[1]):
-                    break
-                yield pending[0], pending[1], "extra"
-                avg.add(pending[1])
-                gate.consumed()
-                pending = None
+            yield from gate.drain(avg)
             yield src, value, tag
             avg.add(value)
 
@@ -425,13 +391,10 @@ def bounded_target(spec: SequenceSpec, l) -> Rearrangement:
         core.name = "bounded_target[degenerate]"
         return core
     alpha = (big_m - l) / (big_m - m)
-    b_part = PartStream.from_decomposition(dec, "b")
-    c_part = PartStream.from_decomposition(dec, "c")
-    merged = weighted_merge(b_part, c_part, alpha)
+    merged = weighted_merge(dec.b, dec.c, alpha)
     merged.source = spec
-    d_part = PartStream.from_decomposition(dec, "d")
-    if d_part is not None:
-        merged = merge_preserving(merged, d_part)
+    if dec.d is not None:
+        merged = merge_preserving(merged, dec.d)
         merged.source = spec
     merged.meta["target"] = l
     merged.name = f"bounded_target[{l}]"
@@ -455,15 +418,12 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
     p = m + (big_m - m) / 3
     q = big_m - (big_m - m) / 3
     dec = decompose(spec, prof)
-    b_part = PartStream.from_decomposition(dec, "b")
-    c_part = PartStream.from_decomposition(dec, "c")
-    d_part = PartStream.from_decomposition(dec, "d")
 
     def factory():
         avg = RunningAverage()
-        b_it = b_part.emissions()
-        c_it = c_part.emissions()
-        d_it = d_part.emissions() if d_part is not None else iter(())
+        b_it = dec.b.emissions()
+        c_it = dec.c.emissions()
+        d_it = dec.emissions("d")
 
         def emit(pair, tag):
             src, value = pair
@@ -601,8 +561,7 @@ def target_above_limsup(
 
     def factory():
         deferred, first_survivor, surv_it = split_sorted()
-        gate = _InsertionGate(limit)
-        extras = deque(deferred)
+        gate = _InsertionGate(limit, iter(deferred))
         avg = RunningAverage()
         b_it = b_part.emissions()
         pos = 0
@@ -614,13 +573,11 @@ def target_above_limsup(
             while pos + 1 < slot:
                 # fill with a deferred element when the gate allows, else
                 # with the next bounded-strand element
-                if extras and gate.admits(avg, extras[0][1]):
-                    src, value = extras.popleft()
-                    gate.consumed()
-                    tag = "extra"
+                item = gate.take(avg)
+                if item is not None:
+                    (src, value), tag = item, "extra"
                 else:
-                    src, value = next(b_it)
-                    tag = "fill"
+                    (src, value), tag = next(b_it), "fill"
                 pos += 1
                 avg.add(value)
                 yield src, value, tag
@@ -676,15 +633,9 @@ def _strand_for_path(part: PartStream, side: str):
         if step == "second":
             halves.reverse()
         (spec, wit), (other, other_wit) = halves
-        leftovers.append(PartStream(other, other_wit, _limit_of(other)))
+        # leftovers only feed the insertion gate, which needs no limit
+        leftovers.append(PartStream(other, other_wit, None))
     return PartStream(spec, wit, part.limit), leftovers
-
-
-def _limit_of(spec: SequenceSpec) -> Optional[ExtendedReal]:
-    try:
-        return profile(spec).converges_to()
-    except UnknownProfile:
-        return None
 
 
 def two_sided_balance(
@@ -724,32 +675,17 @@ def two_sided_balance(
             iters = alive
 
     def factory():
-        gate = _InsertionGate(limit)
+        gate = _InsertionGate(limit, deferred_emissions())
         avg = RunningAverage()
         b_it = b_sel.emissions()
         c_it = c_sel.emissions()
-        pending = None
-        deferred_it = deferred_emissions()
-
-        def flush():
-            nonlocal pending
-            while True:
-                if pending is None:
-                    pending = next(deferred_it, None)
-                if pending is None or not gate.admits(avg, pending[1]):
-                    return
-                src, value = pending
-                pending = None
-                gate.consumed()
-                avg.add(value)
-                yield src, value, "extra"
 
         while True:
             # climb with +inf-side elements until the average reaches target
             first = True
             while first or avg.cmp(target) < 0:
                 first = False
-                yield from flush()
+                yield from gate.drain(avg)
                 src, value = next(c_it)
                 avg.add(value)
                 yield src, value, "high"
@@ -757,7 +693,7 @@ def two_sided_balance(
             first = True
             while first or avg.cmp(target) > 0:
                 first = False
-                yield from flush()
+                yield from gate.drain(avg)
                 src, value = next(b_it)
                 avg.add(value)
                 yield src, value, "low"
@@ -778,11 +714,8 @@ def two_sided_from_spec(spec: SequenceSpec, target) -> Rearrangement:
     if prof.liminf != NEG_INF or prof.limsup != POS_INF:
         raise DensityFails("spec must have liminf -inf and limsup +inf")
     dec = decompose(spec, prof)
-    b_part = PartStream.from_decomposition(dec, "b")
-    c_part = PartStream.from_decomposition(dec, "c")
-    d_part = PartStream.from_decomposition(dec, "d")
-    extras = [d_part] if d_part is not None else None
-    r = two_sided_balance(b_part, c_part, target, extras=extras)
+    extras = [dec.d] if dec.d is not None else None
+    r = two_sided_balance(dec.b, dec.c, target, extras=extras)
     r.source = spec
     return r
 
@@ -833,10 +766,6 @@ def mirror_rearrangement(r: Rearrangement, source: SequenceSpec) -> Rearrangemen
     )
 
 
-def _negated_part(part: PartStream) -> PartStream:
-    return PartStream(negated_spec(part.spec), part.witness, -part.limit)
-
-
 def construct_target(spec: SequenceSpec, target) -> Rearrangement:
     """Rearrange any supported spec so its average tends to the target.
 
@@ -852,19 +781,19 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
         return bounded_target(spec, t)
     if prof.liminf == NEG_INF and prof.limsup == POS_INF:
         return two_sided_from_spec(spec, t)
+    if not prof.finite_acc:
+        # a single infinity: the only attainable average limit
+        raise TargetUnreachable(
+            f"target {target} outside the attainable range {{{prof.liminf.render()}}}"
+        )
 
     dec = decompose(spec, prof)
-    d_part = PartStream.from_decomposition(dec, "d")
-    if prof.limsup == POS_INF:
-        b_ps = PartStream.from_decomposition(dec, "b")
-        c_ps = PartStream.from_decomposition(dec, "c")
-        flip = False
-    else:
+    flip = prof.limsup != POS_INF
+    if flip:
         # Downward divergence: solve the flipped problem, then negate.
-        b_ps = _negated_part(PartStream.from_decomposition(dec, "c"))
-        c_ps = _negated_part(PartStream.from_decomposition(dec, "b"))
-        t = -t
-        flip = True
+        b_ps, c_ps, t = dec.c.negated(), dec.b.negated(), -t
+    else:
+        b_ps, c_ps = dec.b, dec.c
 
     b_lim = b_ps.limit.value
     if t > b_lim:
@@ -874,14 +803,10 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
         r = merge_preserving(core, c_ps)
         r.name = f"at_limit[{t}]"
     else:
-        lo = f"[{-b_lim}, +inf)" if flip else f"[{b_lim}, +inf)"
-        raise TargetUnreachable(
-            f"target {target} outside the attainable range "
-            + (f"(-inf, {-b_lim}]" if flip else lo)
-        )
-    if d_part is not None:
-        d_use = _negated_part(d_part) if flip else d_part
-        r = merge_preserving(r, d_use)
+        reach = f"(-inf, {-b_lim}]" if flip else f"[{b_lim}, +inf)"
+        raise TargetUnreachable(f"target {target} outside the attainable range {reach}")
+    if dec.d is not None:
+        r = merge_preserving(r, dec.d.negated() if flip else dec.d)
     if flip:
         r = mirror_rearrangement(r, spec)
         r.meta["target"] = -t

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from .aarset import Interval, _canonicalize
-from .errors import MalformedDescriptor, TermTooLarge, UnknownProfile
+from .errors import MalformedDescriptor, TermTooLarge, UndeclaredLimit, UnknownProfile
 from .extreal import NEG_INF, POS_INF, ExtendedReal, Rational, as_fraction
 
 
@@ -42,7 +42,6 @@ class AccumulationProfile:
     finite_acc: Tuple[Interval, ...]
     has_neg_inf: bool = False
     has_pos_inf: bool = False
-    parts: Optional["Decomposition"] = None
 
     def __post_init__(self):
         ivs = _canonicalize(self.finite_acc)
@@ -954,50 +953,53 @@ IDENTITY_MAP = AffineMap((), 1, 1)
 
 
 @dataclass(frozen=True, eq=False)
-class Decomposition:
-    """Split of a source spec into convergent interleaved parts.
+class PartStream:
+    """Strands of a source folded into one part: its spec, the ``IndexMap``
+    of its elements back to source indices, and the limit the strands share
+    (None when they have several)."""
 
-    ``b_part`` converges (in the extended reals) to the source's liminf and
-    ``c_part`` to its limsup; ``d_part`` folds any remaining convergent
-    strands.  ``witnesses`` holds each part's ``IndexMap`` back to source
-    indices; together the witnesses partition the source index set.
+    spec: SequenceSpec
+    witness: IndexMap
+    limit: Optional[ExtendedReal]
+
+    def emissions(self) -> Iterator[Tuple[int, Fraction]]:
+        """Lazy (source_index, value) stream, in part order."""
+        return zip(self.witness, self.spec.iter_terms())
+
+    def negated(self) -> "PartStream":
+        limit = None if self.limit is None else -self.limit
+        return PartStream(negated_spec(self.spec), self.witness, limit)
+
+    @staticmethod
+    def whole(spec: SequenceSpec) -> "PartStream":
+        limit = profile(spec).converges_to()
+        if limit is None:
+            raise UndeclaredLimit("part has no single limit")
+        return PartStream(spec, IDENTITY_MAP, limit)
+
+
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """Split of a source spec into parts folded from its strands.
+
+    ``b`` converges (in the extended reals) to the source's liminf and ``c``
+    to its limsup (None when they are equal); ``d`` folds the remaining
+    strands (None when there are none).  The parts' witnesses partition the
+    source index set.
     """
 
-    source: SequenceSpec
-    b_part: SequenceSpec
-    b_limit: ExtendedReal
-    c_part: Optional[SequenceSpec]
-    c_limit: Optional[ExtendedReal]
-    d_part: Optional[SequenceSpec]
-    d_limits: Tuple[ExtendedReal, ...]
-    witnesses: dict
-
-    def witness(self, part: str, k: int) -> int:
-        """Source index of the k-th element of part 'b', 'c' or 'd'."""
-        try:
-            w = self.witnesses[part]
-        except KeyError:
-            raise ValueError(f"no such part: {part!r}") from None
-        return w(k)
-
-    def part_spec(self, part: str) -> Optional[SequenceSpec]:
-        return {"b": self.b_part, "c": self.c_part, "d": self.d_part}[part]
+    b: PartStream
+    c: Optional[PartStream]
+    d: Optional[PartStream]
 
     def emissions(self, part: str) -> Iterator[Tuple[int, Fraction]]:
-        """Lazy (source_index, value) stream of one part, in part order."""
-        spec = self.part_spec(part)
-        if spec is None:
-            return iter(())
-        return zip(self.witnesses[part], spec.iter_terms())
+        """Lazy (source_index, value) stream of part 'b', 'c' or 'd'."""
+        stream = {"b": self.b, "c": self.c, "d": self.d}[part]
+        return iter(()) if stream is None else stream.emissions()
 
     @property
     def parts_present(self) -> Tuple[str, ...]:
-        out = ["b"]
-        if self.c_part is not None:
-            out.append("c")
-        if self.d_part is not None:
-            out.append("d")
-        return tuple(out)
+        return tuple(name for name in "bcd" if getattr(self, name) is not None)
 
 
 def push_pointwise(spec: SequenceSpec) -> SequenceSpec:
@@ -1054,12 +1056,29 @@ def strands(spec: SequenceSpec, index_map: IndexMap = IDENTITY_MAP):
     return _walk(push_pointwise(spec), index_map)
 
 
-def fold_strands(group) -> Tuple[SequenceSpec, IndexMap]:
-    """Fold (strand, map) pairs into one interleaved strand and its map."""
-    spec, index_map = group[0]
-    for nxt_spec, nxt_map in group[1:]:
-        spec, index_map = Interleave(spec, nxt_spec), index_map.pair(nxt_map)
-    return spec, index_map
+def limited_strands(spec: SequenceSpec):
+    """The strands of a spec in source order, each a ``PartStream`` with its
+    limit; raises UnknownProfile when a strand does not converge."""
+    leaves = []
+    for leaf, index_map in strands(spec):
+        limit = profile(leaf).converges_to()
+        if limit is None:
+            raise UnknownProfile(f"strand {type(leaf).__name__} does not converge")
+        leaves.append(PartStream(leaf, index_map, limit))
+    return leaves
+
+
+def fold_part(leaves, matching) -> Optional[PartStream]:
+    """The strands whose limit satisfies ``matching``, interleaved in source
+    order into one part; None when no strand matches."""
+    group = [leaf for leaf in leaves if matching(leaf.limit)]
+    if not group:
+        return None
+    spec, index_map = group[0].spec, group[0].witness
+    for leaf in group[1:]:
+        spec, index_map = Interleave(spec, leaf.spec), index_map.pair(leaf.witness)
+    limits = {leaf.limit for leaf in group}
+    return PartStream(spec, index_map, limits.pop() if len(limits) == 1 else None)
 
 
 def decompose(
@@ -1073,47 +1092,14 @@ def decompose(
     """
     if prof is None:
         prof = profile(spec)
-    leaf_list = []
-    for leaf_spec, index_map in strands(spec):
-        limit = profile(leaf_spec).converges_to()
-        if limit is None:
-            raise UnknownProfile(
-                f"strand {type(leaf_spec).__name__} does not converge; "
-                "cannot decompose"
-            )
-        leaf_list.append((leaf_spec, index_map, limit))
-
+    leaves = limited_strands(spec)
     lo, hi = prof.liminf, prof.limsup
-    b_group = [(s, w) for s, w, lim in leaf_list if lim == lo]
-    if not b_group:
+    b = fold_part(leaves, lambda lim: lim == lo)
+    if b is None:
         raise UnknownProfile("no strand attains the declared liminf")
+    c = None
     if hi != lo:
-        c_group = [(s, w) for s, w, lim in leaf_list if lim == hi]
-        if not c_group:
+        c = fold_part(leaves, lambda lim: lim == hi)
+        if c is None:
             raise UnknownProfile("no strand attains the declared limsup")
-    else:
-        c_group = []
-    d_group = [(s, w) for s, w, lim in leaf_list if lim != lo and lim != hi]
-    d_limits = tuple(lim for _, _, lim in leaf_list if lim != lo and lim != hi)
-
-    b_spec, b_w = fold_strands(b_group)
-    witnesses = {"b": b_w}
-    c_spec = c_limit = None
-    if c_group:
-        c_spec, witnesses["c"] = fold_strands(c_group)
-        c_limit = hi
-    d_spec = None
-    if d_group:
-        d_spec, witnesses["d"] = fold_strands(d_group)
-
-    return Decomposition(
-        source=spec,
-        b_part=b_spec,
-        b_limit=lo,
-        c_part=c_spec,
-        c_limit=c_limit,
-        d_part=d_spec,
-        d_limits=d_limits,
-        witnesses=witnesses,
-    )
-
+    return Decomposition(b, c, fold_part(leaves, lambda lim: lim not in (lo, hi)))

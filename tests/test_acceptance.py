@@ -28,7 +28,6 @@ from meanweave.harness import (
     verify_trace_identities,
 )
 from meanweave.rearrange import (
-    PartStream,
     bounded_target,
     construct_target,
     identity_rearrangement,
@@ -99,11 +98,7 @@ def test_criterion_02_target_one_above_linear_strand():
 
 def test_criterion_03_weighted_merge_density_and_average():
     dec = decompose(parse_spec("interleave(const(0), const(1))"))
-    r = weighted_merge(
-        PartStream.from_decomposition(dec, "b"),
-        PartStream.from_decomposition(dec, "c"),
-        F(1, 3),
-    )
+    r = weighted_merge(dec.b, dec.c, F(1, 3))
     alpha, target = F(1, 3), F(2, 3)
     worst = F(0)
     max_count_dev = F(0)

@@ -240,6 +240,16 @@ def test_construct_rejects_unreachable_target():
     assert code == 2 and err.startswith("ERROR TargetUnreachable: ")
 
 
+@pytest.mark.parametrize("text", ["neg(linear())", "linear()"])
+def test_construct_refuses_a_finite_target_of_a_single_infinity(tmp_path, text):
+    code, out, err = run(
+        "construct", "--target", "0", "--n", "10", "--out", str(tmp_path / "x"), text,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR TargetUnreachable: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_identical_commands_produce_byte_identical_artifacts(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     argv = ["construct", "--target", "1", "--n", "300", "interleave(const(0), linear())"]

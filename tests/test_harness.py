@@ -10,6 +10,7 @@ from meanweave.errors import CoverageViolation, InjectivityViolation
 from meanweave.extreal import NEG_INF, POS_INF
 from meanweave.harness import (
     CSV_HEADER,
+    PermutationReport,
     Trace,
     TraceEntry,
     check_permutation,
@@ -108,17 +109,31 @@ def test_audit_raises_when_coverage_misses_its_bound():
 
 
 def test_audit_frozen_coverage_report_for_the_weighted_merge():
-    from meanweave.rearrange import PartStream, weighted_merge
+    from meanweave.rearrange import weighted_merge
     from meanweave.seqspec import decompose
 
     dec = decompose(parse_spec("interleave(const(0), const(1))"))
-    r = weighted_merge(
-        PartStream.from_decomposition(dec, "b"),
-        PartStream.from_decomposition(dec, "c"),
-        F(1, 3),
-    )
+    r = weighted_merge(dec.b, dec.c, F(1, 3))
     report = check_permutation(r, 1000, probes=(10, 100, 1000))
     assert report.coverage == ((10, 33, 12), (100, 303, 147), (1000, 3003, 1497))
+
+
+def test_audit_stops_once_outputs_and_probes_are_covered():
+    # the identity covers probe p at rank p, so the audit reads 100 outputs
+    # although the claimed bounds would let it read 1000
+    pulled = []
+
+    def factory():
+        k = 0
+        while True:
+            k += 1
+            pulled.append(k)
+            yield k, F(0), "core"
+
+    r = Rearrangement(parse_spec("const(0)"), factory, lambda n: 10 * n, "counted")
+    report = check_permutation(r, 50, probes=(10, 100))
+    assert report == PermutationReport(True, 50, ((10, 100, 10), (100, 1000, 100)))
+    assert len(pulled) == 100
 
 
 # ---------------------------------------------------------------------------

@@ -125,15 +125,15 @@ def test_witnesses_are_injective_and_agree_with_source(first, second, k, head):
         dec = decompose(spec)
     except MeanweaveError:
         return  # strands without extended-real limits are out of scope here
-    seen = {}
+    seen = set()
     hits = []
-    for part in dec.parts_present:
+    for part in (p for p in (dec.b, dec.c, dec.d) if p is not None):
+        w = part.witness
         for j in range(1, k + 1):
-            idx = dec.witness(part, j)
+            idx = w(j)
             assert idx not in seen
-            seen[idx] = part
-            assert eval_term(dec.part_spec(part), j) == eval_term(spec, idx)
-        w = dec.witnesses[part]
+            seen.add(idx)
+            assert eval_term(part.spec, j) == eval_term(spec, idx)
         big_k = _past(w, k)
         images = list(islice(w, big_k))
         assert images == [w(j) for j in range(1, big_k + 1)]
@@ -186,10 +186,10 @@ def test_pushed_prefixes_keep_the_terms_and_the_partition(spec, k):
     except MeanweaveError:
         return
     hits = []
-    for part in dec.parts_present:
-        w = dec.witnesses[part]
+    for part in (p for p in (dec.b, dec.c, dec.d) if p is not None):
+        w = part.witness
         images = list(islice(w, _past(w, k)))
-        values = islice(dec.part_spec(part).iter_terms(), len(images))
+        values = islice(part.spec.iter_terms(), len(images))
         assert all(eval_term(spec, i) == v for i, v in zip(images, values))
         hits.extend(i for i in images if i <= k)
     assert sorted(hits) == list(range(1, k + 1))
@@ -475,14 +475,10 @@ def test_classifier_output_is_canonical_and_honest(prof, bb, cb, bd, cd):
 @settings(max_examples=12, **COMMON)
 @given(st.fractions(min_value=F(1, 2), max_value=4, max_denominator=6))
 def test_placement_slots_follow_the_survivor_sums(text, target):
-    from meanweave.rearrange import PartStream, target_above_limsup
+    from meanweave.rearrange import target_above_limsup
 
     dec = decompose(parse_spec(text))
-    r = target_above_limsup(
-        PartStream.from_decomposition(dec, "b"),
-        PartStream.from_decomposition(dec, "c"),
-        target,
-    )
+    r = target_above_limsup(dec.b, dec.c, target)
     # meta["placements"] reads the "place" emissions off a replay of the
     # stream, so this checks the output ranks actually emitted.
     placements = r.meta["placements"](12)

@@ -12,7 +12,7 @@ from meanweave.errors import (
     TargetUnreachable,
     UndeclaredLimit,
 )
-from meanweave.harness import iter_trace, trace
+from meanweave.harness import check_tube, iter_trace, trace
 from meanweave.rearrange import (
     PartStream,
     Rearrangement,
@@ -43,10 +43,7 @@ def avg_at(r, n):
 
 def parts(text):
     dec = decompose(parse_spec(text))
-    return (
-        PartStream.from_decomposition(dec, "b"),
-        PartStream.from_decomposition(dec, "c"),
-    )
+    return dec.b, dec.c
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +437,24 @@ def test_construct_target_rejects_unreachable_targets():
         construct_target(parse_spec("interleave(const(0), linear())"), F(-1))
     with pytest.raises(TargetUnreachable):
         construct_target(parse_spec("interleave(neg(linear()), const(0))"), F(1))
+
+
+def test_construct_target_refuses_finite_targets_of_a_single_infinity():
+    # the profile {+inf} or {-inf} has no finite point, so no finite target
+    for text in ("linear()", "neg(linear())"):
+        with pytest.raises(TargetUnreachable, match="attainable range {"):
+            construct_target(parse_spec(text), F(0))
+
+
+@pytest.mark.parametrize("target", [F(1), F(0), F(-1, 2), F(3, 2)])
+def test_construct_target_downward_with_middle_strands_of_several_limits(target):
+    # the middle strands const(0) and const(1) fold into one part with no
+    # single limit; negated for the downward route, it feeds the gate
+    spec = parse_spec(
+        "interleave(interleave(const(0), const(1)), interleave(const(2), neglinear()))"
+    )
+    r = construct_target(spec, target)
+    assert check_tube(iter_trace(r, 20000), target, F(1, 10), from_index=10001)
 
 
 def test_construct_target_threads_middle_strands_through():

@@ -141,15 +141,16 @@ def test_profile_of_prefix_ignores_the_finite_head():
 def test_decompose_three_strand_witnesses_partition_source_indices():
     spec = parse_spec("interleave(neg(geom(2)), interleave(const(0), geom(2)))")
     dec = decompose(spec)
-    assert dec.b_limit.is_neg_inf and dec.c_limit.is_pos_inf
-    assert [str(v) for v in terms(dec.b_part, 4)] == ["-2", "-4", "-8", "-16"]
-    assert [str(v) for v in terms(dec.c_part, 4)] == ["2", "4", "8", "16"]
-    assert [str(v) for v in terms(dec.d_part, 4)] == ["0", "0", "0", "0"]
-    assert [dec.witness("b", k) for k in range(1, 5)] == [1, 3, 5, 7]
-    assert [dec.witness("c", k) for k in range(1, 5)] == [4, 8, 12, 16]
-    assert [dec.witness("d", k) for k in range(1, 5)] == [2, 6, 10, 14]
+    assert dec.b.limit.is_neg_inf and dec.c.limit.is_pos_inf
+    assert dec.d.limit == 0
+    assert [str(v) for v in terms(dec.b.spec, 4)] == ["-2", "-4", "-8", "-16"]
+    assert [str(v) for v in terms(dec.c.spec, 4)] == ["2", "4", "8", "16"]
+    assert [str(v) for v in terms(dec.d.spec, 4)] == ["0", "0", "0", "0"]
+    assert [dec.b.witness(k) for k in range(1, 5)] == [1, 3, 5, 7]
+    assert [dec.c.witness(k) for k in range(1, 5)] == [4, 8, 12, 16]
+    assert [dec.d.witness(k) for k in range(1, 5)] == [2, 6, 10, 14]
     # Witnesses are injective with disjoint images covering every index once.
-    seen = [dec.witness(p, k) for p in dec.parts_present for k in range(1, 41)]
+    seen = [part.witness(k) for part in (dec.b, dec.c, dec.d) for k in range(1, 41)]
     assert len(seen) == len(set(seen))
     covered = sorted(seen)
     assert covered[:40] == list(range(1, 41))
@@ -157,11 +158,11 @@ def test_decompose_three_strand_witnesses_partition_source_indices():
 
 def test_folded_witness_weaves_the_strand_maps():
     dec = decompose(parse_spec("interleave(const(0), interleave(const(0), linear()))"))
-    b = dec.witnesses["b"]
+    b = dec.b.witness
     assert b == WovenMap((), AffineMap((), 2, 1), AffineMap((), 4, 2))
     assert [b(k) for k in range(1, 9)] == [1, 2, 3, 6, 5, 10, 7, 14]
     assert list(islice(b, 8)) == [1, 2, 3, 6, 5, 10, 7, 14]
-    assert dec.witnesses["c"] == AffineMap((), 4, 4)
+    assert dec.c.witness == AffineMap((), 4, 4)
     assert repr(b) == (
         "WovenMap(head=(), first=AffineMap(head=(), slope=2, offset=1), "
         "second=AffineMap(head=(), slope=4, offset=2))"
@@ -175,14 +176,14 @@ def test_many_same_limit_strands_fold_into_a_map_of_linear_size():
         text = f"interleave(const(0), {text})"
     spec = parse_spec(text)
     dec = decompose(spec)
-    b = dec.witnesses["b"]
+    b = dec.b.witness
     # one woven node per fold: a flat periodic form would need 2**19 residues
     assert repr(b).count("AffineMap") == strands
     images = list(islice(b, 200))
     assert images == [b(k) for k in range(1, 201)]
     assert len(set(images)) == 200
     assert all(eval_term(spec, i) == 0 for i in images)
-    assert dec.witness("c", 3) == 3 * 2**strands
+    assert dec.c.witness(3) == 3 * 2**strands
 
 
 def test_prefix_values_are_dealt_to_the_strand_maps():
@@ -192,8 +193,8 @@ def test_prefix_values_are_dealt_to_the_strand_maps():
         "interleave(prefix(5, const(0)), prefix(7, linear()))"
     )
     dec = decompose(spec)
-    assert dec.witnesses["b"] == AffineMap((), 2, 1)
-    assert dec.witnesses["c"] == AffineMap((), 2, 2)
+    assert dec.b.witness == AffineMap((), 2, 1)
+    assert dec.c.witness == AffineMap((), 2, 2)
     assert list(islice(dec.emissions("b"), 4)) == [(1, F(5)), (3, F(0)), (5, F(0)), (7, F(0))]
     # an odd head starts the tail on an even rank, so its strands swap
     spec = parse_spec(
@@ -204,26 +205,26 @@ def test_prefix_values_are_dealt_to_the_strand_maps():
         "prefix(7, const(0)))"
     )
     dec = decompose(spec)
-    b = dec.witnesses["b"]
+    b = dec.b.witness
     assert b == WovenMap((), AffineMap((), 4, 1), AffineMap((), 2, 2))
     assert list(islice(b, 8)) == [1, 2, 5, 4, 9, 6, 13, 8]
-    assert dec.witnesses["c"] == AffineMap((), 4, 3)
-    assert [eval_term(spec, i) for i in islice(dec.witnesses["c"], 4)] == [9, 1, 2, 3]
+    assert dec.c.witness == AffineMap((), 4, 3)
+    assert [eval_term(spec, i) for i in islice(dec.c.witness, 4)] == [9, 1, 2, 3]
 
 
 def test_a_prefix_over_one_strand_stays_whole():
     spec = parse_spec("prefix(30, affine(linear(), 2, 0))")
     assert push_pointwise(spec) is spec
     dec = decompose(spec)
-    assert dec.b_part is spec and dec.witnesses["b"] == AffineMap((), 1, 1)
+    assert dec.b.spec is spec and dec.b.witness == AffineMap((), 1, 1)
 
 
 def test_decompose_witness_values_match_source_terms():
     spec = parse_spec("interleave(neg(geom(2)), interleave(const(0), geom(2)))")
     dec = decompose(spec)
-    for part in dec.parts_present:
+    for part in (dec.b, dec.c, dec.d):
         for k in range(1, 30):
-            assert eval_term(dec.part_spec(part), k) == eval_term(spec, dec.witness(part, k))
+            assert eval_term(part.spec, k) == eval_term(spec, part.witness(k))
 
 
 def test_decompose_emissions_stream():
@@ -232,12 +233,6 @@ def test_decompose_emissions_stream():
 
     got = list(islice(dec.emissions("c"), 3))
     assert got == [(2, F(2)), (4, F(4)), (6, F(8))]
-
-
-def test_unknown_part_name_rejected():
-    dec = decompose(parse_spec("interleave(const(0), const(1))"))
-    with pytest.raises(ValueError):
-        dec.witness("z", 1)
 
 
 # ---------------------------------------------------------------------------
