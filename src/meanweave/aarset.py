@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
-from .extreal import NEG_INF, POS_INF, ExtendedReal, Rational
+from .extreal import NEG_INF, POS_INF, ExtendedReal
 
 PointLike = Union[int, Fraction, ExtendedReal]
 

@@ -8,7 +8,7 @@ part converging to its limsup.  Unknown verdicts are rejected, never guessed.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .aarset import AARSet, Interval
 from .balance import (

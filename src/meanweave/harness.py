@@ -9,6 +9,13 @@ A trace keeps its running sum as the unreduced integer pair of
 ``RunningAverage``; an entry builds ``partial_sum`` and ``average`` as
 Fractions only when they are read, and the tube, schedule and identity
 checks compare by integer cross-multiplication.
+
+``iter_trace``, ``check_permutation`` and the replayed coverage bound read a
+stream built from blocks (``Rearrangement.of_blocks``) block by block: the
+trace still yields one entry per position, but inside an integer run it
+steps the integer sum itself; the audit checks injectivity position by
+position only over the first n outputs, and walks a run's sources only up
+to each probe.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import csv
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
@@ -145,9 +152,37 @@ def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterator[TraceEntry
         raise ValueError("trace needs at least one entry")
     acc = RunningAverage()
     add = acc.add
-    for src, value in islice(r.stream(), n):
-        add(value)
-        yield _live_entry(acc.n, src, value, acc.num, acc.den)
+    if not r.has_runs:
+        # read as blocks of one, this stream would pay a generator step more
+        # per emission
+        for src, value in islice(r.stream(), n):
+            add(value)
+            yield _live_entry(acc.n, src, value, acc.num, acc.den)
+        return
+    left = -1 if n is None else n  # entries still to yield; negative: no end
+    for _tag, value, size, src, step in r.blocks():
+        if size == 1:
+            add(value)
+            yield _live_entry(acc.n, src, value, acc.num, acc.den)
+            left -= 1
+        else:
+            if 0 < left < size:
+                size = left
+            sources = islice(count(src, step), size)
+            if value.denominator == 1 and acc.den == 1:
+                v, num, k = value.numerator, acc.num, acc.n
+                for s in sources:
+                    num += v
+                    k += 1
+                    yield _live_entry(k, s, value, num, 1)
+                acc.num, acc.n = num, k
+            else:
+                for s in sources:
+                    add(value)
+                    yield _live_entry(acc.n, s, value, acc.num, acc.den)
+            left -= size
+        if left == 0:
+            return
 
 
 def trace(r: Rearrangement, n: int) -> Trace:
@@ -178,6 +213,8 @@ def check_permutation(
     source index 1..p within the first f(p) outputs.  Streaming stops once
     the first n outputs are checked and every probe is covered, or at the
     largest bound.  Raises InjectivityViolation / CoverageViolation on failure.
+    The audit reads blocks; of a run it visits only the positions among the
+    first n and, for each probe p, the sources up to p.
     """
     bounds = {p: r.coverage_bound(p) for p in probes}
     horizon = max([n, *bounds.values()]) if bounds else n
@@ -185,19 +222,39 @@ def check_permutation(
     remaining = {p: set(range(1, p + 1)) for p in probes}
     satisfied = {}
     rank = 0
-    for src, _value in r.stream():
-        rank += 1
-        if rank <= n:
-            prev = first_seen.get(src)
-            if prev is not None:
-                raise InjectivityViolation(src, prev, rank)
-            first_seen[src] = rank
-        for p in probes:
-            need = remaining[p]
-            if need and src in need:
-                need.discard(src)
-                if not need:
-                    satisfied[p] = rank
+    for _tag, _value, size, src, step in r.blocks():
+        if size == 1:
+            rank += 1
+            if rank <= n:
+                prev = first_seen.get(src)
+                if prev is not None:
+                    raise InjectivityViolation(src, prev, rank)
+                first_seen[src] = rank
+            for p, need in remaining.items():
+                if need and src in need:
+                    need.discard(src)
+                    if not need:
+                        satisfied[p] = rank
+        else:
+            start = rank
+            rank += size
+            for j in range(min(size, n - start)):
+                s, at = src + step * j, start + j + 1
+                prev = first_seen.get(s)
+                if prev is not None:
+                    raise InjectivityViolation(s, prev, at)
+                first_seen[s] = at
+            for p, need in remaining.items():
+                if not need or src > p:
+                    continue
+                # only the run's sources up to p can be missing from 1..p
+                for j in range(min(size, (p - src) // step + 1) if step else 1):
+                    s = src + step * j
+                    if s in need:
+                        need.discard(s)
+                        if not need:
+                            satisfied[p] = start + j + 1
+                            break
         if rank >= horizon or (rank >= n and len(satisfied) == len(remaining)):
             break
     for p in probes:

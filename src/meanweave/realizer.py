@@ -19,6 +19,9 @@ The stream alternates three regimes:
   P, making the average leave the band around [a, b];
 * descent: steering resumes until the average re-enters the next tube,
   and the excursion is recorded as an honest wide schedule window.
+
+The stream is built from blocks (``Rearrangement.of_blocks``): a descent
+steered by a constant strand is one run, every other emission a block of one.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from .errors import (
     ZOutsideRange,
 )
 from .extreal import NEG_INF, POS_INF, as_fraction
-from .rearrange import Rearrangement, RunningAverage, observed_coverage_bound
+from .rearrange import Rearrangement, RunningAverage
 from .seqspec import (
-    Constant,
+    PartCursor,
     PartStream,
     SequenceSpec,
     fold_part,
@@ -196,25 +199,6 @@ class _TargetSchedule:
         return self._known[self._offset - 1]
 
 
-# ---------------------------------------------------------------------------
-# Cursors over part emissions
-
-
-class _Cursor:
-    """Peekable (source_index, value) stream head."""
-
-    __slots__ = ("_it", "head")
-
-    def __init__(self, part: Optional[PartStream]):
-        self._it = part.emissions() if part is not None else iter(())
-        self.head = next(self._it, None)
-
-    def advance(self):
-        item = self.head
-        self.head = next(self._it, None)
-        return item
-
-
 def _ceil_div_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
@@ -270,17 +254,18 @@ def accumulation_realizer(
         # tube intersected with the steering band
         return max(tgt - w, band_lo), min(tgt + w, band_hi)
 
-    # constant steering strands admit exact batch runs during descents
-    b_const = b_part.spec.value if isinstance(b_part.spec, Constant) else None
-    c_const = c_part.spec.value if isinstance(c_part.spec, Constant) else None
+    # a steering strand with constant runs (PartStream.run_step) descends in
+    # one block: its value is this constant
+    b_const = b_part.spec.value if b_part.run_step() is not None else None
+    c_const = c_part.spec.value if c_part.run_step() is not None else None
 
-    def factory():
+    def blocks():
         targets = _TargetSchedule(pieces)
-        b_cur = _Cursor(b_part)
-        c_cur = _Cursor(c_part)
-        d_cur = _Cursor(d_part)
-        e_cur = _Cursor(e_part)
-        extra_curs = [_Cursor(p) for p in extras]
+        b_cur = PartCursor(b_part)
+        c_cur = PartCursor(c_part)
+        d_cur = PartCursor(d_part)
+        e_cur = PartCursor(e_part)
+        extra_curs = [PartCursor(p) for p in extras]
         b_backlog: deque = deque()
         c_backlog: deque = deque()
         d_pend: deque = deque()
@@ -306,9 +291,17 @@ def accumulation_realizer(
         jump_item: Optional[Tuple[int, Fraction]] = None
         up_minus_down = 0  # fairness: both infinities must keep accumulating
 
-        def emit(src, value, tag):
+        def emit(src, value, tag, count=1, step=0):
+            """Add ``count`` emissions of one value and return their block.
+
+            Along a run the average moves monotonically toward the value, so
+            the window's observed range only needs the run's last average.
+            """
             nonlocal wmin, wmax
-            avg.add(value)
+            if count == 1:
+                avg.add(value)
+            else:
+                avg.add_run(value, count)
             cn, cd = avg.num, avg.den * avg.n
             if wmin is None:
                 wmin = wmax = (cn, cd)
@@ -316,7 +309,7 @@ def accumulation_realizer(
                 wmin = (cn, cd)
             elif cn * wmax[1] > wmax[0] * cd:
                 wmax = (cn, cd)
-            return src, value, tag
+            return tag, value, count, src, step
 
         def retarget(tgt: Fraction, w: Fraction):
             nonlocal target, width, t_lo, t_hi, s_lo, s_hi
@@ -429,7 +422,7 @@ def accumulation_realizer(
                     continue
                 cand_src, cand_value, cand_take = oldest_candidate()
                 if cand_src is not None and avg.post_within(cand_value, s_lo, s_hi):
-                    if isinstance(cand_take, _Cursor):
+                    if isinstance(cand_take, PartCursor):
                         src, value = cand_take.advance()
                     else:
                         src, value = cand_take.popleft()
@@ -460,45 +453,30 @@ def accumulation_realizer(
                     dwell_end = max(n + max(8, n >> 4), n_min(stage + 1))
                     state = "tube"
                     continue
-                # long monotone approaches emit in exact batches: the number
-                # of constant-value steps before the shrunken edge is crossed
+                # a monotone approach by a constant strand is one run: the
+                # number of steps before the average crosses the shrunk edge
                 # is a single rational calculation
-                if b_const is not None and c_const is not None and n > 0:
-                    run = 0
+                run = 0
+                if (n > 0 and b_const is not None and b_const < s_hi
+                        and avg.cmp(target) > 0 and avg.cmp(s_hi) > 0):
+                    side, value = b_cur, b_const
                     s_now = Fraction(avg.num, avg.den)
-                    if avg.cmp(target) > 0 and avg.cmp(s_hi) > 0 and b_const < s_hi:
-                        side = b_cur
-                        run = _ceil_div_frac(
-                            (s_now - s_hi * n) / (s_hi - b_const)
-                        ) - 1
-                    elif avg.cmp(target) < 0 and avg.cmp(s_lo) < 0 and c_const > s_lo:
-                        side = c_cur
-                        run = _ceil_div_frac(
-                            (s_lo * n - s_now) / (c_const - s_lo)
-                        ) - 1
-                    if run > 0:
-                        advance = side.advance
-                        add = avg.add
-                        for _ in range(run):
-                            src, value = advance()
-                            add(value)
-                            yield src, value, "steer"
-                        cn, cd = avg.num, avg.den * avg.n
-                        if wmin is None:
-                            wmin = wmax = (cn, cd)
-                        else:
-                            if cn * wmin[1] < wmin[0] * cd:
-                                wmin = (cn, cd)
-                            if cn * wmax[1] > wmax[0] * cd:
-                                wmax = (cn, cd)
-                        continue
+                    run = _ceil_div_frac((s_now - s_hi * n) / (s_hi - b_const)) - 1
+                elif (n > 0 and c_const is not None and c_const > s_lo
+                        and avg.cmp(target) < 0 and avg.cmp(s_lo) < 0):
+                    side, value = c_cur, c_const
+                    s_now = Fraction(avg.num, avg.den)
+                    run = _ceil_div_frac((s_lo * n - s_now) / (c_const - s_lo)) - 1
+                if run > 0:
+                    yield emit(side.take_run(run), value, "steer", run, side.step)
+                    continue
                 yield steer()
 
     name = "accumulation_realizer"
-    rearr = Rearrangement(
+    rearr = Rearrangement.of_blocks(
         source=None,
-        factory=factory,
-        coverage_bound=observed_coverage_bound(factory),
+        blocks=blocks,
+        coverage_bound=None,
         name=name,
         limit_in_average=None,
         meta={

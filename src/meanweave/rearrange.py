@@ -9,6 +9,14 @@ merge certify theirs; the others read it off a replay of the same stream
 Streams are lazy and restartable: ``stream()`` always starts a fresh,
 independent iterator (the constructors are deterministic, so every restart
 replays the same emissions).
+
+A stream may also be read as blocks ``(tag, value, count, first_src, step)``:
+``count`` emissions of one value from the sources ``first_src + step*j``.
+Runs (count > 1) come only from a part that is one ``Constant`` strand over an
+``AffineMap``: the climb (``target_above_limsup``) emits each fill gap as one
+block once its insertion gate is empty, the realizer emits each descent
+batch as one, and ``mirror_rearrangement`` passes them through.  Every other
+constructor emits one at a time and is read as blocks of one.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .errors import (
 from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
 from .seqspec import (
     IndexMap,
+    PartCursor,
     PartStream,
     SequenceSpec,
     decompose,
@@ -44,6 +53,7 @@ from .seqspec import (
 
 Emission = Tuple[int, Fraction]
 TaggedEmission = Tuple[int, Fraction, str]
+Block = Tuple[str, Fraction, int, int, int]  # (tag, value, count, first_src, step)
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +85,23 @@ class RunningAverage:
             self.num = self.num * vd + vn * self.den
             self.den *= vd
             if self.den > 1 << 128:
-                g = math.gcd(self.num, self.den)
-                if g > 1:
-                    self.num //= g
-                    self.den //= g
+                self._reduce()
         self.n += 1
+
+    def add_run(self, value: Fraction, k: int):
+        """``add(value)`` k times, as one update."""
+        vn, vd = value.numerator * k, value.denominator
+        self.num = self.num * vd + vn * self.den
+        self.den *= vd
+        if self.den > 1 << 128:
+            self._reduce()
+        self.n += k
+
+    def _reduce(self):
+        g = math.gcd(self.num, self.den)
+        if g > 1:
+            self.num //= g
+            self.den //= g
 
     def average(self) -> Fraction:
         return Fraction(self.num, self.den * self.n)
@@ -111,61 +133,166 @@ class RunningAverage:
 # The Rearrangement type
 
 class Rearrangement:
-    """Deterministic lazy rearrangement of a source sequence."""
+    """Deterministic lazy rearrangement of a source sequence.
+
+    ``factory`` yields tagged emissions ``(source_index, value, tag)`` one
+    at a time.  A stream with constant runs is built by ``of_blocks``
+    instead, from a factory of blocks ``(tag, value, count, first_src,
+    step)`` with ``step >= 0``.  ``blocks()`` reads either kind as blocks
+    (a one-at-a-time stream as blocks of one); ``stream()`` and
+    ``tagged_stream()`` expand them.  A ``coverage_bound`` of None is read
+    off a replay of the stream (``observed_coverage_bound``).
+    """
 
     def __init__(
         self,
         source: SequenceSpec,
-        factory: Callable[[], Iterator[TaggedEmission]],
-        coverage_bound: Callable[[int], int],
+        factory: Optional[Callable[[], Iterator[TaggedEmission]]],
+        coverage_bound: Optional[Callable[[int], int]],
         name: str,
         limit_in_average: Optional[ExtendedReal] = None,
         meta: Optional[dict] = None,
     ):
         self.source = source
         self._factory = factory
+        self._blocks: Optional[Callable[[], Iterator[Block]]] = None
+        if coverage_bound is None:
+            coverage_bound = observed_coverage_bound(self.blocks)
         self.coverage_bound = coverage_bound
         self.name = name
         self.limit_in_average = limit_in_average
         self.meta = dict(meta or {})
 
+    @classmethod
+    def of_blocks(
+        cls,
+        source: SequenceSpec,
+        blocks: Callable[[], Iterator[Block]],
+        coverage_bound: Optional[Callable[[int], int]],
+        name: str,
+        limit_in_average: Optional[ExtendedReal] = None,
+        meta: Optional[dict] = None,
+    ) -> "Rearrangement":
+        r = cls(source, None, coverage_bound, name, limit_in_average, meta)
+        r._blocks = blocks
+        return r
+
+    @property
+    def has_runs(self) -> bool:
+        """True when the stream was built from blocks and may hold runs."""
+        return self._blocks is not None
+
+    def blocks(self) -> Iterator[Block]:
+        """Fresh block iterator from the beginning."""
+        if self._blocks is not None:
+            return self._blocks()
+        return ((tag, value, 1, src, 0) for src, value, tag in self._factory())
+
     def tagged_stream(self) -> Iterator[TaggedEmission]:
         """Fresh (source_index, value, tag) iterator from the beginning."""
-        return self._factory()
+        if self._blocks is None:
+            return self._factory()
+        return _expand(self._blocks())
 
     def stream(self) -> Iterator[Emission]:
         """Fresh (source_index, value) iterator from the beginning."""
-        for src, value, _tag in self._factory():
+        for src, value, _tag in self.tagged_stream():
             yield src, value
 
     def __repr__(self):
         return f"Rearrangement({self.name})"
 
 
-def observed_coverage_bound(rearr_factory: Callable[[], Iterator[TaggedEmission]]):
+def _expand(blocks: Iterator[Block]) -> Iterator[TaggedEmission]:
+    for tag, value, count, src, step in blocks:
+        if count == 1:
+            yield src, value, tag
+        else:
+            sources = itertools.count(src, step)
+            yield from zip(sources, itertools.repeat(value, count), itertools.repeat(tag))
+
+
+def observed_coverage_bound(blocks: Callable[[], Iterator[Block]]):
     """Coverage bound certified by replaying the deterministic stream.
 
-    f(n) is twice the first output rank by which source indices 1..n have
-    all appeared (plus slack).  Valid because streams replay identically.
+    f(n) is twice the output rank by which source indices 1..n have all
+    appeared (plus slack), that is, the rank at which the replay stopped
+    last.  Valid because streams replay identically.  A run enters the
+    replay's memory as one progression; the replay stops inside a run only
+    at the element that completes 1..n, and keeps the rest for a later n.
     """
     cache: dict = {}
-    state = {"it": None, "rank": 0, "missing_below": 1, "seen": set()}
+    it = None
+    rank = 0
+    missing = 1  # the smallest source index not seen yet
+    seen = set()  # single sources above ``missing``
+    runs: List[List[int]] = []  # [first, step, last] progressions reaching ``missing``
+    rest = None  # (count, src, step) of a run the replay stopped inside
+
+    def covered(s: int) -> bool:
+        return s in seen or any(f <= s <= l and (s - f) % st == 0 for f, st, l in runs)
+
+    def settle():
+        nonlocal missing, runs
+        while covered(missing):
+            seen.discard(missing)
+            missing += 1
+        runs = [r for r in runs if r[2] >= missing]
+
+    def add_run(src: int, step: int, count: int):
+        last = src + step * (count - 1)
+        if runs and runs[-1][1] == step and runs[-1][2] + step == src:
+            runs[-1][2] = last
+        else:
+            runs.append([src, step, last])
+        if src <= missing <= last and (missing - src) % step == 0:
+            settle()
 
     def bound(n: int) -> int:
+        nonlocal it, rank, rest
         if n in cache:
             return cache[n]
-        if state["it"] is None:
-            state["it"] = rearr_factory()
-        it, seen = state["it"], state["seen"]
-        while state["missing_below"] <= n:
-            src, _value, _tag = next(it)
-            state["rank"] += 1
-            if src >= state["missing_below"]:
-                seen.add(src)
-                while state["missing_below"] in seen:
-                    seen.discard(state["missing_below"])
-                    state["missing_below"] += 1
-        cache[n] = 2 * state["rank"] + 16
+        if it is None:
+            it = blocks()
+        while missing <= n:
+            if rest is not None:
+                (count, src, step), rest = rest, None
+            else:
+                _tag, _value, count, src, step = next(it)
+            if count == 1 or step == 0:
+                rank += 1
+                if src >= missing:
+                    seen.add(src)
+                    if src == missing:
+                        settle()
+                if count > 1:  # repeats of src: they change nothing but the rank
+                    if missing > n:
+                        rest = count - 1, src, 0
+                    else:
+                        rank += count - 1
+                continue
+            # the run's last element that 1..n still lacks, if any
+            j = min(count - 1, (n - src) // step) if src <= n else -1
+            while j >= 0:
+                s = src + step * j
+                if s < missing:
+                    j = -1
+                elif not covered(s):
+                    break
+                else:
+                    j -= 1
+            if j >= 0:
+                add_run(src, step, j + 1)
+                rank += j + 1
+                src, count = src + step * (j + 1), count - j - 1
+                if missing > n:
+                    if count:
+                        rest = count, src, step
+                    break
+            if count:
+                add_run(src, step, count)
+                rank += count
+        cache[n] = 2 * rank + 16
         return cache[n]
 
     return bound
@@ -239,16 +366,17 @@ class _InsertionGate:
             return avg.cmp(Fraction(m2)) > 0
         return avg.cmp(Fraction(-m2)) < 0
 
+    def empty(self) -> bool:
+        """True once every deferred element has been let in."""
+        if self._pending is None:
+            self._pending = next(self._deferred, None)
+        return self._pending is None
+
     def take(self, avg: RunningAverage) -> Optional[Emission]:
         """The next deferred element if the gate admits it now, else None."""
-        pending = self._pending
-        if pending is None:
-            pending = self._pending = next(self._deferred, None)
-            if pending is None:
-                return None
-        if not self.admits(avg, pending[1]):
+        if self.empty() or not self.admits(avg, self._pending[1]):
             return None
-        self._pending = None
+        pending, self._pending = self._pending, None
         self._advance()
         return pending
 
@@ -287,7 +415,7 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
     return Rearrangement(
         source=core.source,
         factory=factory,
-        coverage_bound=observed_coverage_bound(factory),
+        coverage_bound=None,
         name=f"merge_preserving({core.name})",
         limit_in_average=limit,
         meta=dict(core.meta),
@@ -444,11 +572,10 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
             while avg.cmp(q) <= 0:
                 yield emit(next(c_it), "high")
 
-    factory_bound = observed_coverage_bound(factory)
     return Rearrangement(
         source=spec,
         factory=factory,
-        coverage_bound=factory_bound,
+        coverage_bound=None,
         name="oscillator",
         limit_in_average=None,
         meta={"p": p, "q": q},
@@ -503,7 +630,7 @@ def sort_increasing(c_part) -> Rearrangement:
     return Rearrangement(
         source=c_part.spec,
         factory=factory,
-        coverage_bound=observed_coverage_bound(factory),
+        coverage_bound=None,
         name="sort_increasing",
         limit_in_average=POS_INF,
     )
@@ -531,6 +658,8 @@ def target_above_limsup(
     they strictly increase, and the first slot is at least 1.
     meta["placements"](count) replays the stream and returns the
     (slot, source_index, value) of the first count "place" emissions.
+    Once the gate is empty, a constant bounded strand fills each gap between
+    two placements as one block.
     """
     target = as_fraction(target)
     if not b_part.limit.is_finite:
@@ -559,11 +688,11 @@ def target_above_limsup(
             deferred.append((src, value))
         return deferred, first_survivor, it
 
-    def factory():
+    def blocks():
         deferred, first_survivor, surv_it = split_sorted()
         gate = _InsertionGate(limit, iter(deferred))
         avg = RunningAverage()
-        b_it = b_part.emissions()
+        fill = PartCursor(b_part)
         pos = 0
         s = Fraction(0)
         survivor = first_survivor
@@ -576,28 +705,41 @@ def target_above_limsup(
                 item = gate.take(avg)
                 if item is not None:
                     (src, value), tag = item, "extra"
+                elif fill.step is not None and gate.empty():
+                    # nothing left to let in: the rest of the gap is one run
+                    gap = slot - 1 - pos
+                    value = fill.head[1]
+                    src = fill.take_run(gap)
+                    pos += gap
+                    avg.add_run(value, gap)
+                    yield "fill", value, gap, src, fill.step
+                    break
                 else:
-                    (src, value), tag = next(b_it), "fill"
+                    (src, value), tag = fill.advance(), "fill"
                 pos += 1
                 avg.add(value)
-                yield src, value, tag
+                yield tag, value, 1, src, 0
             pos += 1
             avg.add(survivor[1])
-            yield survivor[0], survivor[1], "place"
+            yield "place", survivor[1], 1, survivor[0], 0
             survivor = next(surv_it)
 
     def meta_placements(count: int):
         """(slot, source_index, value) of the first count placements."""
-        tagged = enumerate(factory(), start=1)
-        placed = (
-            (n, src, value) for n, (src, value, tag) in tagged if tag == "place"
-        )
-        return list(itertools.islice(placed, count))
+        placed = []
+        pos = 0
+        for tag, value, k, src, _step in blocks():
+            if len(placed) == count:
+                break
+            pos += k
+            if tag == "place":
+                placed.append((pos, src, value))
+        return placed
 
-    return Rearrangement(
+    return Rearrangement.of_blocks(
         source=None,
-        factory=factory,
-        coverage_bound=observed_coverage_bound(factory),
+        blocks=blocks,
+        coverage_bound=None,
         name=f"target_above_limsup[{target}]",
         limit_in_average=limit,
         meta={
@@ -701,7 +843,7 @@ def two_sided_balance(
     return Rearrangement(
         source=None,
         factory=factory,
-        coverage_bound=observed_coverage_bound(factory),
+        coverage_bound=None,
         name=f"two_sided_balance[{target}]",
         limit_in_average=limit,
         meta={"target": target},
@@ -749,16 +891,17 @@ def part_core(part: PartStream, source: SequenceSpec) -> Rearrangement:
 
 
 def mirror_rearrangement(r: Rearrangement, source: SequenceSpec) -> Rearrangement:
-    """Same index order, negated values: averages flip sign exactly."""
+    """Same index order, negated values: averages flip sign exactly.
+    Blocks pass through with their values negated."""
 
-    def factory():
-        for src, v, tag in r.tagged_stream():
-            yield src, -v, tag
+    def blocks():
+        for tag, v, count, src, step in r.blocks():
+            yield tag, -v, count, src, step
 
     lim = None if r.limit_in_average is None else -r.limit_in_average
-    return Rearrangement(
+    return Rearrangement.of_blocks(
         source=source,
-        factory=factory,
+        blocks=blocks,
         coverage_bound=r.coverage_bound,
         name=f"mirror({r.name})",
         limit_in_average=lim,

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Tuple
 
 from .aarset import Interval, _canonicalize
 from .errors import MalformedDescriptor, TermTooLarge, UndeclaredLimit, UnknownProfile
-from .extreal import NEG_INF, POS_INF, ExtendedReal, Rational, as_fraction
+from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +246,9 @@ class Constant(SequenceSpec):
         self._check_index(n)
         return self.value
 
+    def iter_terms(self) -> Iterator[Fraction]:
+        return itertools.repeat(self.value)
+
     def _profile(self):
         return AccumulationProfile.of_points(self.value)
 
@@ -300,6 +303,10 @@ class PowerOfIndex(_Polynomial):
     def term(self, n: int) -> Fraction:
         self._check_index(n)
         return Fraction(n**self.exponent)
+
+    def iter_terms(self) -> Iterator[Fraction]:
+        powers = map(pow, itertools.count(1), itertools.repeat(self.exponent))
+        return map(Fraction, powers)
 
     @classmethod
     def _from_dsl(cls, args):
@@ -357,6 +364,9 @@ class Linear(_Polynomial):
         self._check_index(n)
         return Fraction(n)
 
+    def iter_terms(self) -> Iterator[Fraction]:
+        return map(Fraction, itertools.count(1))
+
     def _negated(self):
         return NegLinear()
 
@@ -368,6 +378,9 @@ class NegLinear(SequenceSpec):
     def term(self, n: int) -> Fraction:
         self._check_index(n)
         return Fraction(-n)
+
+    def iter_terms(self) -> Iterator[Fraction]:
+        return map(Fraction, itertools.count(-1, -1))
 
     def _profile(self):
         return AccumulationProfile.of_points(neg_inf=True)
@@ -970,12 +983,53 @@ class PartStream:
         limit = None if self.limit is None else -self.limit
         return PartStream(negated_spec(self.spec), self.witness, limit)
 
+    def run_step(self) -> Optional[int]:
+        """The source step of this part's constant runs; None when it has none.
+
+        A part that is one ``Constant`` strand over an ``AffineMap`` without
+        a head emits one value from sources offset, offset + slope, ...; so
+        any stretch of it is a single block (``rearrange.Rearrangement``).
+        """
+        w = self.witness
+        if isinstance(self.spec, Constant) and isinstance(w, AffineMap) and not w.head:
+            return w.slope
+        return None
+
     @staticmethod
     def whole(spec: SequenceSpec) -> "PartStream":
         limit = profile(spec).converges_to()
         if limit is None:
             raise UndeclaredLimit("part has no single limit")
         return PartStream(spec, IDENTITY_MAP, limit)
+
+
+class PartCursor:
+    """Peekable (source_index, value) stream of a part (empty for None).
+
+    ``step`` is the part's ``run_step()``; when it is not None,
+    ``take_run(count)`` takes the next ``count`` elements at once and
+    returns the source index of the first.
+    """
+
+    __slots__ = ("_it", "head", "step")
+
+    def __init__(self, part: Optional[PartStream]):
+        self._it = part.emissions() if part is not None else iter(())
+        self.step = None if part is None else part.run_step()
+        self.head = next(self._it, None)
+
+    def advance(self) -> Optional[Tuple[int, Fraction]]:
+        item = self.head
+        self.head = next(self._it, None)
+        return item
+
+    def take_run(self, count: int) -> int:
+        src, value = self.head
+        step = self.step
+        after = src + step * count
+        self._it = zip(itertools.count(after + step, step), itertools.repeat(value))
+        self.head = after, value
+        return src
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,11 +12,17 @@ from meanweave.aarset import AARSet, Interval
 from meanweave.balance import ratio_series
 from meanweave.classifier import classify, classify_spec
 from meanweave.dsl import parse_spec, render
-from meanweave.errors import MeanweaveError, ParseError
+from meanweave.errors import (
+    CoverageViolation,
+    InjectivityViolation,
+    MeanweaveError,
+    ParseError,
+)
 from meanweave.extreal import NEG_INF, POS_INF, ExtendedReal
 from meanweave.harness import (
     Trace,
     TraceEntry,
+    check_permutation,
     downward_jump_bound_holds,
     envelope_oracle,
     iter_trace,
@@ -497,3 +503,93 @@ def test_placement_slots_follow_the_survivor_sums(text, target):
         s += v
         expected.append((math.floor((s - v / 2) / target), v))
     assert [(slot, value) for slot, _src, value in placements] == expected
+
+
+# ---------------------------------------------------------------------------
+# Block streams read like their emissions one at a time
+
+
+@st.composite
+def block_streams(draw):
+    """Runs over m woven strands (strand r holds sources r, r + m, ...), each
+    block the next stretch of one strand, with at most one mutation: a run
+    that repeats one source, a single that a later run overlaps, or a strand
+    that skips a source, which is then never emitted."""
+    m = draw(st.integers(1, 4))
+    values = draw(st.lists(st.fractions(-5, 5, max_denominator=3), min_size=m, max_size=m))
+    picks = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 12)),
+                          min_size=1, max_size=25))
+    mutation = draw(st.sampled_from(["none", "repeat", "overlap", "skip"]))
+    at = draw(st.integers(0, len(picks) - 1))
+    heads = list(range(1, m + 1))
+    blocks = []
+    for i, (k, size) in enumerate(picks):
+        if mutation == "skip" and i == at:
+            heads[k] += m
+        blocks.append(("run", values[k], size, heads[k], m))
+        heads[k] += m * size
+    if mutation == "repeat":
+        blocks.insert(at, ("repeat", values[0], draw(st.integers(2, 5)),
+                           draw(st.integers(1, 30)), 0))
+    elif mutation == "overlap":
+        _tag, value, size, src, step = blocks[at]
+        inside = src + step * draw(st.integers(0, size - 1))
+        blocks.insert(draw(st.integers(0, at)), ("single", value, 1, inside, 0))
+    return blocks
+
+
+def replayed_bound(emissions):
+    """The replayed coverage bound read one emission at a time: twice the
+    rank at which the replay last stopped, plus 16."""
+    it = iter(emissions)
+    rank, missing, seen, cache = 0, 1, set(), {}
+
+    def bound(p):
+        nonlocal rank, missing
+        if p not in cache:
+            while missing <= p:
+                src = next(it)[0]
+                rank += 1
+                if src >= missing:
+                    seen.add(src)
+                    while missing in seen:
+                        seen.discard(missing)
+                        missing += 1
+            cache[p] = 2 * rank + 16
+        return cache[p]
+
+    return bound
+
+
+def outcome(call):
+    try:
+        return call()
+    except (InjectivityViolation, CoverageViolation) as exc:
+        return type(exc).__name__, vars(exc)
+    except StopIteration:
+        return "stream ended"
+
+
+@settings(max_examples=300, **COMMON)
+@given(block_streams(), st.integers(1, 60), st.lists(st.integers(1, 40), max_size=3),
+       st.integers(1, 3))
+def test_block_streams_audit_and_trace_like_their_emissions(blocks, n, probes, slack):
+    emissions = [(src + step * j, value, tag)
+                 for tag, value, count, src, step in blocks for j in range(count)]
+
+    def bound(p):
+        return slack * p + 5
+
+    blocky = Rearrangement.of_blocks(None, lambda: iter(blocks), bound, "blocks")
+    flat = Rearrangement(None, lambda: iter(emissions), bound, "flat")
+    assert list(blocky.tagged_stream()) == emissions
+    assert list(blocky.stream()) == [(src, value) for src, value, _tag in emissions]
+    assert outcome(lambda: check_permutation(blocky, n, probes)) == outcome(
+        lambda: check_permutation(flat, n, probes))
+    assert list(iter_trace(blocky)) == list(iter_trace(flat))
+    assert list(iter_trace(blocky, n)) == list(iter_trace(flat, n))
+
+    replayed = Rearrangement.of_blocks(None, lambda: iter(blocks), None, "replayed")
+    reference = replayed_bound(emissions)
+    for p in probes + sorted(probes) + [1]:
+        assert outcome(lambda: replayed.coverage_bound(p)) == outcome(lambda: reference(p))

@@ -122,6 +122,24 @@ def test_frozen_first_sixteen_emissions():
     ]
 
 
+def test_descents_by_a_constant_strand_arrive_as_runs():
+    r = four_strand_realizer()
+    blocks = list(islice(r.blocks(), 400))
+    runs = [b for b in blocks if b[2] > 1]
+    assert [(value, count, src) for _tag, value, count, src, _step in runs] == [
+        (F(1), 115, 74), (F(0), 199, 161), (F(1), 512, 582),
+        (F(0), 1460, 1037), (F(1), 4064, 3342),
+    ]
+    # the constant strands hold every fourth source
+    assert {(tag, step) for tag, _value, _count, _src, step in runs} == {("steer", 4)}
+    expanded = [
+        (src + step * j, value, tag)
+        for tag, value, count, src, step in blocks
+        for j in range(count)
+    ]
+    assert list(islice(r.tagged_stream(), len(expanded))) == expanded
+
+
 def test_frozen_schedule_through_three_thousand():
     r = four_strand_realizer()
     for _ in iter_trace(r, 3000):

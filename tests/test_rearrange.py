@@ -1,5 +1,6 @@
 """Rearrangement constructors: frozen prefixes and convergence behavior."""
 
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -12,7 +13,12 @@ from meanweave.errors import (
     TargetUnreachable,
     UndeclaredLimit,
 )
-from meanweave.harness import check_tube, iter_trace, trace
+from meanweave.harness import (
+    PermutationReport,
+    check_permutation,
+    check_tube,
+    iter_trace,
+)
 from meanweave.rearrange import (
     PartStream,
     Rearrangement,
@@ -294,6 +300,50 @@ def test_target_above_weaves_back_the_small_survivors():
     entries = list(iter_trace(frozen_above(), 40))
     gated = [(e.n, e.source_index, e.value) for e in entries if F(0) < e.value < F(3)]
     assert gated == [(8, 2, F(1)), (26, 4, F(2))]
+
+
+def test_target_above_fills_each_gap_as_one_run_once_the_gate_is_empty():
+    blocks = list(islice(frozen_above().blocks(), 60))
+    first_run = next(i for i, b in enumerate(blocks) if b[2] > 1)
+    # the last deferred element (2, at source 4) enters before the first run
+    assert ("extra", F(2), 1, 4, 0) in blocks[:first_run]
+    for i, (tag, value, count, src, step) in enumerate(blocks[first_run:], first_run):
+        assert tag in ("fill", "place")
+        if tag == "fill":  # the zero strand holds the odd sources
+            assert (value, step, src % 2) == (0, 2, 1)
+            assert blocks[i + 1][0] == "place"
+    expanded = [
+        (src + step * j, value, tag)
+        for tag, value, count, src, step in blocks
+        for j in range(count)
+    ]
+    assert list(islice(frozen_above().tagged_stream(), len(expanded))) == expanded
+
+
+CLIMB_COVERAGE = ((10, 138, 61), (100, 41686, 20835), (1000, 41666760, 20833372))
+
+
+@pytest.mark.parametrize("text, target", [
+    ("interleave(const(2), pow(2))", 4),
+    ("interleave(const(-2), neg(pow(2)))", -4),
+])
+def test_climb_over_a_square_strand_is_audited_within_two_seconds(text, target):
+    # probe 1000 needs the 500th square, placed near position 2*10^7; the
+    # audit reads each fill gap between placements as one run
+    start = time.perf_counter()
+    r = construct_target(parse_spec(text), F(target))
+    report = check_permutation(r, 1000, probes=(10, 100, 1000))
+    elapsed = time.perf_counter() - start
+    assert report == PermutationReport(True, 1000, CLIMB_COVERAGE)
+    assert elapsed < 2.0
+
+
+def test_mirrored_climb_passes_blocks_through_with_negated_values():
+    up = construct_target(parse_spec("interleave(const(2), pow(2))"), F(4))
+    down = construct_target(parse_spec("interleave(const(-2), neg(pow(2)))"), F(-4))
+    flipped = ((tag, -v, count, src, step) for tag, v, count, src, step in up.blocks())
+    assert down.has_runs
+    assert list(islice(down.blocks(), 200)) == list(islice(flipped, 200))
 
 
 def test_target_above_rejects_targets_at_or_below_the_limsup():

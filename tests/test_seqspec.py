@@ -15,6 +15,7 @@ from meanweave.seqspec import (
     NegLinear,
     PowerOfIndex,
     RunLength,
+    SequenceSpec,
     WovenMap,
     decompose,
     eval_term,
@@ -94,6 +95,14 @@ def test_iter_terms_agrees_with_eval_term():
     from itertools import islice
 
     assert list(islice(spec.iter_terms(), 12)) == terms(spec, 12)
+
+
+@pytest.mark.parametrize(
+    "spec", [Constant(F(-2, 3)), Linear(), PowerOfIndex(3), NegLinear()], ids=repr
+)
+def test_own_iter_terms_agree_with_term(spec):
+    assert type(spec).iter_terms is not SequenceSpec.iter_terms
+    assert list(islice(spec.iter_terms(), 1000)) == [spec.term(n) for n in range(1, 1001)]
 
 
 def test_run_table_expands_multiplicities_into_a_prefix():
