@@ -126,11 +126,14 @@ def balanced_verdict(
 ) -> BalanceVerdict:
     """Decide the balanced predicate for a spec tending to +inf.
 
-    ``mode='numeric'`` additionally attaches tail-window ratio statistics;
-    the verdict itself still comes only from the analytic rules.
+    ``mode='numeric'`` additionally attaches tail-window ratio statistics
+    over the first ``horizon`` terms (at least 2); the verdict itself still
+    comes only from the analytic rules.
     """
     if mode not in ("analytic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "numeric" and horizon < 2:
+        raise ValueError(f"numeric horizon must be at least 2, got {horizon}")
     _require_divergent_positive(spec)
     kind, reason, est = spec._balance()
     evidence = None

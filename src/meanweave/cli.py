@@ -115,6 +115,9 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.trace, newline="") as fh:
         t = read_trace_csv(fh)
+    if not len(t):
+        print("trace has no rows: nothing to verify")
+        return 1
     ok = verify_trace_identities(t)
     print(f"identities: {'PASS' if ok else 'FAIL'}")
     if args.tube is not None:

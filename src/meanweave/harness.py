@@ -11,11 +11,10 @@ Fractions only when they are read, and the tube, schedule and identity
 checks compare by integer cross-multiplication.
 
 ``iter_trace``, ``check_permutation`` and the replayed coverage bound read a
-stream built from blocks (``Rearrangement.of_blocks``) block by block: the
-trace still yields one entry per position, but inside an integer run it
-steps the integer sum itself; the audit checks injectivity position by
-position only over the first n outputs, and walks a run's sources only up
-to each probe.
+stream block by block (``Rearrangement.blocks``): the trace yields one entry
+per position, but inside an integer run it steps the integer sum itself;
+the audit checks injectivity position by position only over the first n
+outputs, and walks a run's sources only up to each probe.
 """
 
 from __future__ import annotations
@@ -152,13 +151,6 @@ def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterator[TraceEntry
         raise ValueError("trace needs at least one entry")
     acc = RunningAverage()
     add = acc.add
-    if not r.has_runs:
-        # read as blocks of one, this stream would pay a generator step more
-        # per emission
-        for src, value in islice(r.stream(), n):
-            add(value)
-            yield _live_entry(acc.n, src, value, acc.num, acc.den)
-        return
     left = -1 if n is None else n  # entries still to yield; negative: no end
     for _tag, value, size, src, step in r.blocks():
         if size == 1:

@@ -20,8 +20,8 @@ The stream alternates three regimes:
 * descent: steering resumes until the average re-enters the next tube,
   and the excursion is recorded as an honest wide schedule window.
 
-The stream is built from blocks (``Rearrangement.of_blocks``): a descent
-steered by a constant strand is one run, every other emission a block of one.
+Like every stream, this one is a sequence of blocks: a descent steered by a
+constant strand is one run, every other emission a block of one.
 """
 
 from __future__ import annotations

@@ -10,13 +10,13 @@ Streams are lazy and restartable: ``stream()`` always starts a fresh,
 independent iterator (the constructors are deterministic, so every restart
 replays the same emissions).
 
-A stream may also be read as blocks ``(tag, value, count, first_src, step)``:
-``count`` emissions of one value from the sources ``first_src + step*j``.
+Each constructor builds its stream from blocks ``(tag, value, count,
+first_src, step)`` (``Rearrangement.of_blocks``): ``count`` emissions of one
+value from the sources ``first_src + step*j``.  Most emit blocks of one.
 Runs (count > 1) come only from a part that is one ``Constant`` strand over an
 ``AffineMap``: the climb (``target_above_limsup``) emits each fill gap as one
 block once its insertion gate is empty, the realizer emits each descent
-batch as one, and ``mirror_rearrangement`` passes them through.  Every other
-constructor emits one at a time and is read as blocks of one.
+batch as one, and ``mirror_rearrangement`` passes them through.
 """
 
 from __future__ import annotations
@@ -135,13 +135,13 @@ class RunningAverage:
 class Rearrangement:
     """Deterministic lazy rearrangement of a source sequence.
 
-    ``factory`` yields tagged emissions ``(source_index, value, tag)`` one
-    at a time.  A stream with constant runs is built by ``of_blocks``
-    instead, from a factory of blocks ``(tag, value, count, first_src,
-    step)`` with ``step >= 0``.  ``blocks()`` reads either kind as blocks
-    (a one-at-a-time stream as blocks of one); ``stream()`` and
-    ``tagged_stream()`` expand them.  A ``coverage_bound`` of None is read
-    off a replay of the stream (``observed_coverage_bound``).
+    The stream is a factory of blocks ``(tag, value, count, first_src,
+    step)`` with ``step >= 0``, built by ``of_blocks``; ``blocks()`` starts
+    it afresh and ``stream()`` and ``tagged_stream()`` expand it.  The
+    keyword constructor adapts a ``factory`` of tagged emissions
+    ``(source_index, value, tag)``, each read as a block of one.  A
+    ``coverage_bound`` of None is read off a replay of the stream
+    (``observed_coverage_bound``).
     """
 
     def __init__(
@@ -154,8 +154,7 @@ class Rearrangement:
         meta: Optional[dict] = None,
     ):
         self.source = source
-        self._factory = factory
-        self._blocks: Optional[Callable[[], Iterator[Block]]] = None
+        self._blocks = lambda: ((tag, value, 1, src, 0) for src, value, tag in factory())
         if coverage_bound is None:
             coverage_bound = observed_coverage_bound(self.blocks)
         self.coverage_bound = coverage_bound
@@ -177,22 +176,18 @@ class Rearrangement:
         r._blocks = blocks
         return r
 
-    @property
-    def has_runs(self) -> bool:
-        """True when the stream was built from blocks and may hold runs."""
-        return self._blocks is not None
-
     def blocks(self) -> Iterator[Block]:
         """Fresh block iterator from the beginning."""
-        if self._blocks is not None:
-            return self._blocks()
-        return ((tag, value, 1, src, 0) for src, value, tag in self._factory())
+        return self._blocks()
 
     def tagged_stream(self) -> Iterator[TaggedEmission]:
         """Fresh (source_index, value, tag) iterator from the beginning."""
-        if self._blocks is None:
-            return self._factory()
-        return _expand(self._blocks())
+        for tag, value, count, src, step in self._blocks():
+            if count == 1:
+                yield src, value, tag
+            else:
+                sources = itertools.count(src, step)
+                yield from zip(sources, itertools.repeat(value, count), itertools.repeat(tag))
 
     def stream(self) -> Iterator[Emission]:
         """Fresh (source_index, value) iterator from the beginning."""
@@ -201,15 +196,6 @@ class Rearrangement:
 
     def __repr__(self):
         return f"Rearrangement({self.name})"
-
-
-def _expand(blocks: Iterator[Block]) -> Iterator[TaggedEmission]:
-    for tag, value, count, src, step in blocks:
-        if count == 1:
-            yield src, value, tag
-        else:
-            sources = itertools.count(src, step)
-            yield from zip(sources, itertools.repeat(value, count), itertools.repeat(tag))
 
 
 def observed_coverage_bound(blocks: Callable[[], Iterator[Block]]):
@@ -298,19 +284,23 @@ def observed_coverage_bound(blocks: Callable[[], Iterator[Block]]):
     return bound
 
 
+def _core_stream(source, pairs, coverage_bound, name, limit) -> Rearrangement:
+    """A stream that plays the ``pairs()`` (source_index, value) in order,
+    each a block of one tagged "core"."""
+
+    def blocks():
+        for src, value in pairs():
+            yield "core", value, 1, src, 0
+
+    return Rearrangement.of_blocks(source, blocks, coverage_bound, name, limit)
+
+
 def identity_rearrangement(
     spec: SequenceSpec, limit_in_average: Optional[ExtendedReal] = None
 ) -> Rearrangement:
-    def factory():
-        for n, value in enumerate(spec.iter_terms(), start=1):
-            yield n, value, "core"
-
-    return Rearrangement(
-        source=spec,
-        factory=factory,
-        coverage_bound=lambda n: n,
-        name="identity",
-        limit_in_average=limit_in_average,
+    return _core_stream(
+        spec, lambda: enumerate(spec.iter_terms(), start=1), lambda n: n,
+        "identity", limit_in_average,
     )
 
 
@@ -380,12 +370,12 @@ class _InsertionGate:
         self._advance()
         return pending
 
-    def drain(self, avg: RunningAverage) -> Iterator[TaggedEmission]:
-        """Every deferred element the gate admits in a row, tagged "extra"
-        and added to the running average."""
+    def drain(self, avg: RunningAverage) -> Iterator[Block]:
+        """Every deferred element the gate admits in a row, each a block of
+        one tagged "extra" and added to the running average."""
         while (item := self.take(avg)) is not None:
             avg.add(item[1])
-            yield item[0], item[1], "extra"
+            yield "extra", item[1], 1, item[0], 0
 
 
 def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
@@ -394,7 +384,8 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
     ``extras`` is a ``PartStream`` or an ordered collection of
     (source_index, value) pairs; each is inserted at the first position
     satisfying the insertion gate for its level, so perturbations shrink
-    geometrically and the core's declared limit survives.
+    geometrically and the core's declared limit survives.  A run of the
+    core passes the gate one position at a time.
     """
     if core.limit_in_average is None:
         raise UndeclaredLimit("core rearrangement has no declared average limit")
@@ -404,17 +395,24 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
     else:
         fresh_extras = tuple(extras).__iter__
 
-    def factory():
+    def blocks():
         gate = _InsertionGate(limit, fresh_extras())
         avg = RunningAverage()
-        for src, value, tag in core.tagged_stream():
-            yield from gate.drain(avg)
-            yield src, value, tag
-            avg.add(value)
+        for block in core.blocks():
+            tag, value, count, src, step = block
+            if count == 1:
+                yield from gate.drain(avg)
+                yield block
+                avg.add(value)
+                continue
+            for j in range(count):
+                yield from gate.drain(avg)
+                yield tag, value, 1, src + step * j, 0
+                avg.add(value)
 
-    return Rearrangement(
+    return Rearrangement.of_blocks(
         source=core.source,
-        factory=factory,
+        blocks=blocks,
         coverage_bound=None,
         name=f"merge_preserving({core.name})",
         limit_in_average=limit,
@@ -435,8 +433,8 @@ def weighted_merge(
 ) -> Rearrangement:
     """Interleave two convergent streams with asymptotic density alpha : 1-alpha.
 
-    Positions are grouped into consecutive blocks of rational length
-    gamma = 1/alpha; the first position of each block takes the next
+    Positions are grouped into consecutive groups of rational length
+    gamma = 1/alpha; the first position of each group takes the next
     a-element and the rest take b-elements, so a prefix of length m holds
     m*alpha + O(1) a-elements and the average tends to
     alpha*a + (1-alpha)*b.
@@ -460,31 +458,31 @@ def weighted_merge(
     lead, other = (b_stream, a_stream) if swap else (a_stream, b_stream)
     gamma = 1 / ((1 - alpha) if swap else alpha)  # >= 2
 
-    def factory():
+    def blocks():
         lead_it = lead.emissions()
         other_it = other.emissions()
-        block = 1
-        next_head = 1  # first position of block 1
+        group = 1
+        next_head = 1  # first position of group 1
         pos = 0
         while True:
             pos += 1
             if pos == next_head:
                 src, value = next(lead_it)
-                yield src, value, "lead"
-                block += 1
-                next_head = max(pos + 1, _ceil_frac((block - 1) * gamma))
+                yield "lead", value, 1, src, 0
+                group += 1
+                next_head = max(pos + 1, _ceil_frac((group - 1) * gamma))
             else:
                 src, value = next(other_it)
-                yield src, value, "other"
+                yield "other", value, 1, src, 0
 
     g_ceil = _ceil_frac(gamma)
 
     def coverage(n: int) -> int:
         return g_ceil * (n + 1)
 
-    return Rearrangement(
+    return Rearrangement.of_blocks(
         source=None,
-        factory=factory,
+        blocks=blocks,
         coverage_bound=coverage,
         name=f"weighted_merge[alpha={alpha}]",
         limit_in_average=target,
@@ -547,7 +545,7 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
     q = big_m - (big_m - m) / 3
     dec = decompose(spec, prof)
 
-    def factory():
+    def blocks():
         avg = RunningAverage()
         b_it = dec.b.emissions()
         c_it = dec.c.emissions()
@@ -556,7 +554,7 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
         def emit(pair, tag):
             src, value = pair
             avg.add(value)
-            return src, value, tag
+            return tag, value, 1, src, 0
 
         while True:
             rest = next(d_it, None)
@@ -572,9 +570,9 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
             while avg.cmp(q) <= 0:
                 yield emit(next(c_it), "high")
 
-    return Rearrangement(
+    return Rearrangement.of_blocks(
         source=spec,
-        factory=factory,
+        blocks=blocks,
         coverage_bound=None,
         name="oscillator",
         limit_in_average=None,
@@ -623,16 +621,8 @@ def sort_increasing(c_part) -> Rearrangement:
     if c_part.limit != POS_INF:
         raise NotDivergent("sort_increasing needs a part tending to +inf")
 
-    def factory():
-        for src, value in _sorted_emissions(c_part):
-            yield src, value, "core"
-
-    return Rearrangement(
-        source=c_part.spec,
-        factory=factory,
-        coverage_bound=None,
-        name="sort_increasing",
-        limit_in_average=POS_INF,
+    return _core_stream(
+        c_part.spec, lambda: _sorted_emissions(c_part), None, "sort_increasing", POS_INF
     )
 
 
@@ -816,7 +806,7 @@ def two_sided_balance(
                     alive.append(it)
             iters = alive
 
-    def factory():
+    def blocks():
         gate = _InsertionGate(limit, deferred_emissions())
         avg = RunningAverage()
         b_it = b_sel.emissions()
@@ -830,7 +820,7 @@ def two_sided_balance(
                 yield from gate.drain(avg)
                 src, value = next(c_it)
                 avg.add(value)
-                yield src, value, "high"
+                yield "high", value, 1, src, 0
             # descend with -inf-side elements until it returns to target
             first = True
             while first or avg.cmp(target) > 0:
@@ -838,11 +828,11 @@ def two_sided_balance(
                 yield from gate.drain(avg)
                 src, value = next(b_it)
                 avg.add(value)
-                yield src, value, "low"
+                yield "low", value, 1, src, 0
 
-    return Rearrangement(
+    return Rearrangement.of_blocks(
         source=None,
-        factory=factory,
+        blocks=blocks,
         coverage_bound=None,
         name=f"two_sided_balance[{target}]",
         limit_in_average=limit,
@@ -874,20 +864,10 @@ def part_core(part: PartStream, source: SequenceSpec) -> Rearrangement:
     of a limit-preserving merge that restores full coverage.
     """
 
-    def factory():
-        for src, v in part.emissions():
-            yield src, v, "core"
-
     def no_bound(_n: int) -> int:
         raise NotDivergent("a lone part is not surjective; merge it first")
 
-    return Rearrangement(
-        source=source,
-        factory=factory,
-        coverage_bound=no_bound,
-        name="part_core",
-        limit_in_average=part.limit,
-    )
+    return _core_stream(source, part.emissions, no_bound, "part_core", part.limit)
 
 
 def mirror_rearrangement(r: Rearrangement, source: SequenceSpec) -> Rearrangement:

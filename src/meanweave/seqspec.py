@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
@@ -884,12 +884,10 @@ def profile(spec: SequenceSpec) -> AccumulationProfile:
 class IndexMap:
     """Map from a strand's k-th element (k >= 1) back to its source index.
 
-    The first ``len(head)`` elements map to ``head``; the rest follow the
-    tail, which is affine in ``AffineMap`` and alternates between two maps
-    in ``WovenMap``.  Maps are frozen values; equality compares this
-    representation.  A subclass describes its tail without the head:
-    ``_at(j)`` is its j-th image, ``_images()`` iterates them and
-    ``_halves()`` gives its odd and its even elements.
+    ``AffineMap`` is affine and ``WovenMap`` alternates between two maps.
+    Maps are frozen values; equality compares this representation.  A
+    subclass gives ``_at(k)``, its k-th image, ``__iter__``, its images in
+    order, and ``split()``, its odd and its even elements.
     """
 
     __slots__ = ()
@@ -897,72 +895,53 @@ class IndexMap:
     def __call__(self, k: int) -> int:
         if k < 1:
             raise ValueError(f"strand index must be positive, got {k!r}")
-        h = len(self.head)
-        if k <= h:
-            return self.head[k - 1]
-        return self._at(k - h)
-
-    def __iter__(self) -> Iterator[int]:
-        """The images of elements 1, 2, 3, ... in order."""
-        tail = self._images()
-        return itertools.chain(self.head, tail) if self.head else tail
-
-    def _behind(self, head: Tuple[int, ...]) -> "IndexMap":
-        return replace(self, head=head + self.head)
-
-    def split(self) -> Tuple["IndexMap", "IndexMap"]:
-        """The maps k -> self(2k - 1) and k -> self(2k) of an interleave's
-        first and second strand."""
-        first, second = self._halves()
-        if len(self.head) % 2:
-            first, second = second, first
-        return first._behind(self.head[0::2]), second._behind(self.head[1::2])
+        return self._at(k)
 
     def pair(self, other: "IndexMap") -> "IndexMap":
         """Map of the interleave of two strands: odd k -> self((k + 1)/2),
         even k -> other(k/2)."""
-        return WovenMap((), self, other)
+        return WovenMap(self, other)
 
 
 @dataclass(frozen=True, slots=True)
 class AffineMap(IndexMap):
-    """Element ``len(head) + q + 1`` maps to ``slope*q + offset``."""
+    """Element ``q + 1`` maps to ``slope*q + offset``."""
 
-    head: Tuple[int, ...]
     slope: int
     offset: int
 
-    def _at(self, j: int) -> int:
-        return self.slope * (j - 1) + self.offset
+    def _at(self, k: int) -> int:
+        return self.slope * (k - 1) + self.offset
 
-    def _images(self) -> Iterator[int]:
+    def __iter__(self) -> Iterator[int]:
         return itertools.count(self.offset, self.slope)
 
-    def _halves(self) -> Tuple[IndexMap, IndexMap]:
+    def split(self) -> Tuple[IndexMap, IndexMap]:
+        """The maps k -> self(2k - 1) and k -> self(2k) of an interleave's
+        first and second strand."""
         s, o = self.slope, self.offset
-        return AffineMap((), 2 * s, o), AffineMap((), 2 * s, o + s)
+        return AffineMap(2 * s, o), AffineMap(2 * s, o + s)
 
 
 @dataclass(frozen=True, slots=True)
 class WovenMap(IndexMap):
-    """Past the head, odd elements read ``first`` and even ones ``second``:
-    element ``len(head) + j`` maps to first((j + 1)/2) or second(j/2)."""
+    """Odd elements read ``first`` and even ones ``second``: element k maps
+    to first((k + 1)/2) or second(k/2)."""
 
-    head: Tuple[int, ...]
     first: IndexMap
     second: IndexMap
 
-    def _at(self, j: int) -> int:
-        return self.first((j + 1) // 2) if j % 2 else self.second(j // 2)
+    def _at(self, k: int) -> int:
+        return self.first((k + 1) // 2) if k % 2 else self.second(k // 2)
 
-    def _images(self) -> Iterator[int]:
+    def __iter__(self) -> Iterator[int]:
         return itertools.chain.from_iterable(zip(self.first, self.second))
 
-    def _halves(self) -> Tuple[IndexMap, IndexMap]:
+    def split(self) -> Tuple[IndexMap, IndexMap]:
         return self.first, self.second
 
 
-IDENTITY_MAP = AffineMap((), 1, 1)
+IDENTITY_MAP = AffineMap(1, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -986,12 +965,12 @@ class PartStream:
     def run_step(self) -> Optional[int]:
         """The source step of this part's constant runs; None when it has none.
 
-        A part that is one ``Constant`` strand over an ``AffineMap`` without
-        a head emits one value from sources offset, offset + slope, ...; so
-        any stretch of it is a single block (``rearrange.Rearrangement``).
+        A part that is one ``Constant`` strand over an ``AffineMap`` emits
+        one value from sources offset, offset + slope, ...; so any stretch
+        of it is a single block (``rearrange.Rearrangement``).
         """
         w = self.witness
-        if isinstance(self.spec, Constant) and isinstance(w, AffineMap) and not w.head:
+        if isinstance(self.spec, Constant) and isinstance(w, AffineMap):
             return w.slope
         return None
 

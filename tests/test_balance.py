@@ -152,6 +152,14 @@ def test_numeric_mode_is_honest_when_ratios_are_not_yet_small():
     assert v.evidence.ratio_small is False  # 2/1799 is still above 1/1000
 
 
+@pytest.mark.parametrize("horizon", [1, 0, -5])
+def test_numeric_mode_refuses_a_horizon_below_two(horizon):
+    with pytest.raises(ValueError, match="numeric horizon must be at least 2"):
+        balanced_verdict(parse_spec("linear()"), mode="numeric", horizon=horizon)
+    v = balanced_verdict(parse_spec("linear()"), mode="numeric", horizon=2)
+    assert v.evidence.window_start == 2
+
+
 def test_numeric_mode_on_geometric_shows_ratio_near_one():
     v = balanced_verdict(parse_spec("geom(2)"), mode="numeric", horizon=200)
     assert v.kind is BalanceKind.NOT_BALANCED

@@ -73,6 +73,12 @@ def test_balanced_numeric_evidence_line():
     )
 
 
+def test_balanced_numeric_horizon_below_two_is_a_usage_error():
+    code, out, err = run("balanced", "linear()", "--mode", "numeric", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == "ERROR UsageError: numeric horizon must be at least 2, got 1\n"
+
+
 def test_balanced_rejects_nondivergent_input():
     code, _, err = run("balanced", "const(1)")
     assert code == 2 and err.startswith("ERROR NotDivergent: ")
@@ -161,6 +167,13 @@ def test_verify_rejects_a_repeated_source_index(tmp_path):
         "identities: PASS\ntube target=1/3 eps=1/100 from=150: PASS\n"
         f"source index {row4[1]} repeats: rows n=4 and n=7\n"
     )
+
+
+def test_verify_fails_on_a_trace_without_rows(tmp_path):
+    path = tmp_path / "empty.trace.csv"
+    path.write_text("n,source_index,value,partial_sum,average_decimal,average_exact\n")
+    code, out, _ = run("verify", str(path), "--tube", "1/3", "1/100")
+    assert (code, out) == (1, "trace has no rows: nothing to verify\n")
 
 
 def test_verify_missing_file_is_an_io_error():

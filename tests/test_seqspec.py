@@ -168,13 +168,13 @@ def test_decompose_three_strand_witnesses_partition_source_indices():
 def test_folded_witness_weaves_the_strand_maps():
     dec = decompose(parse_spec("interleave(const(0), interleave(const(0), linear()))"))
     b = dec.b.witness
-    assert b == WovenMap((), AffineMap((), 2, 1), AffineMap((), 4, 2))
+    assert b == WovenMap(AffineMap(2, 1), AffineMap(4, 2))
     assert [b(k) for k in range(1, 9)] == [1, 2, 3, 6, 5, 10, 7, 14]
     assert list(islice(b, 8)) == [1, 2, 3, 6, 5, 10, 7, 14]
-    assert dec.c.witness == AffineMap((), 4, 4)
+    assert dec.c.witness == AffineMap(4, 4)
     assert repr(b) == (
-        "WovenMap(head=(), first=AffineMap(head=(), slope=2, offset=1), "
-        "second=AffineMap(head=(), slope=4, offset=2))"
+        "WovenMap(first=AffineMap(slope=2, offset=1), "
+        "second=AffineMap(slope=4, offset=2))"
     )
 
 
@@ -202,8 +202,8 @@ def test_prefix_values_are_dealt_to_the_strand_maps():
         "interleave(prefix(5, const(0)), prefix(7, linear()))"
     )
     dec = decompose(spec)
-    assert dec.b.witness == AffineMap((), 2, 1)
-    assert dec.c.witness == AffineMap((), 2, 2)
+    assert dec.b.witness == AffineMap(2, 1)
+    assert dec.c.witness == AffineMap(2, 2)
     assert list(islice(dec.emissions("b"), 4)) == [(1, F(5)), (3, F(0)), (5, F(0)), (7, F(0))]
     # an odd head starts the tail on an even rank, so its strands swap
     spec = parse_spec(
@@ -215,9 +215,9 @@ def test_prefix_values_are_dealt_to_the_strand_maps():
     )
     dec = decompose(spec)
     b = dec.b.witness
-    assert b == WovenMap((), AffineMap((), 4, 1), AffineMap((), 2, 2))
+    assert b == WovenMap(AffineMap(4, 1), AffineMap(2, 2))
     assert list(islice(b, 8)) == [1, 2, 5, 4, 9, 6, 13, 8]
-    assert dec.c.witness == AffineMap((), 4, 3)
+    assert dec.c.witness == AffineMap(4, 3)
     assert [eval_term(spec, i) for i in islice(dec.c.witness, 4)] == [9, 1, 2, 3]
 
 
@@ -225,7 +225,7 @@ def test_a_prefix_over_one_strand_stays_whole():
     spec = parse_spec("prefix(30, affine(linear(), 2, 0))")
     assert push_pointwise(spec) is spec
     dec = decompose(spec)
-    assert dec.b.spec is spec and dec.b.witness == AffineMap((), 1, 1)
+    assert dec.b.spec is spec and dec.b.witness == AffineMap(1, 1)
 
 
 def test_decompose_witness_values_match_source_terms():

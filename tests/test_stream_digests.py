@@ -1,7 +1,8 @@
 """Pinned stream output: SHA-256 of the first 20,000 tagged emissions.
 
-One fixed input per bench ``weave`` route, the mirrored climb and the
-four-strand realizer.  Each stream's ``blocks()`` must also expand to its
+One fixed input per bench ``weave`` route, the mirrored climb, a climb whose
+runs pass the insertion gate of a middle strand, and the four-strand
+realizer.  Each stream's ``blocks()`` must also expand to its
 ``tagged_stream()``.
 """
 
@@ -34,6 +35,7 @@ STREAMS = {
     "two_sided": _route("interleave(neg(runlen(4)), runlen(4))", F(-5, 3)),
     "oscillator": _route("interleave(const(-1), const(2))", None),
     "mirrored_climb": _route("interleave(const(-2), neg(pow(2)))", F(-4)),
+    "climb_middle": _route("interleave(interleave(const(0), const(1)), pow(2))", F(3)),
     "four_strand_realizer": four_strand_realizer,
 }
 
@@ -52,6 +54,8 @@ DIGESTS = {
         "cdf7c3017b4562dc2654c144e5377f33fcfeab60f4acf46897eb26e66ab2eb1f",
     "mirrored_climb":
         "7c085f060f94fa07df411852ce3c3f65df27a5a8b71dd823ef37ff3e74446609",
+    "climb_middle":
+        "2e2b6c8516318d6b175894ca83cfbc2b3e1d815ff169c396d828f34b1ec39738",
     "four_strand_realizer":
         "8b52ff32698dc5819122682704ab59ce9c443dd96b7ff70291641c653e507289",
 }
