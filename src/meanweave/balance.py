@@ -73,8 +73,8 @@ class NumericEvidence:
 
     horizon: int
     window_start: int
-    max_ratio: Fraction
-    last_ratio: Fraction
+    max_ratio: Optional[Fraction]  # None: no positive earlier sum in the window
+    last_ratio: Optional[Fraction]
     ratio_small: bool  # max tail ratio below the 1e-3 evidence threshold
 
 
@@ -110,14 +110,12 @@ def _numeric_evidence(spec: SequenceSpec, horizon: int) -> NumericEvidence:
             if max_ratio is None or r > max_ratio:
                 max_ratio = r
         running += term
-    if max_ratio is None:
-        raise NotDivergent("horizon too small for a tail window")
     return NumericEvidence(
         horizon=horizon,
         window_start=window_start,
         max_ratio=max_ratio,
         last_ratio=last_ratio,
-        ratio_small=max_ratio < EVIDENCE_THRESHOLD,
+        ratio_small=max_ratio is not None and max_ratio < EVIDENCE_THRESHOLD,
     )
 
 

@@ -4,6 +4,8 @@ Every error carries a stable ``code`` attribute (its class name) so the CLI
 can print ``ERROR <code>: <detail>`` lines without string matching.
 """
 
+from typing import Optional
+
 
 class MeanweaveError(Exception):
     """Base class for all library errors."""
@@ -91,14 +93,14 @@ class InjectivityViolation(MeanweaveError):
 
 
 class CoverageViolation(MeanweaveError):
-    """A rearrangement stream failed its declared coverage bound."""
+    """A rearrangement stream missed its coverage bound, or ended before
+    covering a probe when it has none (``bound`` None)."""
 
-    def __init__(self, prefix: int, bound: int):
+    def __init__(self, prefix: int, bound: Optional[int]):
         self.prefix = prefix
         self.bound = bound
-        super().__init__(
-            f"source indices 1..{prefix} not all emitted within {bound} outputs"
-        )
+        within = "before the stream ended" if bound is None else f"within {bound} outputs"
+        super().__init__(f"source indices 1..{prefix} not all emitted {within}")
 
 
 class ParseError(MeanweaveError):

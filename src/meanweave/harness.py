@@ -10,11 +10,13 @@ A trace keeps its running sum as the unreduced integer pair of
 Fractions only when they are read, and the tube, schedule and identity
 checks compare by integer cross-multiplication.
 
-``iter_trace``, ``check_permutation`` and the replayed coverage bound read a
-stream block by block (``Rearrangement.blocks``): the trace yields one entry
-per position, but inside an integer run it steps the integer sum itself;
-the audit checks injectivity position by position only over the first n
-outputs, and walks a run's sources only up to each probe.
+``iter_trace`` and ``check_permutation`` read a stream block by block
+(``Rearrangement.blocks``): the trace yields one entry per position, but
+inside an integer run it steps the integer sum itself; the audit checks
+injectivity position by position only over the first n outputs, and walks a
+run's sources only up to each probe.  The audit is the package's one
+coverage walk: it streams once, whether or not the stream certifies a
+coverage bound.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _entries(t) -> Iterable[TraceEntry]:
 class PermutationReport:
     ok: bool
     distinct_checked: int
-    coverage: Tuple[Tuple[int, int, int], ...]  # (probe, bound, satisfied_at)
+    coverage: Tuple[Tuple[int, Optional[int], int], ...]  # (probe, bound, satisfied_at)
 
 
 def check_permutation(
@@ -201,19 +203,26 @@ def check_permutation(
 ) -> PermutationReport:
     """Audit injectivity of the first n outputs and coverage at each probe.
 
-    For each probe p the bound f(p) = coverage_bound(p) must see every
-    source index 1..p within the first f(p) outputs.  Streaming stops once
-    the first n outputs are checked and every probe is covered, or at the
-    largest bound.  Raises InjectivityViolation / CoverageViolation on failure.
-    The audit reads blocks; of a run it visits only the positions among the
-    first n and, for each probe p, the sources up to p.
+    With a certified bound f = coverage_bound, every source index 1..p must
+    appear within the first f(p) outputs.  An uncertified stream
+    (coverage_bound None) reports each probe as ``(p, None, satisfied_at)``
+    and is streamed until 1..p appears.  Streaming stops once the first n
+    outputs are checked and every probe is covered or past its bound.
+    Raises InjectivityViolation, or CoverageViolation when a probe misses its
+    bound or the stream ends before covering it.  The audit reads blocks; of
+    a run it visits only the positions among the first n and, for each probe
+    p, the sources up to p.
     """
-    bounds = {p: r.coverage_bound(p) for p in probes}
-    horizon = max([n, *bounds.values()]) if bounds else n
+    f = r.coverage_bound
+    bounds = {p: None if f is None else f(p) for p in probes}
     first_seen = {}
     remaining = {p: set(range(1, p + 1)) for p in probes}
     satisfied = {}
     rank = 0
+
+    def settled(p):  # covered, or past a certified bound it has missed
+        return p in satisfied or (bounds[p] is not None and rank >= bounds[p])
+
     for _tag, _value, size, src, step in r.blocks():
         if size == 1:
             rank += 1
@@ -247,12 +256,11 @@ def check_permutation(
                         if not need:
                             satisfied[p] = start + j + 1
                             break
-        if rank >= horizon or (rank >= n and len(satisfied) == len(remaining)):
+        if rank >= n and all(map(settled, remaining)):
             break
     for p in probes:
-        if p in satisfied and satisfied[p] <= bounds[p]:
-            continue
-        raise CoverageViolation(p, bounds[p])
+        if p not in satisfied or (bounds[p] is not None and satisfied[p] > bounds[p]):
+            raise CoverageViolation(p, bounds[p])
     coverage = tuple((p, bounds[p], satisfied[p]) for p in sorted(probes))
     return PermutationReport(True, min(n, rank), coverage)
 

@@ -199,10 +199,6 @@ class _TargetSchedule:
         return self._known[self._offset - 1]
 
 
-def _ceil_div_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 # ---------------------------------------------------------------------------
 # The realizer
 
@@ -244,7 +240,7 @@ def accumulation_realizer(
 
     def n_min(stage: int) -> int:
         # positions this large keep in-band steps below an eighth tube width
-        return _ceil_div_frac(16 * k_bound * Fraction(stage))
+        return math.ceil(16 * k_bound * Fraction(stage))
 
     band_lo = a - 1
     band_hi = b_val + 1
@@ -372,8 +368,8 @@ def accumulation_realizer(
             h = Fraction(1, stage + 1)  # next tube half-width
             m_floor = max(
                 n_now,
-                _ceil_div_frac(9 * k_bound / h),
-                _ceil_div_frac(18 * span1 / h),
+                math.ceil(9 * k_bound / h),
+                math.ceil(18 * span1 / h),
             )
             cur, pend = (e_cur, e_pend) if direction > 0 else (d_cur, d_pend)
             while True:
@@ -384,7 +380,7 @@ def accumulation_realizer(
                 if magnitude > 1:
                     p_low = max(
                         m_floor + 1,
-                        math.isqrt(_ceil_div_frac(9 * magnitude / h)) + 1,
+                        math.isqrt(math.ceil(9 * magnitude / h)) + 1,
                     )
                     if span1 * p_low < magnitude:
                         return cur.advance(), p_low
@@ -461,12 +457,12 @@ def accumulation_realizer(
                         and avg.cmp(target) > 0 and avg.cmp(s_hi) > 0):
                     side, value = b_cur, b_const
                     s_now = Fraction(avg.num, avg.den)
-                    run = _ceil_div_frac((s_now - s_hi * n) / (s_hi - b_const)) - 1
+                    run = math.ceil((s_now - s_hi * n) / (s_hi - b_const)) - 1
                 elif (n > 0 and c_const is not None and c_const > s_lo
                         and avg.cmp(target) < 0 and avg.cmp(s_lo) < 0):
                     side, value = c_cur, c_const
                     s_now = Fraction(avg.num, avg.den)
-                    run = _ceil_div_frac((s_lo * n - s_now) / (c_const - s_lo)) - 1
+                    run = math.ceil((s_lo * n - s_now) / (c_const - s_lo)) - 1
                 if run > 0:
                     yield emit(side.take_run(run), value, "steer", run, side.step)
                     continue

@@ -2,9 +2,9 @@
 
 Every constructor here returns a ``Rearrangement``: a deterministic stream of
 ``(source_index, value)`` pairs that is injective by construction and comes
-with a coverage bound for the audits.  Only the identity and the weighted
-merge certify theirs; the others read it off a replay of the same stream
-(``observed_coverage_bound``).
+with a coverage bound for the audits, or None when nothing certifies one.
+Only the identity and the weighted merge certify theirs; the others pass
+None, and the audit reports their coverage without a bound.
 
 Streams are lazy and restartable: ``stream()`` always starts a fresh,
 independent iterator (the constructors are deterministic, so every restart
@@ -140,8 +140,7 @@ class Rearrangement:
     it afresh and ``stream()`` and ``tagged_stream()`` expand it.  The
     keyword constructor adapts a ``factory`` of tagged emissions
     ``(source_index, value, tag)``, each read as a block of one.  A
-    ``coverage_bound`` of None is read off a replay of the stream
-    (``observed_coverage_bound``).
+    ``coverage_bound`` of None means the stream is uncertified.
     """
 
     def __init__(
@@ -155,8 +154,6 @@ class Rearrangement:
     ):
         self.source = source
         self._blocks = lambda: ((tag, value, 1, src, 0) for src, value, tag in factory())
-        if coverage_bound is None:
-            coverage_bound = observed_coverage_bound(self.blocks)
         self.coverage_bound = coverage_bound
         self.name = name
         self.limit_in_average = limit_in_average
@@ -196,92 +193,6 @@ class Rearrangement:
 
     def __repr__(self):
         return f"Rearrangement({self.name})"
-
-
-def observed_coverage_bound(blocks: Callable[[], Iterator[Block]]):
-    """Coverage bound certified by replaying the deterministic stream.
-
-    f(n) is twice the output rank by which source indices 1..n have all
-    appeared (plus slack), that is, the rank at which the replay stopped
-    last.  Valid because streams replay identically.  A run enters the
-    replay's memory as one progression; the replay stops inside a run only
-    at the element that completes 1..n, and keeps the rest for a later n.
-    """
-    cache: dict = {}
-    it = None
-    rank = 0
-    missing = 1  # the smallest source index not seen yet
-    seen = set()  # single sources above ``missing``
-    runs: List[List[int]] = []  # [first, step, last] progressions reaching ``missing``
-    rest = None  # (count, src, step) of a run the replay stopped inside
-
-    def covered(s: int) -> bool:
-        return s in seen or any(f <= s <= l and (s - f) % st == 0 for f, st, l in runs)
-
-    def settle():
-        nonlocal missing, runs
-        while covered(missing):
-            seen.discard(missing)
-            missing += 1
-        runs = [r for r in runs if r[2] >= missing]
-
-    def add_run(src: int, step: int, count: int):
-        last = src + step * (count - 1)
-        if runs and runs[-1][1] == step and runs[-1][2] + step == src:
-            runs[-1][2] = last
-        else:
-            runs.append([src, step, last])
-        if src <= missing <= last and (missing - src) % step == 0:
-            settle()
-
-    def bound(n: int) -> int:
-        nonlocal it, rank, rest
-        if n in cache:
-            return cache[n]
-        if it is None:
-            it = blocks()
-        while missing <= n:
-            if rest is not None:
-                (count, src, step), rest = rest, None
-            else:
-                _tag, _value, count, src, step = next(it)
-            if count == 1 or step == 0:
-                rank += 1
-                if src >= missing:
-                    seen.add(src)
-                    if src == missing:
-                        settle()
-                if count > 1:  # repeats of src: they change nothing but the rank
-                    if missing > n:
-                        rest = count - 1, src, 0
-                    else:
-                        rank += count - 1
-                continue
-            # the run's last element that 1..n still lacks, if any
-            j = min(count - 1, (n - src) // step) if src <= n else -1
-            while j >= 0:
-                s = src + step * j
-                if s < missing:
-                    j = -1
-                elif not covered(s):
-                    break
-                else:
-                    j -= 1
-            if j >= 0:
-                add_run(src, step, j + 1)
-                rank += j + 1
-                src, count = src + step * (j + 1), count - j - 1
-                if missing > n:
-                    if count:
-                        rest = count, src, step
-                    break
-            if count:
-                add_run(src, step, count)
-                rank += count
-        cache[n] = 2 * rank + 16
-        return cache[n]
-
-    return bound
 
 
 def _core_stream(source, pairs, coverage_bound, name, limit) -> Rearrangement:
@@ -424,10 +335,6 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
 # Weighted merge of two convergent streams
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def weighted_merge(
     a_stream: PartStream, b_stream: PartStream, alpha: Fraction
 ) -> Rearrangement:
@@ -470,12 +377,12 @@ def weighted_merge(
                 src, value = next(lead_it)
                 yield "lead", value, 1, src, 0
                 group += 1
-                next_head = max(pos + 1, _ceil_frac((group - 1) * gamma))
+                next_head = max(pos + 1, math.ceil((group - 1) * gamma))
             else:
                 src, value = next(other_it)
                 yield "other", value, 1, src, 0
 
-    g_ceil = _ceil_frac(gamma)
+    g_ceil = math.ceil(gamma)
 
     def coverage(n: int) -> int:
         return g_ceil * (n + 1)

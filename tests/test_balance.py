@@ -160,6 +160,15 @@ def test_numeric_mode_refuses_a_horizon_below_two(horizon):
     assert v.evidence.window_start == 2
 
 
+@pytest.mark.parametrize("horizon", [3, 10])
+def test_numeric_mode_has_no_ratio_while_earlier_sums_are_not_positive(horizon):
+    # terms -4, -3, -2, ...: the sum before index n is positive only from n = 11
+    v = balanced_verdict(parse_spec("affine(linear(), 1, -5)"), mode="numeric", horizon=horizon)
+    assert v.kind is BalanceKind.BALANCED
+    ev = v.evidence
+    assert (ev.max_ratio, ev.last_ratio, ev.ratio_small) == (None, None, False)
+
+
 def test_numeric_mode_on_geometric_shows_ratio_near_one():
     v = balanced_verdict(parse_spec("geom(2)"), mode="numeric", horizon=200)
     assert v.kind is BalanceKind.NOT_BALANCED

@@ -73,6 +73,16 @@ def test_balanced_numeric_evidence_line():
     )
 
 
+def test_balanced_numeric_evidence_before_any_ratio():
+    code, out, _ = run("balanced", "--mode", "numeric", "--n", "10", "affine(linear(), 1, -5)")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("BALANCED: ")
+    assert lines[-1] == (
+        "evidence: horizon=10 window_start=9 max_ratio=None last_ratio=None small=False"
+    )
+
+
 def test_balanced_numeric_horizon_below_two_is_a_usage_error():
     code, out, err = run("balanced", "linear()", "--mode", "numeric", "--n", "1")
     assert (code, out) == (2, "")

@@ -24,7 +24,7 @@ from meanweave.harness import (
     verify_trace_identities,
     write_trace_csv,
 )
-from meanweave.rearrange import Rearrangement, identity_rearrangement
+from meanweave.rearrange import Rearrangement, construct_target, identity_rearrangement
 from meanweave.realizer import ScheduleEntry
 
 F = Fraction
@@ -134,6 +134,32 @@ def test_audit_stops_once_outputs_and_probes_are_covered():
     report = check_permutation(r, 50, probes=(10, 100))
     assert report == PermutationReport(True, 50, ((10, 100, 10), (100, 1000, 100)))
     assert len(pulled) == 100
+
+
+def test_audit_of_an_uncertified_stream_that_ends_uncovered_raises():
+    # one run over sources 2, 3, 4: source 1 never appears, and no bound
+    # says by when it should
+    r = Rearrangement.of_blocks(None, lambda: iter([("core", F(0), 3, 2, 1)]), None, "gap")
+    with pytest.raises(CoverageViolation) as info:
+        check_permutation(r, 3, probes=(1,))
+    assert (info.value.prefix, info.value.bound) == (1, None)
+    assert str(info.value) == "source indices 1..1 not all emitted before the stream ended"
+
+
+def test_audit_of_an_uncertified_construction_streams_it_once(monkeypatch):
+    calls = []
+    blocks = Rearrangement.blocks
+
+    def counting(self):
+        calls.append(self.name)
+        return blocks(self)
+
+    monkeypatch.setattr(Rearrangement, "blocks", counting)
+    r = construct_target(parse_spec("interleave(const(0), linear())"), F(1))
+    report = check_permutation(r, 100, probes=(10, 100))
+    assert calls == [r.name]
+    assert r.coverage_bound is None
+    assert [bound for _p, bound, _at in report.coverage] == [None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -537,48 +537,21 @@ def block_streams(draw):
     return blocks
 
 
-def replayed_bound(emissions):
-    """The replayed coverage bound read one emission at a time: twice the
-    rank at which the replay last stopped, plus 16."""
-    it = iter(emissions)
-    rank, missing, seen, cache = 0, 1, set(), {}
-
-    def bound(p):
-        nonlocal rank, missing
-        if p not in cache:
-            while missing <= p:
-                src = next(it)[0]
-                rank += 1
-                if src >= missing:
-                    seen.add(src)
-                    while missing in seen:
-                        seen.discard(missing)
-                        missing += 1
-            cache[p] = 2 * rank + 16
-        return cache[p]
-
-    return bound
-
-
 def outcome(call):
     try:
         return call()
     except (InjectivityViolation, CoverageViolation) as exc:
         return type(exc).__name__, vars(exc)
-    except StopIteration:
-        return "stream ended"
 
 
 @settings(max_examples=300, **COMMON)
 @given(block_streams(), st.integers(1, 60), st.lists(st.integers(1, 40), max_size=3),
-       st.integers(1, 3))
+       st.sampled_from([1, 2, 3, None]))
 def test_block_streams_audit_and_trace_like_their_emissions(blocks, n, probes, slack):
     emissions = [(src + step * j, value, tag)
                  for tag, value, count, src, step in blocks for j in range(count)]
-
-    def bound(p):
-        return slack * p + 5
-
+    # a certified bound slack*p + 5, or an uncertified stream (None)
+    bound = None if slack is None else (lambda p: slack * p + 5)
     blocky = Rearrangement.of_blocks(None, lambda: iter(blocks), bound, "blocks")
     flat = Rearrangement(None, lambda: iter(emissions), bound, "flat")
     assert list(blocky.tagged_stream()) == emissions
@@ -587,8 +560,3 @@ def test_block_streams_audit_and_trace_like_their_emissions(blocks, n, probes, s
         lambda: check_permutation(flat, n, probes))
     assert list(iter_trace(blocky)) == list(iter_trace(flat))
     assert list(iter_trace(blocky, n)) == list(iter_trace(flat, n))
-
-    replayed = Rearrangement.of_blocks(None, lambda: iter(blocks), None, "replayed")
-    reference = replayed_bound(emissions)
-    for p in probes + sorted(probes) + [1]:
-        assert outcome(lambda: replayed.coverage_bound(p)) == outcome(lambda: reference(p))

@@ -320,7 +320,7 @@ def test_target_above_fills_each_gap_as_one_run_once_the_gate_is_empty():
     assert list(islice(frozen_above().tagged_stream(), len(expanded))) == expanded
 
 
-CLIMB_COVERAGE = ((10, 138, 61), (100, 41686, 20835), (1000, 41666760, 20833372))
+CLIMB_COVERAGE = ((10, None, 61), (100, None, 20835), (1000, None, 20833372))
 
 
 @pytest.mark.parametrize("text, target", [
