@@ -216,10 +216,10 @@ def test_criterion_07_accumulation_realizer():
 
     # Pass 3: permutation audit with coverage probes.
     try:
-        perm_ok = check_permutation(r, 1000, probes=(10, 100, 1000)).ok
-        audit = "audit ok"
+        perm = check_permutation(r, 1000, probes=(10, 100, 1000))
+        perm_ok, coverage, audit = perm.ok, perm.coverage, "audit ok"
     except MeanweaveError as exc:
-        perm_ok, audit = False, f"audit: {exc}"
+        perm_ok, coverage, audit = False, None, f"audit: {exc}"
 
     ok = schedule_ok and perm_ok and all(visits[t] >= 3 for t in zset)
     report(
@@ -229,6 +229,11 @@ def test_criterion_07_accumulation_realizer():
         f"horizon n={first_beyond - 1}, "
         f"visits {dict((str(k), v) for k, v in visits.items())}, {audit}",
     )
+    # the stream is deterministic: its horizon, visits and coverage ranks
+    # are pinned
+    assert first_beyond - 1 == 3_428_517
+    assert visits == {F(1, 4): 7, F(3, 4): 5}
+    assert coverage == ((10, None, 36), (100, None, 17_738), (1000, None, 1_152_197))
 
 
 def test_criterion_08_oracle_equivalence_on_random_multisets():

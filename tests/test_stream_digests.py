@@ -1,9 +1,11 @@
-"""Pinned stream output: SHA-256 of the first 20,000 tagged emissions.
+"""Pinned stream output: SHA-256 of the first tagged emissions.
 
-One fixed input per bench ``weave`` route, the mirrored climb, a climb whose
-runs pass the insertion gate of a middle strand, and the four-strand
-realizer.  Each stream's ``blocks()`` must also expand to its
-``tagged_stream()``.
+The first 20,000 of one fixed input per bench ``weave`` route, the mirrored
+climb, a climb whose runs pass the insertion gate of a middle strand, and
+the four-strand realizer; and the first 100,000 of the four-strand realizer
+for one prescribed set per bench ``realize`` shape (each of the low and high
+pieces a point or an interval).  Each stream's ``blocks()`` must also expand
+to its ``tagged_stream()``.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from test_realizer import four_strand_realizer
 
 F = Fraction
 COUNT = 20_000
+REALIZER_COUNT = 100_000
 
 
 def _route(text, target):
@@ -61,6 +64,25 @@ DIGESTS = {
 }
 
 
+REALIZER_ZSETS = {
+    "point_point": [F(1, 8), F(7, 8)],
+    "interval_point": [(F(1, 10), F(2, 15)), F(6, 7)],
+    "point_interval": [F(1, 6), (F(4, 5), F(5, 6))],
+    "interval_interval": [(F(1, 12), F(1, 8)), (F(7, 8), F(11, 12))],
+}
+
+REALIZER_DIGESTS = {
+    "point_point":
+        "b8e98793d2e1dabdf24324e6ead42793b20e457cab05e79e5b8c812098a2d531",
+    "interval_point":
+        "b97fbdabc7b25314f1eb9b34c0759076b672ac21264398df8f35a05313e8778b",
+    "point_interval":
+        "c868d287df312bcaeff08760321c181797f91b84c987b8396eb3a383a0ed6c58",
+    "interval_interval":
+        "725907e046b8e1668dbfa87758125ff1d342f03c497cd69036d67f78d0f54bbc",
+}
+
+
 def _digest(emissions) -> str:
     h = hashlib.sha256()
     for src, value, tag in emissions:
@@ -68,15 +90,27 @@ def _digest(emissions) -> str:
     return h.hexdigest()
 
 
+def _check(r, count, digest):
+    tagged = list(islice(r.tagged_stream(), count))
+    assert len(tagged) == count
+    assert _digest(tagged) == digest
+    expanded = []
+    for tag, value, size, src, step in r.blocks():
+        expanded.extend((src + step * j, value, tag) for j in range(size))
+        if len(expanded) >= count:
+            break
+    assert expanded[:count] == tagged
+
+
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_stream_digest_and_block_expansion(name):
-    r = STREAMS[name]()
-    tagged = list(islice(r.tagged_stream(), COUNT))
-    assert len(tagged) == COUNT
-    assert _digest(tagged) == DIGESTS[name]
-    expanded = []
-    for tag, value, count, src, step in r.blocks():
-        expanded.extend((src + step * j, value, tag) for j in range(count))
-        if len(expanded) >= COUNT:
-            break
-    assert expanded[:COUNT] == tagged
+    _check(STREAMS[name](), COUNT, DIGESTS[name])
+
+
+@pytest.mark.parametrize("shape", sorted(REALIZER_ZSETS))
+def test_realizer_digest_and_block_expansion(shape):
+    _check(
+        four_strand_realizer(REALIZER_ZSETS[shape]),
+        REALIZER_COUNT,
+        REALIZER_DIGESTS[shape],
+    )
