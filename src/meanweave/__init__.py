@@ -97,10 +97,8 @@ from .seqspec import (
     SumJump,
     WovenMap,
     decompose,
-    eval_term,
     negated_spec,
     profile,
-    run_table,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,8 +20,10 @@ The stream alternates three regimes:
 * descent: steering resumes until the average re-enters the next tube,
   and the excursion is recorded as an honest wide schedule window.
 
-Like every stream, this one is a sequence of blocks: a descent steered by a
-constant strand is one run, every other emission a block of one.
+Like every stream, this one is a sequence of blocks: steering by a constant
+strand (in a tube, before a jump or in a descent) is one run, except a step
+whose splice candidate is the steering strand's own head; every other
+emission is a block of one.
 """
 
 from __future__ import annotations
@@ -92,9 +94,6 @@ class TubeSchedule:
         if self.entries and entry.from_index <= self.entries[-1].from_index:
             raise AssertionError("schedule from-indices must increase")
         self.entries.append(entry)
-
-    def tube_entries(self) -> List[ScheduleEntry]:
-        return [e for e in self.entries if e.kind == "tube"]
 
     def __iter__(self):
         return iter(self.entries)
@@ -203,6 +202,13 @@ class _TargetSchedule:
 # The realizer
 
 
+def _first_positive(c0: int, c1: int) -> Optional[int]:
+    """The first k >= 0 with c0 + k*c1 > 0, or None when there is none."""
+    if c0 > 0:
+        return 0
+    return -c0 // c1 + 1 if c1 > 0 else None
+
+
 def accumulation_realizer(
     b_part: PartStream,
     c_part: PartStream,
@@ -250,8 +256,8 @@ def accumulation_realizer(
         # tube intersected with the steering band
         return max(tgt - w, band_lo), min(tgt + w, band_hi)
 
-    # a steering strand with constant runs (PartStream.run_step) descends in
-    # one block: its value is this constant
+    # a steering strand with constant runs (PartStream.run_step) steers in
+    # blocks: its value is this constant
     b_const = b_part.spec.value if b_part.run_step() is not None else None
     c_const = c_part.spec.value if c_part.run_step() is not None else None
 
@@ -271,10 +277,8 @@ def accumulation_realizer(
         stage = 0  # completed tube entries
         target = targets.next_target()
         pending_target: Optional[Fraction] = None
-        width = Fraction(1, 1)
-        t_lo, t_hi = tube_bounds(target, width)
-        margin = width / 8
-        s_lo, s_hi = t_lo + margin, t_hi - margin
+        t_lo, t_hi = tube_bounds(target, Fraction(1))
+        s_lo, s_hi = t_lo + Fraction(1, 8), t_hi - Fraction(1, 8)
         entry_index = 0  # schedule entries recorded
         window_start = 1
         # observed average range of the open window, as raw num/den pairs
@@ -308,9 +312,8 @@ def accumulation_realizer(
             return tag, value, count, src, step
 
         def retarget(tgt: Fraction, w: Fraction):
-            nonlocal target, width, t_lo, t_hi, s_lo, s_hi
+            nonlocal target, t_lo, t_hi, s_lo, s_hi
             target = tgt
-            width = w
             t_lo, t_hi = tube_bounds(tgt, w)
             m = w / 8
             s_lo, s_hi = t_lo + m, t_hi - m
@@ -329,38 +332,74 @@ def accumulation_realizer(
                     return head
                 backlog.append(side_cur.advance())
 
-        def steer():
-            """One steering emission toward the current target."""
-            if avg.n == 0:
+        def toward(v, bound, x=None):
+            """(c0, c1): c0 + k*c1 has the sign of the average after k more
+            v's (and then x, if given) minus bound."""
+            num, den, m = avg.num, avg.den, avg.n
+            if x is not None:
+                xn, xd = x.numerator, x.denominator
+                num, den, m = num * xd + xn * den, den * xd, m + 1
+            bn, bd = bound.numerator, bound.denominator
+            return ((num * bd - bn * m * den) * v.denominator,
+                    (v.numerator * bd - bn * v.denominator) * den)
+
+        def enters(v, x=None):
+            """First k at which that average lies in (s_lo, s_hi), or None: it
+            moves monotonically toward v, so where both edge tests first hold."""
+            lo0, lo1 = toward(v, s_lo, x)
+            hi0, hi1 = toward(v, s_hi, x)
+            k_lo, k_hi = _first_positive(lo0, lo1), _first_positive(-hi0, -hi1)
+            if k_lo is None or k_hi is None:
+                return None
+            k = max(k_lo, k_hi)
+            return k if lo0 + k * lo1 > 0 and hi0 + k * hi1 < 0 else None
+
+        def steer(limit=None, settle_from=None, cand=None, cand_take=None):
+            """Steer toward the current target: one emission, or one run.
+
+            A constant side keeps every step the per-step rule gives it:
+            fewer than ``limit``, while the side holds, until the average
+            lies in (s_lo, s_hi) at a step >= ``settle_from`` (descent), and
+            until the post-splice average of the tube's oldest candidate
+            ``cand`` (src, value), taken from ``cand_take``, does.
+            """
+            n = avg.n
+            if n == 0:
                 side = c_cur if target >= midpoint else b_cur
             else:
                 side = c_cur if avg.cmp(target) <= 0 else b_cur
+            v = c_const if side is c_cur else b_const
+            run = 1
+            if v is not None and n > 0 and cand_take is not side:
+                # the side holds while the average stays <= target (c)
+                t0, t1 = toward(v, target)
+                if t0 > 0:  # or > target (b)
+                    t0, t1 = 1 - t0, -t1
+                bounds = [_first_positive(t0, t1), limit]
+                if settle_from is not None:
+                    k = enters(v)
+                    bounds.append(k if k is None else max(k, settle_from))
+                if cand is not None:
+                    bounds.append(enters(v, cand[1]))
+                run = min(k for k in bounds if k is not None)
+            if run > 1:
+                return emit(side.take_run(run), v, "steer", run, side.step)
             src, value = in_band_head(side)
             side.advance()
             return emit(src, value, "steer")
 
         def oldest_candidate():
-            """(src, value, queue_or_cursor) of the oldest unemitted element."""
-            best_src = None
-            best_value = None
-            best_take = None
-            for head, take in (
-                (b_cur.head, b_cur),
-                (c_cur.head, c_cur),
-                (d_pend[0] if d_pend else d_cur.head,
-                 d_pend if d_pend else d_cur),
-                (e_pend[0] if e_pend else e_cur.head,
-                 e_pend if e_pend else e_cur),
-                (b_backlog[0] if b_backlog else None, b_backlog),
-                (c_backlog[0] if c_backlog else None, c_backlog),
-            ):
-                if head is not None and (best_src is None or head[0] < best_src):
-                    best_src, best_value, best_take = head[0], head[1], take
-            for cur in extra_curs:
-                head = cur.head
-                if head is not None and (best_src is None or head[0] < best_src):
-                    best_src, best_value, best_take = head[0], head[1], cur
-            return best_src, best_value, best_take
+            """((src, value), queue or cursor) of the oldest unemitted element."""
+            best = best_take = None
+            for take in (b_cur, c_cur, d_pend or d_cur, e_pend or e_cur,
+                         b_backlog, c_backlog, *extra_curs):
+                if isinstance(take, deque):
+                    head = take[0] if take else None
+                else:
+                    head = take.head
+                if head is not None and (best is None or head[0] < best[0]):
+                    best, best_take = head, take
+            return best, best_take
 
         def select_jump(direction: int):
             """First divergent element admitting an exact landing position P."""
@@ -399,8 +438,8 @@ def accumulation_realizer(
             wmax = None
 
         while True:
+            n = avg.n
             if state == "tube":
-                n = avg.n
                 if n >= dwell_end:
                     # choose the jump direction so the excursion re-enters the
                     # next tube cheaply (descents by low values reach high
@@ -416,31 +455,31 @@ def accumulation_realizer(
                     jump_item, jump_at = select_jump(1 if want_up else -1)
                     state = "prejump"
                     continue
-                cand_src, cand_value, cand_take = oldest_candidate()
-                if cand_src is not None and avg.post_within(cand_value, s_lo, s_hi):
-                    if isinstance(cand_take, PartCursor):
-                        src, value = cand_take.advance()
-                    else:
+                cand, cand_take = oldest_candidate()
+                if cand is not None and avg.post_within(cand[1], s_lo, s_hi):
+                    if isinstance(cand_take, deque):
                         src, value = cand_take.popleft()
+                    else:
+                        src, value = cand_take.advance()
                     yield emit(src, value, "splice")
                     continue
-                yield steer()
+                yield steer(dwell_end - n, cand=cand, cand_take=cand_take)
 
             elif state == "prejump":
-                if avg.n + 1 < jump_at:
-                    yield steer()
+                if n + 1 < jump_at:
+                    yield steer(jump_at - 1 - n)
                     continue
                 src, value = jump_item
                 jump_item = None
                 # the tube window ends just before the jump position
-                record_window("tube", avg.n + 1, t_lo, t_hi, target)
+                record_window("tube", n + 1, t_lo, t_hi, target)
                 retarget(pending_target, Fraction(1, stage + 1))
                 yield emit(src, value, "jump")
                 state = "descent"
 
             else:  # descent / initial approach
-                n = avg.n
-                if n >= n_min(stage + 1) and n > 0 and avg.within(s_lo, s_hi):
+                settle = n_min(stage + 1)
+                if n >= settle and n > 0 and avg.within(s_lo, s_hi):
                     stage += 1
                     record_window(
                         "transit", n + 1,
@@ -449,24 +488,7 @@ def accumulation_realizer(
                     dwell_end = max(n + max(8, n >> 4), n_min(stage + 1))
                     state = "tube"
                     continue
-                # a monotone approach by a constant strand is one run: the
-                # number of steps before the average crosses the shrunk edge
-                # is a single rational calculation
-                run = 0
-                if (n > 0 and b_const is not None and b_const < s_hi
-                        and avg.cmp(target) > 0 and avg.cmp(s_hi) > 0):
-                    side, value = b_cur, b_const
-                    s_now = Fraction(avg.num, avg.den)
-                    run = math.ceil((s_now - s_hi * n) / (s_hi - b_const)) - 1
-                elif (n > 0 and c_const is not None and c_const > s_lo
-                        and avg.cmp(target) < 0 and avg.cmp(s_lo) < 0):
-                    side, value = c_cur, c_const
-                    s_now = Fraction(avg.num, avg.den)
-                    run = math.ceil((s_lo * n - s_now) / (c_const - s_lo)) - 1
-                if run > 0:
-                    yield emit(side.take_run(run), value, "steer", run, side.step)
-                    continue
-                yield steer()
+                yield steer(settle_from=settle - n)
 
     name = "accumulation_realizer"
     rearr = Rearrangement.of_blocks(

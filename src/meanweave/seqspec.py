@@ -830,11 +830,6 @@ class PointwiseSum(SequenceSpec):
 # Construction helpers
 
 
-def eval_term(spec: SequenceSpec, n: int) -> Fraction:
-    """The n-th term (n >= 1) as an exact rational."""
-    return spec.term(n)
-
-
 def negated_spec(spec: SequenceSpec) -> SequenceSpec:
     """Pointwise negation, simplified structurally where possible.
 
@@ -842,22 +837,6 @@ def negated_spec(spec: SequenceSpec) -> SequenceSpec:
     Negate wrapper) lets the analytic profile/balance rules recognize it.
     """
     return spec._negated()
-
-
-def run_table(pairs, tail: SequenceSpec) -> SequenceSpec:
-    """Expand an explicit (value, multiplicity) table into a prefix spec.
-
-    Multiplicities must be at least 1; a zero or negative multiplicity is a
-    malformed descriptor.
-    """
-    values = []
-    for value, mult in pairs:
-        if not isinstance(mult, int) or mult < 1:
-            raise MalformedDescriptor(
-                f"run-length multiplicity must be >= 1, got {mult!r}"
-            )
-        values.extend([as_fraction(value)] * mult)
-    return ExplicitPrefix(tuple(values), tail)
 
 
 # ---------------------------------------------------------------------------

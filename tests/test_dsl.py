@@ -17,7 +17,6 @@ from meanweave.seqspec import (
     PointwiseSquare,
     PowerOfIndex,
     SequenceSpec,
-    eval_term,
 )
 
 F = Fraction
@@ -27,7 +26,7 @@ def test_parse_builds_expected_shapes():
     spec = parse_spec("interleave(const(0), pow(2))")
     assert isinstance(spec, Interleave)
     assert isinstance(spec.first, Constant) and isinstance(spec.second, PowerOfIndex)
-    assert [eval_term(spec, n) for n in range(1, 7)] == [F(0), F(1), F(0), F(4), F(0), F(9)]
+    assert [spec.term(n) for n in range(1, 7)] == [F(0), F(1), F(0), F(4), F(0), F(9)]
 
 
 def test_parse_nested_three_strand_descriptor():
@@ -44,8 +43,8 @@ def test_whitespace_is_insignificant():
 
 
 def test_rationals_parse_signs_and_denominators():
-    assert eval_term(parse_spec("const(-7/2)"), 1) == F(-7, 2)
-    assert eval_term(parse_spec("const(+3)"), 1) == F(3)
+    assert parse_spec("const(-7/2)").term(1) == F(-7, 2)
+    assert parse_spec("const(+3)").term(1) == F(3)
     assert isinstance(parse_spec("affine(linear(), -1, 1/3)"), Affine)
 
 

@@ -44,7 +44,6 @@ from meanweave.seqspec import (
     RunLength,
     WovenMap,
     decompose,
-    eval_term,
     negated_spec,
     push_pointwise,
 )
@@ -87,22 +86,22 @@ def test_render_parse_identity_everywhere(spec):
 @given(spec_trees, spec_trees, st.integers(1, 10_000))
 def test_interleave_index_law(first, second, n):
     woven = Interleave(first, second)
-    assert eval_term(woven, 2 * n - 1) == eval_term(first, n)
-    assert eval_term(woven, 2 * n) == eval_term(second, n)
+    assert woven.term(2 * n - 1) == first.term(n)
+    assert woven.term(2 * n) == second.term(n)
 
 
 @settings(max_examples=80, **COMMON)
 @given(spec_trees, rationals, rationals, st.integers(1, 500))
 def test_affine_law(base, scale, shift, n):
-    assert eval_term(Affine(base, scale, shift), n) == scale * eval_term(base, n) + shift
+    assert Affine(base, scale, shift).term(n) == scale * base.term(n) + shift
 
 
 @settings(max_examples=80, **COMMON)
 @given(spec_trees, st.integers(1, 500))
 def test_negation_is_a_pointwise_involution(spec, n):
     neg = negated_spec(spec)
-    assert eval_term(neg, n) == -eval_term(spec, n)
-    assert eval_term(negated_spec(neg), n) == eval_term(spec, n)
+    assert neg.term(n) == -spec.term(n)
+    assert negated_spec(neg).term(n) == spec.term(n)
 
 
 @settings(max_examples=60, **COMMON)
@@ -139,7 +138,7 @@ def test_witnesses_are_injective_and_agree_with_source(first, second, k, head):
             idx = w(j)
             assert idx not in seen
             seen.add(idx)
-            assert eval_term(part.spec, j) == eval_term(spec, idx)
+            assert part.spec.term(j) == spec.term(idx)
         big_k = _past(w, k)
         images = list(islice(w, big_k))
         assert images == [w(j) for j in range(1, big_k + 1)]
@@ -196,7 +195,7 @@ def test_pushed_prefixes_keep_the_terms_and_the_partition(spec, k):
         w = part.witness
         images = list(islice(w, _past(w, k)))
         values = islice(part.spec.iter_terms(), len(images))
-        assert all(eval_term(spec, i) == v for i, v in zip(images, values))
+        assert all(spec.term(i) == v for i, v in zip(images, values))
         hits.extend(i for i in images if i <= k)
     assert sorted(hits) == list(range(1, k + 1))
 

@@ -83,13 +83,6 @@ def test_recording_rejects_gaps_and_stalled_windows():
         ts.record(1, entry(1))
 
 
-def test_tube_entries_filters_by_kind():
-    ts = TubeSchedule()
-    ts.record(0, entry(1, "transit"))
-    ts.record(1, entry(4, "tube", target=F(1, 4)))
-    assert [e.from_index for e in ts.tube_entries()] == [4]
-
-
 # ---------------------------------------------------------------------------
 # Input validation
 
@@ -122,13 +115,21 @@ def test_frozen_first_sixteen_emissions():
     ]
 
 
-def test_descents_by_a_constant_strand_arrive_as_runs():
+def test_steering_by_a_constant_strand_arrives_as_runs():
+    # The first 72 blocks reach position 2,460. Their runs come from every
+    # state: the initial approach (2-3 long), tube dwells (3-28 long),
+    # pre-jump steering (two runs of 3) and four descents (116, 200, 513 and
+    # 1,461 long).
     r = four_strand_realizer()
-    blocks = list(islice(r.blocks(), 400))
+    blocks = list(islice(r.blocks(), 72))
     runs = [b for b in blocks if b[2] > 1]
     assert [(value, count, src) for _tag, value, count, src, _step in runs] == [
-        (F(1), 115, 74), (F(0), 199, 161), (F(1), 512, 582),
-        (F(0), 1460, 1037), (F(1), 4064, 3342),
+        (F(0), 2, 5), (F(0), 3, 13), (F(0), 3, 25), (F(0), 3, 37),
+        (F(0), 3, 49), (F(0), 3, 61), (F(0), 3, 73), (F(0), 3, 85),
+        (F(1), 4, 38), (F(0), 3, 97), (F(0), 3, 109), (F(0), 3, 125),
+        (F(0), 3, 137), (F(0), 3, 149), (F(1), 116, 74), (F(1), 11, 538),
+        (F(0), 200, 161), (F(0), 15, 961), (F(1), 513, 582), (F(1), 28, 2634),
+        (F(1), 22, 2746), (F(0), 3, 1021), (F(0), 1461, 1037),
     ]
     # the constant strands hold every fourth source
     assert {(tag, step) for tag, _value, _count, _src, step in runs} == {("steer", 4)}
@@ -138,6 +139,16 @@ def test_descents_by_a_constant_strand_arrive_as_runs():
         for j in range(count)
     ]
     assert list(islice(r.tagged_stream(), len(expanded))) == expanded
+
+
+def test_twenty_thousand_emissions_arrive_in_few_blocks():
+    # 1,864 blocks when only descents were runs; 181 with every steering run
+    count = 0
+    for number, block in enumerate(four_strand_realizer().blocks(), 1):
+        count += block[2]
+        if count >= 20_000:
+            break
+    assert number < 500
 
 
 def test_frozen_schedule_through_three_thousand():
@@ -166,7 +177,7 @@ def test_stage_targets_revisit_every_value():
     r = four_strand_realizer()
     for _ in iter_trace(r, 3000):
         pass
-    targets = [e.target for e in r.meta["schedule"].tube_entries()]
+    targets = [e.target for e in r.meta["schedule"] if e.kind == "tube"]
     assert targets == [F(1, 4), F(1, 4), F(3, 4), F(1, 4), F(3, 4)]
 
 

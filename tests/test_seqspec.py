@@ -18,18 +18,16 @@ from meanweave.seqspec import (
     SequenceSpec,
     WovenMap,
     decompose,
-    eval_term,
     negated_spec,
     profile,
     push_pointwise,
-    run_table,
 )
 
 F = Fraction
 
 
 def terms(spec, k):
-    return [eval_term(spec, n) for n in range(1, k + 1)]
+    return [spec.term(n) for n in range(1, k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,7 @@ def test_runlen_ceiling_sqrt_matches_closed_form():
 
     spec = parse_spec("runlen(4)")
     for n in range(1, 400):
-        assert eval_term(spec, n) == F(math.isqrt(n - 1) + 1)
+        assert spec.term(n) == F(math.isqrt(n - 1) + 1)
 
 
 def test_factorial_terms_follow_the_blocks_up_to_the_block_limit():
@@ -83,11 +81,11 @@ def test_factorial_terms_follow_the_blocks_up_to_the_block_limit():
     assert list(islice(spec.iter_terms(), 5000)) == terms(spec, 5000)
     # block v ends at index (v+1)(v+2)(2v+3)/6 - 1: the last block is exact
     last = 10_001 * 10_002 * 20_003 // 6 - 1
-    assert eval_term(spec, last - 10_001**2 + 1) == eval_term(spec, last)
-    assert eval_term(spec, last) == 10_000 * eval_term(spec, last - 10_001**2)
+    assert spec.term(last - 10_001**2 + 1) == spec.term(last)
+    assert spec.term(last) == 10_000 * spec.term(last - 10_001**2)
     for n in (last + 1, 10**40, 10**400):
         with pytest.raises(TermTooLarge):
-            eval_term(spec, n)
+            spec.term(n)
 
 
 def test_iter_terms_agrees_with_eval_term():
@@ -103,16 +101,6 @@ def test_iter_terms_agrees_with_eval_term():
 def test_own_iter_terms_agree_with_term(spec):
     assert type(spec).iter_terms is not SequenceSpec.iter_terms
     assert list(islice(spec.iter_terms(), 1000)) == [spec.term(n) for n in range(1, 1001)]
-
-
-def test_run_table_expands_multiplicities_into_a_prefix():
-    spec = run_table([(F(5), 3), (F(-1), 2)], parse_spec("const(0)"))
-    assert terms(spec, 7) == [F(5), F(5), F(5), F(-1), F(-1), F(0), F(0)]
-
-
-def test_run_table_rejects_nonpositive_multiplicity():
-    with pytest.raises(MalformedDescriptor):
-        run_table([(F(5), 0)], parse_spec("const(0)"))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +179,7 @@ def test_many_same_limit_strands_fold_into_a_map_of_linear_size():
     images = list(islice(b, 200))
     assert images == [b(k) for k in range(1, 201)]
     assert len(set(images)) == 200
-    assert all(eval_term(spec, i) == 0 for i in images)
+    assert all(spec.term(i) == 0 for i in images)
     assert dec.c.witness(3) == 3 * 2**strands
 
 
@@ -218,7 +206,7 @@ def test_prefix_values_are_dealt_to_the_strand_maps():
     assert b == WovenMap(AffineMap(4, 1), AffineMap(2, 2))
     assert list(islice(b, 8)) == [1, 2, 5, 4, 9, 6, 13, 8]
     assert dec.c.witness == AffineMap(4, 3)
-    assert [eval_term(spec, i) for i in islice(dec.c.witness, 4)] == [9, 1, 2, 3]
+    assert [spec.term(i) for i in islice(dec.c.witness, 4)] == [9, 1, 2, 3]
 
 
 def test_a_prefix_over_one_strand_stays_whole():
@@ -233,7 +221,7 @@ def test_decompose_witness_values_match_source_terms():
     dec = decompose(spec)
     for part in (dec.b, dec.c, dec.d):
         for k in range(1, 30):
-            assert eval_term(part.spec, k) == eval_term(spec, part.witness(k))
+            assert part.spec.term(k) == spec.term(part.witness(k))
 
 
 def test_decompose_emissions_stream():
@@ -265,21 +253,21 @@ def test_negated_spec_is_pointwise_negation(text):
     spec = parse_spec(text)
     neg = negated_spec(spec)
     for n in range(1, 60):
-        assert eval_term(neg, n) == -eval_term(spec, n)
+        assert neg.term(n) == -spec.term(n)
 
 
 def test_negated_spec_simplifies_structurally():
     assert isinstance(negated_spec(NegLinear()), Linear)
     assert isinstance(negated_spec(Linear()), NegLinear)
     c = negated_spec(Constant(F(7)))
-    assert isinstance(c, Constant) and eval_term(c, 1) == F(-7)
+    assert isinstance(c, Constant) and c.term(1) == F(-7)
 
 
 def test_negated_spec_is_an_involution_pointwise():
     spec = parse_spec("interleave(neg(geom(2)), interleave(const(0), geom(2)))")
     twice = negated_spec(negated_spec(spec))
     for n in range(1, 40):
-        assert eval_term(twice, n) == eval_term(spec, n)
+        assert twice.term(n) == spec.term(n)
 
 
 # ---------------------------------------------------------------------------
