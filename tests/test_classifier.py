@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from meanweave.aarset import AARSet
+from meanweave.aarset import AARSet, Interval
 from meanweave.balance import BalanceKind, Condition
 from meanweave.classifier import classify, classify_spec
 from meanweave.dsl import parse_spec
@@ -106,6 +106,25 @@ def test_two_sided_divergence_around_finite_middle():
 def test_finite_hull_spanning_values_is_kept():
     assert classify(points(-2, 0, 5, pos=True), c_balance=B).render() == "[-2, +inf]"
     assert classify(points(-2, 0, 5, pos=True), c_balance=NB).render() == "[-2, 5] ∪ {+inf}"
+
+
+@pytest.mark.parametrize(
+    "pieces,neg,pos,expected",
+    [
+        ([(NEG_INF, POS_INF)], True, True, "[-inf, +inf]"),
+        ([(NEG_INF, 0)], True, False, "[-inf, 0]"),
+        ([(0, POS_INF)], True, True, "{-inf} ∪ [0, +inf]"),
+        ([(NEG_INF, 0), (1, 2)], True, True, "[-inf, 2] ∪ {+inf}"),
+    ],
+)
+def test_infinite_endpoints_are_finite_accumulation(pieces, neg, pos, expected):
+    # Pieces reaching an infinity still count as finite accumulation: the
+    # hull plus the infinities, whatever the verdicts say.
+    prof = AccumulationProfile(
+        tuple(Interval.of(lo, hi) for lo, hi in pieces), neg, pos
+    )
+    result = classify(prof, b_balance=NB, c_balance=NB, b_density=X, c_density=X)
+    assert result.render() == expected
 
 
 def test_missing_evidence_is_an_error_not_a_guess():
