@@ -17,7 +17,6 @@ from .dsl import parse_spec, render
 from .harness import (
     EnvelopeReport,
     PermutationReport,
-    Trace,
     TraceEntry,
     check_permutation,
     check_schedule,
@@ -75,7 +74,6 @@ from .errors import (
 )
 from .extreal import NEG_INF, POS_INF, ExtendedReal
 from .seqspec import (
-    AccumulationProfile,
     Affine,
     AffineMap,
     Constant,

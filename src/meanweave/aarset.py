@@ -1,16 +1,20 @@
 """Closed extended-real intervals and canonical unions of them.
 
-``AARSet`` (attainable-average-under-rearrangement set) is the answer type of
-the classifier: the set of extended reals reachable as the limit of running
-averages along some rearrangement.  It is stored canonically as a sorted
-tuple of disjoint, non-touching closed intervals, so equality is structural.
+``AARSet`` (attainable-average-under-rearrangement set) is the one set type
+for closed subsets of the extended line.  It holds both the accumulation
+set of a sequence (``seqspec.profile``) and the answer of the classifier:
+the set of extended reals reachable as the limit of running averages along
+some rearrangement.  It is stored canonically as a sorted tuple of disjoint,
+non-touching closed intervals, so equality is structural; the infinities are
+pieces like any other, either as the points {-inf} and {+inf} or as the ends
+of an unbounded interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .extreal import NEG_INF, POS_INF, ExtendedReal
 
@@ -49,10 +53,6 @@ class Interval:
         p = ExtendedReal.of(x)
         return self.lo <= p <= self.hi
 
-    def touches_or_overlaps(self, other: "Interval") -> bool:
-        # Closed intervals merge when they share at least one point.
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def render(self, exact: bool = False) -> str:
         if self.is_point:
             return "{" + self.lo.render(exact) + "}"
@@ -67,7 +67,7 @@ class AARSet:
     def __init__(self, intervals: Iterable[Interval]):
         self.intervals: Tuple[Interval, ...] = _canonicalize(intervals)
         if not self.intervals:
-            raise ValueError("an attainable-average set is never empty")
+            raise ValueError("an AARSet holds at least one point")
 
     @staticmethod
     def of(*pieces: "Interval | PointLike") -> "AARSet":
@@ -79,6 +79,67 @@ class AARSet:
     @staticmethod
     def whole_line() -> "AARSet":
         return AARSet([Interval(NEG_INF, POS_INF)])
+
+    @property
+    def lo(self) -> ExtendedReal:
+        """The least point; the liminf of an accumulation set."""
+        return self.intervals[0].lo
+
+    @property
+    def hi(self) -> ExtendedReal:
+        """The greatest point; the limsup of an accumulation set."""
+        return self.intervals[-1].hi
+
+    @property
+    def finite(self) -> Tuple[Interval, ...]:
+        """The pieces other than the points {-inf} and {+inf}.
+
+        An unbounded piece such as ``[-inf, +inf]`` stays: it holds finite
+        points too.
+        """
+        return tuple(
+            iv for iv in self.intervals if iv.lo.is_finite or not iv.is_point
+        )
+
+    def point(self) -> Optional[ExtendedReal]:
+        """The only point of a one-point set, else None."""
+        if len(self.intervals) == 1 and self.intervals[0].is_point:
+            return self.intervals[0].lo
+        return None
+
+    def negate(self) -> "AARSet":
+        """The image under x -> -x."""
+        return AARSet(Interval(-iv.hi, -iv.lo) for iv in self.intervals)
+
+    def affine(self, scale: Fraction, shift: Fraction) -> "AARSet":
+        """The image under x -> scale*x + shift.  A negative scale swaps
+        the infinities; scale 0 maps every point, infinite ones too, to
+        shift."""
+        if scale == 0:
+            return AARSet.of(shift)
+        if scale < 0:
+            return self.negate().affine(-scale, shift)
+
+        def mv(p: ExtendedReal) -> ExtendedReal:
+            return p if not p.is_finite else ExtendedReal(scale * p.value + shift)
+
+        return AARSet(Interval(mv(iv.lo), mv(iv.hi)) for iv in self.intervals)
+
+    def square(self) -> "AARSet":
+        """The image under x -> x*x; both infinities map to +inf."""
+
+        def sq(p: ExtendedReal) -> ExtendedReal:
+            return POS_INF if not p.is_finite else ExtendedReal(p.value * p.value)
+
+        ivs = []
+        for iv in self.intervals:
+            if iv.lo >= 0:
+                ivs.append(Interval(sq(iv.lo), sq(iv.hi)))
+            elif iv.hi <= 0:
+                ivs.append(Interval(sq(iv.hi), sq(iv.lo)))
+            else:
+                ivs.append(Interval(ExtendedReal(0), max(sq(iv.lo), sq(iv.hi))))
+        return AARSet(ivs)
 
     def contains(self, x: PointLike) -> bool:
         p = ExtendedReal.of(x)
@@ -137,13 +198,16 @@ class AARSet:
 
     @staticmethod
     def parse(text: str) -> "AARSet":
+        """Read ``render`` output.  ``|`` also reads as ∪, and a brace may
+        list several points: ``{1/4, 3/4} | [1, 2]``."""
         pieces = []
-        for chunk in text.split("∪"):
+        for chunk in text.replace("|", "∪").split("∪"):
             chunk = chunk.strip()
             if not chunk:
                 continue
             if chunk.startswith("{") and chunk.endswith("}"):
-                pieces.append(Interval.point(ExtendedReal.parse(chunk[1:-1])))
+                for p in chunk[1:-1].split(","):
+                    pieces.append(Interval.point(ExtendedReal.parse(p)))
             elif chunk.startswith("[") and chunk.endswith("]"):
                 lo_txt, hi_txt = chunk[1:-1].split(",")
                 pieces.append(
@@ -155,13 +219,13 @@ class AARSet:
 
 
 def _canonicalize(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
-    ivs = sorted(intervals, key=lambda iv: (iv.lo._key(), iv.hi._key()))
     merged: list[Interval] = []
-    for iv in ivs:
-        if merged and merged[-1].touches_or_overlaps(iv):
-            last = merged[-1]
-            hi = iv.hi if iv.hi > last.hi else last.hi
-            merged[-1] = Interval(last.lo, hi)
+    # Sorted by lower end, a piece merges with the last one exactly when
+    # they share a point: when it starts at or before the last one ends.
+    for iv in sorted(intervals, key=lambda iv: iv.lo._key()):
+        if merged and iv.lo <= merged[-1].hi:
+            if iv.hi > merged[-1].hi:
+                merged[-1] = Interval(merged[-1].lo, iv.hi)
         else:
             merged.append(iv)
     return tuple(merged)

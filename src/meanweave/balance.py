@@ -91,7 +91,7 @@ EVIDENCE_THRESHOLD = Fraction(1, 1000)
 
 def _require_divergent_positive(spec: SequenceSpec):
     try:
-        limit = profile(spec).converges_to()
+        limit = profile(spec).point()
     except UnknownProfile as exc:
         raise NotDivergent(f"divergence not derivable: {exc}") from exc
     if limit != POS_INF:
@@ -150,7 +150,7 @@ def density_report(spec: SequenceSpec) -> DensityReport:
         prof = profile(spec)
     except UnknownProfile as exc:
         raise NotDivergent(f"divergence not derivable: {exc}") from exc
-    if prof.finite_acc:
+    if prof.finite:
         raise NotDivergent("sequence does not diverge in modulus")
     return spec._density()
 

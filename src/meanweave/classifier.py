@@ -1,134 +1,72 @@
-"""Decision tree from accumulation profile to attainable-average set.
+"""Decision tree from accumulation set to attainable-average set.
 
-The tree is exhaustive over profiles.  Where reachability of finite targets
-depends on balance or density facts, those verdicts are inputs: ``b_*``
-arguments describe the part converging to the profile's liminf, ``c_*`` the
-part converging to its limsup.  Unknown verdicts are rejected, never guessed.
+Both sets are ``AARSet`` values.  The tree is exhaustive over profiles.
+Where reachability of finite targets depends on balance or density facts,
+those verdicts are inputs: ``b_*`` arguments describe the part converging to
+the profile's liminf, ``c_*`` the part converging to its limsup.  They
+default to Unknown, and an Unknown verdict the tree needs is rejected, never
+guessed.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
-from .aarset import AARSet, Interval
-from .balance import (
-    BalanceKind,
-    BalanceVerdict,
-    Condition,
-    balanced_verdict,
-    density_condition,
-)
+from .aarset import AARSet, Interval, union
+from .balance import BalanceKind, Condition, balanced_verdict, density_condition
 from .errors import InsufficientEvidence, MeanweaveError
-from .extreal import NEG_INF, POS_INF, ExtendedReal
-from .seqspec import (
-    AccumulationProfile,
-    SequenceSpec,
-    decompose,
-    profile,
-)
-
-BalanceInput = Union[BalanceVerdict, BalanceKind, None]
-ConditionInput = Union[Condition, None]
-
-
-def _balance_kind(v: BalanceInput) -> BalanceKind:
-    if isinstance(v, BalanceVerdict):
-        return v.kind
-    if isinstance(v, BalanceKind):
-        return v
-    return BalanceKind.UNKNOWN
-
-
-def _condition(v: ConditionInput) -> Condition:
-    return v if isinstance(v, Condition) else Condition.UNKNOWN
+from .extreal import NEG_INF, POS_INF
+from .seqspec import SequenceSpec, decompose, profile
 
 
 def classify(
-    profile: AccumulationProfile,
-    b_balance: BalanceInput = None,
-    c_balance: BalanceInput = None,
-    b_density: ConditionInput = None,
-    c_density: ConditionInput = None,
+    profile: AARSet,
+    b_balance: BalanceKind = BalanceKind.UNKNOWN,
+    c_balance: BalanceKind = BalanceKind.UNKNOWN,
+    b_density: Condition = Condition.UNKNOWN,
+    c_density: Condition = Condition.UNKNOWN,
 ) -> AARSet:
     """The set of extended reals attainable as limits of running averages.
 
-    Case split on the profile:
+    Case split on the profile (its accumulation set):
     - no finite accumulation: one infinity gives that single point; both
       infinities give the whole extended line exactly when both parts
       satisfy the |term|/n density condition, else just the two infinities;
-    - bounded: the closed interval [liminf, limsup];
-    - finite accumulation stretching to an infinity: interval plus the
-      flagged infinities, verbatim;
-    - finite accumulation between finite a..b plus infinities: balance of
-      the divergent parts decides whether the reachable interval extends
-      to the corresponding infinity.
+    - otherwise the hull [a, b] of the finite accumulation plus the
+      profile's infinities;
+    - when a and b are finite, balance of the divergent parts decides
+      whether the hull extends to the corresponding infinity.
     """
-    fa = profile.finite_acc
+    fa = profile.finite
+    neg, pos = profile.lo.is_neg_inf, profile.hi.is_pos_inf
 
     if not fa:
-        if profile.has_neg_inf and profile.has_pos_inf:
-            bd, cd = _condition(b_density), _condition(c_density)
+        if neg and pos:
             missing = []
-            if bd is Condition.UNKNOWN:
+            if b_density is Condition.UNKNOWN:
                 missing.append("b_density")
-            if cd is Condition.UNKNOWN:
+            if c_density is Condition.UNKNOWN:
                 missing.append("c_density")
             if missing:
                 raise InsufficientEvidence(missing)
-            if bd is Condition.HOLDS and cd is Condition.HOLDS:
+            if b_density is Condition.HOLDS and c_density is Condition.HOLDS:
                 return AARSet.whole_line()
-            return AARSet.of(NEG_INF, POS_INF)
-        if profile.has_neg_inf:
-            return AARSet.of(NEG_INF)
-        return AARSet.of(POS_INF)
+        return profile
 
-    a: ExtendedReal = fa[0].lo
-    b: ExtendedReal = fa[-1].hi
-
-    if not profile.has_neg_inf and not profile.has_pos_inf:
-        return AARSet.of(Interval(a, b))
-
-    if a == NEG_INF or b == POS_INF:
-        # Unbounded finite accumulation: the hull plus flagged infinities.
-        pieces = [Interval(a, b)]
-        if profile.has_neg_inf:
-            pieces.append(Interval.point(NEG_INF))
-        if profile.has_pos_inf:
-            pieces.append(Interval.point(POS_INF))
-        return AARSet(pieces)
-
-    if profile.has_neg_inf and not profile.has_pos_inf:
-        kind = _balance_kind(b_balance)
-        if kind is BalanceKind.UNKNOWN:
-            raise InsufficientEvidence(["b_balance"])
-        if kind is BalanceKind.BALANCED:
-            return AARSet.of(Interval(NEG_INF, b))
-        return AARSet.of(Interval(a, b), NEG_INF)
-
-    if profile.has_pos_inf and not profile.has_neg_inf:
-        kind = _balance_kind(c_balance)
-        if kind is BalanceKind.UNKNOWN:
-            raise InsufficientEvidence(["c_balance"])
-        if kind is BalanceKind.BALANCED:
-            return AARSet.of(Interval(a, POS_INF))
-        return AARSet.of(Interval(a, b), POS_INF)
-
-    # Both infinities around a finite middle.
-    bk, ck = _balance_kind(b_balance), _balance_kind(c_balance)
-    missing = []
-    if bk is BalanceKind.UNKNOWN:
-        missing.append("b_balance")
-    if ck is BalanceKind.UNKNOWN:
-        missing.append("c_balance")
-    if missing:
-        raise InsufficientEvidence(missing)
-    if bk is BalanceKind.BALANCED and ck is BalanceKind.BALANCED:
-        return AARSet.whole_line()
-    if bk is BalanceKind.BALANCED:
-        return AARSet.of(Interval(NEG_INF, b), POS_INF)
-    if ck is BalanceKind.BALANCED:
-        return AARSet.of(Interval(a, POS_INF), NEG_INF)
-    return AARSet.of(Interval(a, b), NEG_INF, POS_INF)
+    lo, hi = fa[0].lo, fa[-1].hi
+    if lo.is_finite and hi.is_finite:
+        missing = []
+        if neg:
+            if b_balance is BalanceKind.UNKNOWN:
+                missing.append("b_balance")
+            elif b_balance is BalanceKind.BALANCED:
+                lo = NEG_INF
+        if pos:
+            if c_balance is BalanceKind.UNKNOWN:
+                missing.append("c_balance")
+            elif c_balance is BalanceKind.BALANCED:
+                hi = POS_INF
+        if missing:
+            raise InsufficientEvidence(missing)
+    return union(AARSet.of(Interval(lo, hi)), profile)
 
 
 def classify_spec(spec: SequenceSpec) -> AARSet:
@@ -140,9 +78,10 @@ def classify_spec(spec: SequenceSpec) -> AARSet:
     InsufficientEvidence, never as a guess.
     """
     prof = profile(spec)
-    fa = prof.finite_acc
+    fa = prof.finite
+    neg, pos = prof.lo.is_neg_inf, prof.hi.is_pos_inf
     kwargs = {}
-    if not fa and prof.has_neg_inf and prof.has_pos_inf:
+    if not fa and neg and pos:
         dec = decompose(spec, prof)
         try:
             kwargs["b_density"] = density_condition(dec.b.spec)
@@ -152,18 +91,16 @@ def classify_spec(spec: SequenceSpec) -> AARSet:
             kwargs["c_density"] = density_condition(dec.c.spec)
         except MeanweaveError:
             pass
-    elif fa and fa[0].lo.is_finite and fa[-1].hi.is_finite and (
-        prof.has_neg_inf or prof.has_pos_inf
-    ):
+    elif fa and fa[0].lo.is_finite and fa[-1].hi.is_finite and (neg or pos):
         dec = decompose(spec, prof)
-        if prof.has_neg_inf:
+        if neg:
             try:
-                kwargs["b_balance"] = balanced_verdict(dec.b.negated().spec)
+                kwargs["b_balance"] = balanced_verdict(dec.b.negated().spec).kind
             except MeanweaveError:
                 pass
-        if prof.has_pos_inf:
+        if pos:
             try:
-                kwargs["c_balance"] = balanced_verdict(dec.c.spec)
+                kwargs["c_balance"] = balanced_verdict(dec.c.spec).kind
             except MeanweaveError:
                 pass
     return classify(prof, **kwargs)

@@ -14,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .aarset import AARSet, Interval
+from .aarset import AARSet
 from .balance import balanced_verdict
 from .classifier import classify_spec
 from .dsl import parse_spec
@@ -36,28 +36,6 @@ DEFAULT_HORIZON = 100_000
 
 def _error_line(code: str, detail: str) -> None:
     print(f"ERROR {code}: {detail}", file=sys.stderr)
-
-
-def _parse_zset(text: str) -> AARSet:
-    """``{1/4, 3/4}``, ``[0, 1]``, or unions of those joined by ∪ or |."""
-    pieces = []
-    for chunk in re.split(r"∪|\|", text):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk.startswith("{") and chunk.endswith("}"):
-            for p in chunk[1:-1].split(","):
-                pieces.append(Interval.point(ExtendedReal.parse(p)))
-        elif chunk.startswith("[") and chunk.endswith("]"):
-            lo, hi = chunk[1:-1].split(",")
-            pieces.append(
-                Interval(ExtendedReal.parse(lo), ExtendedReal.parse(hi))
-            )
-        else:
-            raise ValueError(f"unrecognized set chunk: {chunk!r}")
-    if not pieces:
-        raise ValueError("empty accumulation set")
-    return AARSet(pieces)
 
 
 def _cmd_classify(args) -> int:
@@ -88,7 +66,7 @@ def _cmd_construct(args) -> int:
     elif args.oscillate:
         r = oscillator(spec)
     else:
-        r = realizer_from_spec(spec, _parse_zset(args.realize))
+        r = realizer_from_spec(spec, AARSet.parse(args.realize))
     perm_path = args.out + ".perm.txt"
     csv_path = args.out + ".trace.csv"
     trace = iter_trace(r, args.n)
@@ -115,7 +93,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.trace, newline="") as fh:
         t = read_trace_csv(fh)
-    if not len(t):
+    if not t:
         print("trace has no rows: nothing to verify")
         return 1
     ok = verify_trace_identities(t)

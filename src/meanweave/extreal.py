@@ -13,6 +13,8 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
+_ZERO = Fraction(0)
+
 
 class ExtendedReal:
     """Either a finite rational or one of the infinities.
@@ -56,7 +58,7 @@ class ExtendedReal:
     def _key(self):
         # Totally ordered tuple: sign major, finite value minor.
         if self._sign != 0:
-            return (self._sign, Fraction(0))
+            return (self._sign, _ZERO)
         return (0, self._value)
 
     def __eq__(self, other) -> bool:

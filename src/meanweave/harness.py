@@ -26,7 +26,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
 from .extreal import ExtendedReal, as_fraction
@@ -34,7 +34,6 @@ from .rearrange import Rearrangement, RunningAverage
 
 __all__ = [
     "TraceEntry",
-    "Trace",
     "trace",
     "iter_trace",
     "PermutationReport",
@@ -131,22 +130,6 @@ def _live_entry(n, source_index, value, num, den) -> TraceEntry:
     return e
 
 
-@dataclass
-class Trace:
-    """Materialized prefix of a rearranged sequence with exact averages."""
-
-    entries: List[TraceEntry]
-
-    def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def average_at(self, n: int) -> Fraction:
-        return self.entries[n - 1].average
-
-
 def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterator[TraceEntry]:
     """Stream the first n trace entries (all of them when n is None)."""
     if n is not None and n < 1:
@@ -179,12 +162,9 @@ def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterator[TraceEntry
             return
 
 
-def trace(r: Rearrangement, n: int) -> Trace:
-    return Trace(list(iter_trace(r, n)))
-
-
-def _entries(t) -> Iterable[TraceEntry]:
-    return t.entries if isinstance(t, Trace) else t
+def trace(r: Rearrangement, n: int) -> List[TraceEntry]:
+    """The first n trace entries as a list."""
+    return list(iter_trace(r, n))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +266,7 @@ def check_tube(t, target, eps, from_index: int = 1) -> bool:
         lo, hi = 1 / eps, None
     else:
         lo, hi = None, -1 / eps
-    for entry in _entries(t):
+    for entry in t:
         if entry.n >= from_index and not _inside(entry, lo, hi):
             return False
     return True
@@ -312,7 +292,7 @@ def check_schedule(t, schedule) -> bool:
     idx = -1
     lo_n = lo_d = hi_n = hi_d = None
     next_from = entries[0].from_index
-    for te in _entries(t):
+    for te in t:
         n = te.n
         while next_from is not None and n >= next_from:
             idx += 1
@@ -378,7 +358,7 @@ def verify_trace_identities(t, limit: Optional[int] = None) -> bool:
     is its sum over n, so only an explicit average can break the first.
     """
     prev = None
-    for entry in _entries(t):
+    for entry in t:
         n = entry.n
         if limit is not None and n > limit:
             break
@@ -404,7 +384,7 @@ def downward_jump_bound_holds(t, level, value_bound) -> bool:
     p = as_fraction(level)
     k_bound = as_fraction(value_bound)
     prev_avg = None
-    for entry in _entries(t):
+    for entry in t:
         if entry.value <= k_bound:
             raise ValueError(
                 f"value {entry.value} at n={entry.n} is not above {k_bound}"
@@ -455,7 +435,7 @@ def write_trace_csv(t, stream) -> None:
     """Write a trace in the canonical CSV layout (exact fields as p/q)."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for e in _entries(t):
+    for e in t:
         writer.writerow(
             [
                 e.n,
@@ -468,7 +448,8 @@ def write_trace_csv(t, stream) -> None:
         )
 
 
-def read_trace_csv(stream) -> Trace:
+def read_trace_csv(stream) -> List[TraceEntry]:
+    """The entries of a trace CSV; raises ValueError on a malformed row."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header != CSV_HEADER:
@@ -477,6 +458,11 @@ def read_trace_csv(stream) -> Trace:
     for row in reader:
         if not row:
             continue
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(
+                f"line {reader.line_num}: {len(row)} fields, "
+                f"expected {len(CSV_HEADER)}"
+            )
         n = int(row[0])
         entries.append(
             TraceEntry(
@@ -487,4 +473,4 @@ def read_trace_csv(stream) -> Trace:
                 _parse_exact(row[5]),
             )
         )
-    return Trace(entries)
+    return entries

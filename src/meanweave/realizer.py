@@ -28,6 +28,7 @@ emission is a block of one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -166,36 +167,18 @@ def dense_targets(pieces: Sequence[Tuple[Fraction, Fraction]]) -> Iterator[Fract
         j += 1
 
 
-class _TargetSchedule:
+def _stage_targets(pieces) -> Iterator[Fraction]:
     """Triangular revisiting pattern over the dense target list.
 
     Stage targets follow w1; w1, w2; w1, w2, w3; ... so every enumerated
-    value is revisited infinitely often.
+    value is revisited infinitely often.  A finite list repeats whole once
+    it is exhausted.
     """
-
-    def __init__(self, pieces):
-        self._gen = dense_targets(pieces)
-        self._known: List[Fraction] = []
-        self._exhausted = False
-        self._block = 1
-        self._offset = 0
-
-    def _ensure(self, count: int):
-        while not self._exhausted and len(self._known) < count:
-            nxt = next(self._gen, None)
-            if nxt is None:
-                self._exhausted = True
-            else:
-                self._known.append(nxt)
-
-    def next_target(self) -> Fraction:
-        self._offset += 1
-        self._ensure(self._offset)
-        width = min(self._block, len(self._known))
-        if self._offset > width:
-            self._block += 1
-            self._offset = 1
-        return self._known[self._offset - 1]
+    gen = dense_targets(pieces)
+    known: List[Fraction] = []
+    for block in itertools.count(1):
+        known.extend(itertools.islice(gen, block - len(known)))
+        yield from known[:block]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +245,7 @@ def accumulation_realizer(
     c_const = c_part.spec.value if c_part.run_step() is not None else None
 
     def blocks():
-        targets = _TargetSchedule(pieces)
+        targets = _stage_targets(pieces)
         b_cur = PartCursor(b_part)
         c_cur = PartCursor(c_part)
         d_cur = PartCursor(d_part)
@@ -275,7 +258,7 @@ def accumulation_realizer(
 
         avg = RunningAverage()
         stage = 0  # completed tube entries
-        target = targets.next_target()
+        target = next(targets)
         pending_target: Optional[Fraction] = None
         t_lo, t_hi = tube_bounds(target, Fraction(1))
         s_lo, s_hi = t_lo + Fraction(1, 8), t_hi - Fraction(1, 8)
@@ -445,7 +428,7 @@ def accumulation_realizer(
                     # next tube cheaply (descents by low values reach high
                     # tubes fast and vice versa), but never let either
                     # infinity starve
-                    pending_target = targets.next_target()
+                    pending_target = next(targets)
                     want_up = pending_target >= midpoint
                     if want_up and up_minus_down >= 3:
                         want_up = False

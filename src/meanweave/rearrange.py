@@ -411,9 +411,9 @@ def bounded_target(spec: SequenceSpec, l) -> Rearrangement:
     """
     l = as_fraction(l)
     prof = profile(spec)
-    if not (prof.liminf.is_finite and prof.limsup.is_finite):
+    if not (prof.lo.is_finite and prof.hi.is_finite):
         raise MalformedDescriptor("bounded_target needs a bounded profile")
-    m, big_m = prof.liminf.value, prof.limsup.value
+    m, big_m = prof.lo.value, prof.hi.value
     if l < m or l > big_m:
         raise TargetUnreachable(
             f"target {l} outside [{m}, {big_m}]"
@@ -443,9 +443,9 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
     emitted at each turn; the average therefore has no limit.
     """
     prof = profile(spec)
-    if not (prof.liminf.is_finite and prof.limsup.is_finite):
+    if not (prof.lo.is_finite and prof.hi.is_finite):
         raise MalformedDescriptor("oscillator needs a bounded profile")
-    m, big_m = prof.liminf.value, prof.limsup.value
+    m, big_m = prof.lo.value, prof.hi.value
     if m == big_m:
         raise DegenerateRange("liminf equals limsup; nothing to oscillate")
     p = m + (big_m - m) / 3
@@ -750,7 +750,7 @@ def two_sided_balance(
 def two_sided_from_spec(spec: SequenceSpec, target) -> Rearrangement:
     """Convenience: decompose a spec with liminf -inf / limsup +inf and steer."""
     prof = profile(spec)
-    if prof.liminf != NEG_INF or prof.limsup != POS_INF:
+    if prof.lo != NEG_INF or prof.hi != POS_INF:
         raise DensityFails("spec must have liminf -inf and limsup +inf")
     dec = decompose(spec, prof)
     extras = [dec.d] if dec.d is not None else None
@@ -807,18 +807,18 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
     """
     t = as_fraction(target)
     prof = profile(spec)
-    if prof.liminf.is_finite and prof.limsup.is_finite:
+    if prof.lo.is_finite and prof.hi.is_finite:
         return bounded_target(spec, t)
-    if prof.liminf == NEG_INF and prof.limsup == POS_INF:
+    if prof.lo == NEG_INF and prof.hi == POS_INF:
         return two_sided_from_spec(spec, t)
-    if not prof.finite_acc:
+    if not prof.finite:
         # a single infinity: the only attainable average limit
         raise TargetUnreachable(
-            f"target {target} outside the attainable range {{{prof.liminf.render()}}}"
+            f"target {target} outside the attainable range {{{prof.lo.render()}}}"
         )
 
     dec = decompose(spec, prof)
-    flip = prof.limsup != POS_INF
+    flip = prof.hi != POS_INF
     if flip:
         # Downward divergence: solve the flipped problem, then negate.
         b_ps, c_ps, t = dec.c.negated(), dec.b.negated(), -t

@@ -3,8 +3,9 @@
 A ``SequenceSpec`` describes an infinite rational sequence by structure
 (constant, power, geometric, run-length blocks, interleavings, pointwise
 maps...) rather than by samples.  Every spec can evaluate any term exactly,
-and carries enough structure that accumulation behaviour (its *profile*) is
-derived symbolically — never estimated from numbers.
+and carries enough structure that its set of accumulation points (its
+*profile*, an ``AARSet`` over the extended line) is derived symbolically —
+never estimated from numbers.
 
 Each family class keeps its own rules: its profile, negation, balance and
 density verdicts, how far its terms are unsorted, and its DSL spelling.  The
@@ -21,118 +22,9 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
-from .aarset import Interval, _canonicalize
+from .aarset import AARSet, union
 from .errors import MalformedDescriptor, TermTooLarge, UndeclaredLimit, UnknownProfile
 from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
-
-
-# ---------------------------------------------------------------------------
-# Accumulation profiles
-
-
-@dataclass(frozen=True)
-class AccumulationProfile:
-    """Declared set of accumulation points of a sequence.
-
-    ``finite_acc`` holds the closed intervals / points of accumulation;
-    endpoints may be infinite for profiles whose finite accumulation set is
-    unbounded, in which case the matching infinity flag must also be set.
-    """
-
-    finite_acc: Tuple[Interval, ...]
-    has_neg_inf: bool = False
-    has_pos_inf: bool = False
-
-    def __post_init__(self):
-        ivs = _canonicalize(self.finite_acc)
-        object.__setattr__(self, "finite_acc", ivs)
-        if not ivs and not (self.has_neg_inf or self.has_pos_inf):
-            raise ValueError("a profile needs at least one accumulation point")
-        for iv in ivs:
-            if iv.lo == NEG_INF and not self.has_neg_inf:
-                raise ValueError("unbounded-below finite_acc requires has_neg_inf")
-            if iv.hi == POS_INF and not self.has_pos_inf:
-                raise ValueError("unbounded-above finite_acc requires has_pos_inf")
-
-    @staticmethod
-    def of_points(*points, neg_inf: bool = False, pos_inf: bool = False):
-        return AccumulationProfile(
-            tuple(Interval.point(p) for p in points),
-            has_neg_inf=neg_inf,
-            has_pos_inf=pos_inf,
-        )
-
-    @property
-    def liminf(self) -> ExtendedReal:
-        if self.has_neg_inf:
-            return NEG_INF
-        if self.finite_acc:
-            return self.finite_acc[0].lo
-        return POS_INF
-
-    @property
-    def limsup(self) -> ExtendedReal:
-        if self.has_pos_inf:
-            return POS_INF
-        if self.finite_acc:
-            return self.finite_acc[-1].hi
-        return NEG_INF
-
-    def converges_to(self) -> Optional[ExtendedReal]:
-        """The single accumulation point, or None if there are several."""
-        if self.has_neg_inf:
-            if not self.has_pos_inf and not self.finite_acc:
-                return NEG_INF
-            return None
-        if self.has_pos_inf:
-            if not self.finite_acc:
-                return POS_INF
-            return None
-        if len(self.finite_acc) == 1 and self.finite_acc[0].is_point:
-            return self.finite_acc[0].lo
-        return None
-
-    # -- transforms used by structural profile derivation ------------------
-
-    def negate(self) -> "AccumulationProfile":
-        ivs = tuple(Interval(-iv.hi, -iv.lo) for iv in self.finite_acc)
-        return AccumulationProfile(ivs, self.has_pos_inf, self.has_neg_inf)
-
-    def affine(self, scale: Fraction, shift: Fraction) -> "AccumulationProfile":
-        if scale == 0:
-            return AccumulationProfile.of_points(shift)
-        if scale < 0:
-            return self.negate().affine(-scale, shift)
-
-        def mv(p: ExtendedReal) -> ExtendedReal:
-            return p if not p.is_finite else ExtendedReal(scale * p.value + shift)
-
-        ivs = tuple(Interval(mv(iv.lo), mv(iv.hi)) for iv in self.finite_acc)
-        return AccumulationProfile(ivs, self.has_neg_inf, self.has_pos_inf)
-
-    def square(self) -> "AccumulationProfile":
-        def sq(p: ExtendedReal) -> ExtendedReal:
-            return POS_INF if not p.is_finite else ExtendedReal(p.value * p.value)
-
-        ivs = []
-        for iv in self.finite_acc:
-            if iv.lo >= 0:
-                ivs.append(Interval(sq(iv.lo), sq(iv.hi)))
-            elif iv.hi <= 0:
-                ivs.append(Interval(sq(iv.hi), sq(iv.lo)))
-            else:
-                hi = max(sq(iv.lo), sq(iv.hi))
-                ivs.append(Interval(ExtendedReal(0), hi))
-        return AccumulationProfile(
-            tuple(ivs), False, self.has_neg_inf or self.has_pos_inf
-        )
-
-    def union(self, other: "AccumulationProfile") -> "AccumulationProfile":
-        return AccumulationProfile(
-            self.finite_acc + other.finite_acc,
-            self.has_neg_inf or other.has_neg_inf,
-            self.has_pos_inf or other.has_pos_inf,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +60,7 @@ class DensityReport:
 class SequenceSpec:
     """Base class; concrete generators subclass this.
 
-    ``declared_profile`` lets callers assert accumulation behaviour the
+    ``declared_profile`` lets callers assert an accumulation set the
     structural rules cannot see; it takes precedence in ``profile()``.
 
     A family overrides the rules it has; the defaults here know nothing.
@@ -177,7 +69,7 @@ class SequenceSpec:
     ``s`` a spec, with ``+`` for one or more.
     """
 
-    declared_profile: Optional[AccumulationProfile] = field(
+    declared_profile: Optional[AARSet] = field(
         default=None, kw_only=True
     )
 
@@ -202,7 +94,7 @@ class SequenceSpec:
         """The spec a descriptor spells with these (shape-checked) args."""
         return cls(*args)
 
-    def _profile(self) -> AccumulationProfile:
+    def _profile(self) -> AARSet:
         """Structural profile; ``profile()`` prefers a declared one."""
         raise UnknownProfile(f"no profile rule for {type(self).__name__}")
 
@@ -250,7 +142,7 @@ class Constant(SequenceSpec):
         return itertools.repeat(self.value)
 
     def _profile(self):
-        return AccumulationProfile.of_points(self.value)
+        return AARSet.of(self.value)
 
     def _negated(self):
         return Constant(-self.value)
@@ -263,7 +155,7 @@ class _Increasing(SequenceSpec):
     """Families whose terms never decrease and tend to +inf."""
 
     def _profile(self):
-        return AccumulationProfile.of_points(pos_inf=True)
+        return AARSet.of(POS_INF)
 
     def _sort_head(self):
         return 0
@@ -383,7 +275,7 @@ class NegLinear(SequenceSpec):
         return map(Fraction, itertools.count(-1, -1))
 
     def _profile(self):
-        return AccumulationProfile.of_points(neg_inf=True)
+        return AARSet.of(NEG_INF)
 
     def _negated(self):
         return Linear()
@@ -760,7 +652,7 @@ class Interleave(SequenceSpec):
             yield next(b)
 
     def _profile(self):
-        return profile(self.first).union(profile(self.second))
+        return union(profile(self.first), profile(self.second))
 
     def _negated(self):
         return Interleave(negated_spec(self.first), negated_spec(self.second))
@@ -804,19 +696,17 @@ class PointwiseSum(SequenceSpec):
             yield u + v
 
     def _profile(self):
-        u = profile(self.first).converges_to()
-        v = profile(self.second).converges_to()
+        u = profile(self.first).point()
+        v = profile(self.second).point()
         if u is None or v is None:
             raise UnknownProfile(
                 "pointwise sum needs both sides convergent in the extended reals"
             )
         if u.is_finite and v.is_finite:
-            return AccumulationProfile.of_points(u.value + v.value)
+            return AARSet.of(u.value + v.value)
         infinities = {p for p in (u, v) if not p.is_finite}
         if len(infinities) == 1:
-            inf = infinities.pop()
-            return AccumulationProfile.of_points(pos_inf=inf.is_pos_inf,
-                                                 neg_inf=inf.is_neg_inf)
+            return AARSet.of(infinities.pop())
         raise UnknownProfile("sum of opposite infinities is indeterminate")
 
     def _balance(self):
@@ -843,8 +733,8 @@ def negated_spec(spec: SequenceSpec) -> SequenceSpec:
 # Profiles
 
 
-def profile(spec: SequenceSpec) -> AccumulationProfile:
-    """Accumulation profile of a spec, declared or structurally derived.
+def profile(spec: SequenceSpec) -> AARSet:
+    """Accumulation set of a spec, declared or structurally derived.
 
     Declared profiles win.  Structural rules cover the whole catalog and its
     closures under negate/affine/square/interleave; a pointwise sum is only
@@ -955,7 +845,7 @@ class PartStream:
 
     @staticmethod
     def whole(spec: SequenceSpec) -> "PartStream":
-        limit = profile(spec).converges_to()
+        limit = profile(spec).point()
         if limit is None:
             raise UndeclaredLimit("part has no single limit")
         return PartStream(spec, IDENTITY_MAP, limit)
@@ -1073,7 +963,7 @@ def limited_strands(spec: SequenceSpec):
     limit; raises UnknownProfile when a strand does not converge."""
     leaves = []
     for leaf, index_map in strands(spec):
-        limit = profile(leaf).converges_to()
+        limit = profile(leaf).point()
         if limit is None:
             raise UnknownProfile(f"strand {type(leaf).__name__} does not converge")
         leaves.append(PartStream(leaf, index_map, limit))
@@ -1094,7 +984,7 @@ def fold_part(leaves, matching) -> Optional[PartStream]:
 
 
 def decompose(
-    spec: SequenceSpec, prof: Optional[AccumulationProfile] = None
+    spec: SequenceSpec, prof: Optional[AARSet] = None
 ) -> Decomposition:
     """Split a spec into strands converging to liminf, limsup and the rest.
 
@@ -1105,7 +995,7 @@ def decompose(
     if prof is None:
         prof = profile(spec)
     leaves = limited_strands(spec)
-    lo, hi = prof.liminf, prof.limsup
+    lo, hi = prof.lo, prof.hi
     b = fold_part(leaves, lambda lim: lim == lo)
     if b is None:
         raise UnknownProfile("no strand attains the declared liminf")

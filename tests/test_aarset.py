@@ -82,3 +82,43 @@ def test_equality_is_structural_on_canonical_form():
     x = AARSet.of(iv(0, 1), iv(1, 2))
     y = AARSet.of(iv(0, 2))
     assert x == y
+
+
+def test_parse_reads_bars_and_braces_listing_several_points():
+    quarters = AARSet.of(Fraction(1, 4), Fraction(3, 4))
+    assert AARSet.parse("{1/4, 3/4}") == quarters
+    assert AARSet.parse("{1/4} | {3/4}") == quarters
+    mixed = AARSet.parse("{1/4} | [1/2, 3/4]")
+    assert mixed.render() == "{1/4} ∪ [1/2, 3/4]"
+    assert AARSet.parse("{-inf, 0, +inf}").render() == "{-inf} ∪ {0} ∪ {+inf}"
+
+
+def test_accumulation_views_of_a_set():
+    a = AARSet.parse("{-inf} ∪ [-inf, 0] ∪ {1} ∪ {+inf}")
+    assert (a.lo, a.hi) == (NEG_INF, POS_INF)
+    assert [iv.render() for iv in a.finite] == ["[-inf, 0]", "{1}"]
+    assert AARSet.whole_line().finite == AARSet.whole_line().intervals
+    assert AARSet.parse("{-inf} ∪ {+inf}").finite == ()
+    assert AARSet.of(POS_INF).point() == POS_INF
+    assert AARSet.of(Fraction(2)).point() == Fraction(2)
+    assert a.point() is None and AARSet.of(iv(0, 1)).point() is None
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # A leading underscore marks a name as its module's own; importing one
+    # across modules couples them to an internal detail.
+    import ast
+    import pathlib
+
+    import meanweave
+
+    leaks = []
+    for path in sorted(pathlib.Path(meanweave.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                leaks += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert leaks == []

@@ -297,8 +297,7 @@ def test_criterion_09_exact_identities_across_the_catalog():
 
 
 def test_criterion_10_classifier_fuzz_invariants():
-    from meanweave.aarset import Interval
-    from meanweave.seqspec import AccumulationProfile
+    from meanweave.aarset import AARSet, Interval
 
     rng = random.Random(987654321)
     checked = 0
@@ -312,7 +311,8 @@ def test_criterion_10_classifier_fuzz_invariants():
         neg, pos = rng.random() < 0.5, rng.random() < 0.5
         if not pieces and not neg and not pos:
             pos = True
-        prof = AccumulationProfile(tuple(pieces), has_neg_inf=neg, has_pos_inf=pos)
+        pieces += [Interval.point(NEG_INF)] * neg + [Interval.point(POS_INF)] * pos
+        prof = AARSet(pieces)
         result = classify(
             prof,
             b_balance=rng.choice((BalanceKind.BALANCED, BalanceKind.NOT_BALANCED)),
@@ -323,7 +323,7 @@ def test_criterion_10_classifier_fuzz_invariants():
         ivs = result.intervals
         assert all(l.hi < r.lo for l, r in zip(ivs, ivs[1:])), "not canonical"
         assert all(iv.lo <= iv.hi for iv in ivs), "not closed intervals"
-        for iv in prof.finite_acc:
+        for iv in prof.finite:
             assert result.contains(iv.lo) and result.contains(iv.hi)
         if neg:
             assert result.contains(NEG_INF)
@@ -331,9 +331,9 @@ def test_criterion_10_classifier_fuzz_invariants():
             assert result.contains(POS_INF)
         for iv in ivs:
             if iv.lo.is_finite:
-                assert prof.liminf <= iv.lo
+                assert prof.lo <= iv.lo
             if iv.hi.is_finite:
-                assert iv.hi <= prof.limsup
+                assert iv.hi <= prof.hi
         checked += 1
     report(
         10,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from meanweave.aarset import AARSet
 from meanweave.balance import (
     BalanceKind,
     Condition,
@@ -14,7 +15,8 @@ from meanweave.balance import (
 )
 from meanweave.dsl import parse_spec
 from meanweave.errors import NonPositiveTerm, NotDivergent
-from meanweave.seqspec import AccumulationProfile, Affine, Constant, Linear
+from meanweave.extreal import POS_INF
+from meanweave.seqspec import Affine, Constant, Linear
 
 F = Fraction
 
@@ -204,7 +206,7 @@ def test_density_requires_divergence_in_modulus():
 
 B, NB, UB = BalanceKind.BALANCED, BalanceKind.NOT_BALANCED, BalanceKind.UNKNOWN
 H, X, U = Condition.HOLDS, Condition.FAILS, Condition.UNKNOWN
-DIVERGES = AccumulationProfile.of_points(pos_inf=True)
+DIVERGES = AARSet.of(POS_INF)
 
 BALANCE_RULES = [
     ("linear()", B, "polynomial terms: ratio falls like 2/n", None),

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from meanweave.aarset import AARSet, Interval
+from meanweave.aarset import AARSet
 from meanweave.balance import BalanceKind, Condition
 from meanweave.classifier import classify, classify_spec
 from meanweave.dsl import parse_spec
 from meanweave.errors import InsufficientEvidence
 from meanweave.extreal import NEG_INF, POS_INF
-from meanweave.seqspec import AccumulationProfile
 
 F = Fraction
 B, NB = BalanceKind.BALANCED, BalanceKind.NOT_BALANCED
@@ -18,7 +17,8 @@ H, X = Condition.HOLDS, Condition.FAILS
 
 
 def points(*ps, neg=False, pos=False):
-    return AccumulationProfile.of_points(*[F(p) for p in ps], neg_inf=neg, pos_inf=pos)
+    infinities = [NEG_INF] * neg + [POS_INF] * pos
+    return AARSet.of(*[F(p) for p in ps], *infinities)
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +109,18 @@ def test_finite_hull_spanning_values_is_kept():
 
 
 @pytest.mark.parametrize(
-    "pieces,neg,pos,expected",
+    "prof,expected",
     [
-        ([(NEG_INF, POS_INF)], True, True, "[-inf, +inf]"),
-        ([(NEG_INF, 0)], True, False, "[-inf, 0]"),
-        ([(0, POS_INF)], True, True, "{-inf} ∪ [0, +inf]"),
-        ([(NEG_INF, 0), (1, 2)], True, True, "[-inf, 2] ∪ {+inf}"),
+        ("[-inf, +inf]", "[-inf, +inf]"),
+        ("[-inf, 0]", "[-inf, 0]"),
+        ("{-inf} ∪ [0, +inf]", "{-inf} ∪ [0, +inf]"),
+        ("[-inf, 0] ∪ [1, 2] ∪ {+inf}", "[-inf, 2] ∪ {+inf}"),
     ],
 )
-def test_infinite_endpoints_are_finite_accumulation(pieces, neg, pos, expected):
+def test_infinite_endpoints_are_finite_accumulation(prof, expected):
     # Pieces reaching an infinity still count as finite accumulation: the
     # hull plus the infinities, whatever the verdicts say.
-    prof = AccumulationProfile(
-        tuple(Interval.of(lo, hi) for lo, hi in pieces), neg, pos
-    )
+    prof = AARSet.parse(prof)
     result = classify(prof, b_balance=NB, c_balance=NB, b_density=X, c_density=X)
     assert result.render() == expected
 
@@ -144,8 +142,8 @@ def test_membership_helper_matches_set_contains():
     assert not aar.contains(F(1)) and not aar.contains(NEG_INF)
 
 
-def test_verdict_objects_are_accepted_in_place_of_kinds():
+def test_a_verdicts_kind_decides_the_bridge():
     from meanweave.balance import balanced_verdict
 
     v = balanced_verdict(parse_spec("pow(1)"))
-    assert classify(points(0, pos=True), c_balance=v).render() == "[0, +inf]"
+    assert classify(points(0, pos=True), c_balance=v.kind).render() == "[0, +inf]"

@@ -186,6 +186,18 @@ def test_verify_fails_on_a_trace_without_rows(tmp_path):
     assert (code, out) == (1, "trace has no rows: nothing to verify\n")
 
 
+def test_verify_names_the_line_of_a_short_row(tmp_path):
+    path = tmp_path / "short.trace.csv"
+    path.write_text(
+        "n,source_index,value,partial_sum,average_decimal,average_exact\n"
+        "1,1,0/1,0/1,0,0/1\n"
+        "2,2,1/1\n"
+    )
+    code, out, err = run("verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "ERROR UsageError: line 3: 3 fields, expected 6\n"
+
+
 def test_verify_missing_file_is_an_io_error():
     code, _, err = run("verify", "/nonexistent/trace.csv")
     assert code == 2 and err.startswith("ERROR IOError: ")

@@ -11,7 +11,6 @@ from meanweave.extreal import NEG_INF, POS_INF
 from meanweave.harness import (
     CSV_HEADER,
     PermutationReport,
-    Trace,
     TraceEntry,
     check_permutation,
     check_schedule,
@@ -37,7 +36,7 @@ def synthetic_trace(values):
     for i, v in enumerate(values, 1):
         total += F(v)
         entries.append(TraceEntry(i, i, F(v), total, total / i))
-    return Trace(entries)
+    return entries
 
 
 def fake_rearrangement(pairs, bound=lambda n: 2 * n):
@@ -57,13 +56,13 @@ def fake_rearrangement(pairs, bound=lambda n: 2 * n):
 
 def test_trace_entries_carry_exact_partial_sums_and_averages():
     t = trace(identity_rearrangement(parse_spec("linear()")), 4)
-    assert t.entries == [
+    assert t == [
         TraceEntry(1, 1, F(1), F(1), F(1)),
         TraceEntry(2, 2, F(2), F(3), F(3, 2)),
         TraceEntry(3, 3, F(3), F(6), F(2)),
         TraceEntry(4, 4, F(4), F(10), F(5, 2)),
     ]
-    assert len(t) == 4 and t.average_at(3) == F(2)
+    assert len(t) == 4 and t[2].average == F(2)
 
 
 def test_iter_trace_is_lazy_and_bounded():
@@ -234,7 +233,7 @@ def test_schedule_boundaries_are_excluded(source):
 
 def test_checks_read_the_explicit_average_of_a_hand_built_entry():
     # The sum says 0 but the stored average says 5: checks see the average.
-    t = Trace([TraceEntry(1, 1, F(0), F(0), F(5))])
+    t = [TraceEntry(1, 1, F(0), F(0), F(5))]
     assert check_tube(t, F(5), F(1)) and not check_tube(t, F(0), F(1))
     assert check_schedule(t, [window(1, 4, 6)])
     assert not verify_trace_identities(t)
@@ -315,12 +314,12 @@ def test_identities_hold_on_real_traces():
 
 def test_identities_catch_a_corrupted_entry():
     t = synthetic_trace([1, 2, 3])
-    bad = Trace(list(t.entries))
-    e = bad.entries[1]
-    bad.entries[1] = TraceEntry(e.n, e.source_index, e.value, e.partial_sum + 1, e.average)
+    bad = list(t)
+    e = bad[1]
+    bad[1] = TraceEntry(e.n, e.source_index, e.value, e.partial_sum + 1, e.average)
     assert not verify_trace_identities(bad)
-    worse = Trace(list(t.entries))
-    worse.entries[2] = TraceEntry(3, 3, F(3), F(6), F(7, 3))
+    worse = list(t)
+    worse[2] = TraceEntry(3, 3, F(3), F(6), F(7, 3))
     assert not verify_trace_identities(worse)
 
 
@@ -349,7 +348,7 @@ def test_csv_round_trip_preserves_exact_fields():
     assert lines[1] == "1,1,0/1,0/1,0,0/1"
     assert lines[2] == "2,2,1/1,1/1,0.5,1/2"
     back = read_trace_csv(io.StringIO(text))
-    assert back.entries == t.entries
+    assert back == t
     assert verify_trace_identities(back)
 
 
@@ -365,6 +364,14 @@ def test_csv_exact_columns_always_carry_a_denominator():
 def test_csv_reader_rejects_foreign_headers():
     with pytest.raises(ValueError):
         read_trace_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+
+def test_csv_reader_names_the_line_of_a_malformed_row():
+    header = ",".join(CSV_HEADER) + "\n"
+    with pytest.raises(ValueError, match="^line 2: 3 fields, expected 6$"):
+        read_trace_csv(io.StringIO(header + "1,1,0\n"))
+    with pytest.raises(ValueError, match="^line 3: 7 fields, expected 6$"):
+        read_trace_csv(io.StringIO(header + "1,1,0/1,0/1,0,0/1\n2,2,1,1,1,1,1\n"))
 
 
 def test_decimal_rendering_frozen_examples():

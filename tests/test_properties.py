@@ -20,7 +20,6 @@ from meanweave.errors import (
 )
 from meanweave.extreal import NEG_INF, POS_INF, ExtendedReal
 from meanweave.harness import (
-    Trace,
     TraceEntry,
     check_permutation,
     downward_jump_bound_holds,
@@ -30,7 +29,6 @@ from meanweave.harness import (
 )
 from meanweave.rearrange import Rearrangement, RunningAverage
 from meanweave.seqspec import (
-    AccumulationProfile,
     Affine,
     AffineMap,
     Constant,
@@ -288,7 +286,7 @@ def synthetic_trace(values):
     for i, v in enumerate(values, 1):
         total += v
         entries.append(TraceEntry(i, i, v, total, total / i))
-    return Trace(entries)
+    return entries
 
 
 @settings(max_examples=60, **COMMON)
@@ -414,6 +412,54 @@ def test_attainable_sets_are_canonical_and_round_trip(pieces):
     assert AARSet.parse(a.render()) == a
 
 
+@st.composite
+def extended_set_and_member(draw):
+    """A set with infinite points or unbounded pieces, and a finite member."""
+    pieces = [p if isinstance(p, Interval) else Interval.point(p)
+              for p in draw(aar_pieces())]
+    if draw(st.booleans()):
+        pieces.append(Interval(NEG_INF, ExtendedReal(draw(finite_points))))
+    if draw(st.booleans()):
+        pieces.append(Interval(ExtendedReal(draw(finite_points)), POS_INF))
+    s = AARSet(pieces)
+    iv = draw(st.sampled_from(s.finite))
+    # a finite window [lo, hi] inside the piece
+    if iv.lo.is_finite:
+        lo = iv.lo.value
+    elif iv.hi.is_finite:
+        lo = iv.hi.value - 10
+    else:
+        lo = F(0)
+    hi = iv.hi.value if iv.hi.is_finite else lo + 10
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
+    return s, lo + t * (hi - lo)
+
+
+@settings(max_examples=150, **COMMON)
+@given(extended_set_and_member(),
+       st.fractions(min_value=-5, max_value=5, max_denominator=4),
+       st.fractions(min_value=-5, max_value=5, max_denominator=4))
+def test_set_transforms_map_members_and_infinities(sx, scale, shift):
+    s, x = sx
+    assert s.contains(x) and s.lo <= x <= s.hi
+    assert any(iv.contains(x) for iv in s.finite)
+    has_neg, has_pos = s.contains(NEG_INF), s.contains(POS_INF)
+    neg = s.negate()
+    assert neg.contains(-x)
+    assert (neg.contains(NEG_INF), neg.contains(POS_INF)) == (has_pos, has_neg)
+    image = s.affine(scale, shift)
+    assert image.contains(scale * x + shift)
+    if scale == 0:
+        assert image == AARSet.of(shift)
+    else:
+        lo_inf, hi_inf = (has_neg, has_pos) if scale > 0 else (has_pos, has_neg)
+        assert (image.contains(NEG_INF), image.contains(POS_INF)) == (lo_inf, hi_inf)
+    square = s.square()
+    assert square.contains(x * x) and square.lo >= 0
+    assert square.contains(POS_INF) == (has_neg or has_pos)
+    assert not square.contains(NEG_INF)
+
+
 # ---------------------------------------------------------------------------
 # Classifier structural invariants
 
@@ -429,7 +475,8 @@ def profiles(draw):
     pos = draw(st.booleans())
     if not pieces and not neg and not pos:
         neg = True
-    return AccumulationProfile(tuple(pieces), has_neg_inf=neg, has_pos_inf=pos)
+    pieces += [Interval.point(NEG_INF)] * neg + [Interval.point(POS_INF)] * pos
+    return AARSet(pieces)
 
 
 verdicts = st.sampled_from(["Balanced", "NotBalanced"])
@@ -452,18 +499,18 @@ def test_classifier_output_is_canonical_and_honest(prof, bb, cb, bd, cd):
     for left, right in zip(ivs, ivs[1:]):
         assert left.hi < right.lo
     # declared accumulation points are attainable
-    for iv in prof.finite_acc:
+    for iv in prof.finite:
         assert result.contains(iv.lo) and result.contains(iv.hi)
-    if prof.has_neg_inf:
+    if prof.contains(NEG_INF):
         assert result.contains(NEG_INF)
-    if prof.has_pos_inf:
+    if prof.contains(POS_INF):
         assert result.contains(POS_INF)
     # finite part stays within the liminf/limsup hull
     for iv in ivs:
         if iv.lo.is_finite:
-            assert prof.liminf <= iv.lo
+            assert prof.lo <= iv.lo
         if iv.hi.is_finite:
-            assert iv.hi <= prof.limsup
+            assert iv.hi <= prof.hi
 
 
 # ---------------------------------------------------------------------------

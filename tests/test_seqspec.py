@@ -7,6 +7,7 @@ import pytest
 
 from meanweave.dsl import parse_spec, render
 from meanweave.errors import MalformedDescriptor, TermTooLarge
+from meanweave.extreal import NEG_INF, POS_INF
 from meanweave.seqspec import (
     AffineMap,
     Constant,
@@ -109,26 +110,26 @@ def test_own_iter_terms_agree_with_term(spec):
 
 def test_profile_bounded_two_level():
     p = profile(parse_spec("interleave(const(0), const(1))"))
-    assert [(ivl.lo.render(), ivl.hi.render()) for ivl in p.finite_acc] == [("0", "0"), ("1", "1")]
-    assert not p.has_neg_inf and not p.has_pos_inf
-    assert p.liminf.render() == "0" and p.limsup.render() == "1"
+    assert [(ivl.lo.render(), ivl.hi.render()) for ivl in p.finite] == [("0", "0"), ("1", "1")]
+    assert not p.contains(NEG_INF) and not p.contains(POS_INF)
+    assert p.lo.render() == "0" and p.hi.render() == "1"
 
 
 def test_profile_one_sided_divergence():
     p = profile(parse_spec("interleave(const(0), geom(2))"))
-    assert [(ivl.lo.render(), ivl.hi.render()) for ivl in p.finite_acc] == [("0", "0")]
-    assert not p.has_neg_inf and p.has_pos_inf
+    assert [(ivl.lo.render(), ivl.hi.render()) for ivl in p.finite] == [("0", "0")]
+    assert not p.contains(NEG_INF) and p.contains(POS_INF)
 
 
 def test_profile_two_sided_divergence_without_finite_points():
     p = profile(parse_spec("interleave(neg(linear()), linear())"))
-    assert p.finite_acc == ()
-    assert p.has_neg_inf and p.has_pos_inf
+    assert p.finite == ()
+    assert p.contains(NEG_INF) and p.contains(POS_INF)
 
 
 def test_profile_of_prefix_ignores_the_finite_head():
     p = profile(parse_spec("prefix(100, -100, interleave(const(0), const(1)))"))
-    assert [(ivl.lo.render(), ivl.hi.render()) for ivl in p.finite_acc] == [("0", "0"), ("1", "1")]
+    assert [(ivl.lo.render(), ivl.hi.render()) for ivl in p.finite] == [("0", "0"), ("1", "1")]
 
 
 # ---------------------------------------------------------------------------
