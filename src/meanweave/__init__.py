@@ -32,14 +32,12 @@ from .harness import (
 from .realizer import (
     ScheduleEntry,
     TubeSchedule,
-    accumulation_realizer,
     dense_targets,
     realizer_from_spec,
 )
 from .rearrange import (
     Rearrangement,
     RunningAverage,
-    bounded_target,
     construct_target,
     identity_rearrangement,
     merge_preserving,
@@ -48,7 +46,6 @@ from .rearrange import (
     sort_increasing,
     target_above_limsup,
     two_sided_balance,
-    two_sided_from_spec,
     weighted_merge,
 )
 from .errors import (

@@ -41,10 +41,6 @@ class Interval:
         p = ExtendedReal.of(x)
         return Interval(p, p)
 
-    @staticmethod
-    def of(lo: PointLike, hi: PointLike) -> "Interval":
-        return Interval(ExtendedReal.of(lo), ExtendedReal.of(hi))
-
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi

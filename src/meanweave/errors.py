@@ -76,7 +76,7 @@ class ZOutsideRange(MeanweaveError):
 
 
 class MissingInfinity(MeanweaveError):
-    """accumulation_realizer needs parts diverging to -inf and +inf."""
+    """realizer_from_spec needs strands diverging to -inf and +inf."""
 
 
 class InjectivityViolation(MeanweaveError):

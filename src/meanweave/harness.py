@@ -347,7 +347,7 @@ def envelope_oracle(values, k: int) -> EnvelopeReport:
 # Exact identities used by the test invariants
 
 
-def verify_trace_identities(t, limit: Optional[int] = None) -> bool:
+def verify_trace_identities(t) -> bool:
     """Exact sum/recurrence/jump identities at every entry (zero tolerance).
 
     average*n == partial_sum, and the recurrence
@@ -356,12 +356,14 @@ def verify_trace_identities(t, limit: Optional[int] = None) -> bool:
     equation rearranged, so it holds exactly when the recurrence does.
     Both are checked by integer cross-multiplication; a live entry's average
     is its sum over n, so only an explicit average can break the first.
+    The entries must be positions 1, 2, 3, ... in order: a missing or
+    repeated row fails, since the recurrence only links adjacent positions.
     """
     prev = None
-    for entry in t:
+    for expected_n, entry in enumerate(t, start=1):
         n = entry.n
-        if limit is not None and n > limit:
-            break
+        if n != expected_n:
+            return False
         p, q = entry._average_pair()
         if entry._avg is not None and p * n * entry._den != entry._num * q:
             return False
@@ -463,14 +465,15 @@ def read_trace_csv(stream) -> List[TraceEntry]:
                 f"line {reader.line_num}: {len(row)} fields, "
                 f"expected {len(CSV_HEADER)}"
             )
-        n = int(row[0])
-        entries.append(
-            TraceEntry(
-                n,
+        try:
+            entry = TraceEntry(
+                int(row[0]),
                 int(row[1]),
                 _parse_exact(row[2]),
                 _parse_exact(row[3]),
                 _parse_exact(row[5]),
             )
-        )
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
+        entries.append(entry)
     return entries

@@ -1,8 +1,9 @@
 """Realize a prescribed accumulation set of running averages.
 
-Given four strands — values near a finite level a, values near a finite
-level b > a, values diverging to -inf and values diverging to +inf — this
-module builds a rearrangement whose running average visits shrinking tubes
+``realizer_from_spec`` groups a spec's strands by limit into four parts —
+values near a finite level a, values near a finite level b > a, values
+diverging to -inf and values diverging to +inf — and builds a
+rearrangement whose running average visits shrinking tubes
 around a dense schedule of targets drawn from a prescribed closed set
 Z inside [a, b], and spikes through arbitrarily large positive and negative
 values between visits.  The accumulation points of the average are then
@@ -45,7 +46,6 @@ from .extreal import NEG_INF, POS_INF, as_fraction
 from .rearrange import Rearrangement, RunningAverage
 from .seqspec import (
     PartCursor,
-    PartStream,
     SequenceSpec,
     fold_part,
     limited_strands,
@@ -55,7 +55,6 @@ from .seqspec import (
 __all__ = [
     "ScheduleEntry",
     "TubeSchedule",
-    "accumulation_realizer",
     "realizer_from_spec",
     "dense_targets",
 ]
@@ -192,35 +191,34 @@ def _first_positive(c0: int, c1: int) -> Optional[int]:
     return -c0 // c1 + 1 if c1 > 0 else None
 
 
-def accumulation_realizer(
-    b_part: PartStream,
-    c_part: PartStream,
-    d_part: PartStream,
-    e_part: PartStream,
-    zset,
-    extras: Sequence[PartStream] = (),
-) -> Rearrangement:
-    """Rearrange four strands so the averages accumulate exactly at Z ∪ {-inf, +inf}.
+def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
+    """Rearrange a spec so its averages accumulate exactly at Z ∪ {-inf, +inf}.
 
-    b_part must converge to a finite a, c_part to a finite b > a, d_part must
-    tend to -inf and e_part to +inf; Z is a finite union of rational points
-    and closed intervals inside [a, b].  Extra convergent strands (limits
-    inside (a, b)) may ride along; they are consumed through the splice pool.
+    The spec's strands are grouped by limit.  Every strand must converge
+    (else UnknownProfile), and the strand limits must include two distinct
+    finite levels and both infinities.  The parts at the smallest finite
+    level a and the largest b steer, the parts at -inf and +inf jump, and
+    the strands with limits inside (a, b) are consumed through the splice
+    pool.  Z is a finite union of rational points and closed intervals
+    inside [a, b].
     """
-    if not (b_part.limit is not None and b_part.limit.is_finite):
-        raise MalformedDescriptor("low steering strand must have a finite limit")
-    if not (c_part.limit is not None and c_part.limit.is_finite):
-        raise MalformedDescriptor("high steering strand must have a finite limit")
-    a = b_part.limit.value
-    b_val = c_part.limit.value
-    if a >= b_val:
+    leaves = limited_strands(spec)
+    finite_limits = sorted({p.limit.value for p in leaves if p.limit.is_finite})
+    if len(finite_limits) < 2:
         raise MalformedDescriptor(
-            f"steering needs distinct finite levels, got {a} and {b_val}"
+            "need two distinct finite strand limits to steer between"
         )
-    if d_part is None or d_part.limit != NEG_INF:
-        raise MissingInfinity("need a strand tending to -inf for downward jumps")
-    if e_part is None or e_part.limit != POS_INF:
-        raise MissingInfinity("need a strand tending to +inf for upward jumps")
+    a, b_val = finite_limits[0], finite_limits[-1]
+    b_part = fold_part(leaves, lambda lim: lim == a)
+    c_part = fold_part(leaves, lambda lim: lim == b_val)
+    d_part = fold_part(leaves, lambda lim: lim == NEG_INF)
+    e_part = fold_part(leaves, lambda lim: lim == POS_INF)
+    if d_part is None:
+        raise MissingInfinity("no strand tends to -inf")
+    if e_part is None:
+        raise MissingInfinity("no strand tends to +inf")
+    middle = fold_part(leaves, lambda lim: a < lim < b_val)
+    extras = [middle] if middle is not None else []
     pieces = _normalize_zset(zset, a, b_val)
 
     k_bound = max(abs(a - 1), abs(b_val + 1))  # bound on in-band values
@@ -473,52 +471,11 @@ def accumulation_realizer(
                     continue
                 yield steer(settle_from=settle - n)
 
-    name = "accumulation_realizer"
-    rearr = Rearrangement.of_blocks(
-        source=None,
+    return Rearrangement.of_blocks(
+        source=spec,
         blocks=blocks,
         coverage_bound=None,
-        name=name,
+        name="accumulation_realizer",
         limit_in_average=None,
-        meta={
-            "schedule": schedule,
-            "low": a,
-            "high": b_val,
-            "pieces": pieces,
-        },
+        meta={"schedule": schedule},
     )
-    return rearr
-
-
-# ---------------------------------------------------------------------------
-# Building the four strands from a single spec
-
-
-def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
-    """Group a spec's strands by limit and realize Z over them.
-
-    Every strand must converge (else UnknownProfile), and the strand limits
-    must include two distinct finite levels (the smallest and largest finite
-    accumulation points frame the steering band) and both infinities.
-    """
-    leaves = limited_strands(spec)
-    finite_limits = sorted({p.limit.value for p in leaves if p.limit.is_finite})
-    if len(finite_limits) < 2:
-        raise MalformedDescriptor(
-            "need two distinct finite strand limits to steer between"
-        )
-    a, b_val = finite_limits[0], finite_limits[-1]
-    low = fold_part(leaves, lambda lim: lim == a)
-    high = fold_part(leaves, lambda lim: lim == b_val)
-    down = fold_part(leaves, lambda lim: lim == NEG_INF)
-    up = fold_part(leaves, lambda lim: lim == POS_INF)
-    if down is None:
-        raise MissingInfinity("no strand tends to -inf")
-    if up is None:
-        raise MissingInfinity("no strand tends to +inf")
-    middle = fold_part(leaves, lambda lim: a < lim < b_val)
-    extras = [middle] if middle is not None else []
-
-    r = accumulation_realizer(low, high, down, up, zset, extras=extras)
-    r.source = spec
-    return r

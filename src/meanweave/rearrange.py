@@ -1,5 +1,11 @@
 """Rearrangement constructors: lazy injective index streams steering averages.
 
+``construct_target`` is the entry point for a finite target: it derives a
+spec's profile and decomposition once and routes the parts to the
+part-level constructors here (weighted merge, two-sided balance, the climb
+above the limsup, the limit-preserving merge, the mirror); ``oscillator``
+builds an average with no limit.
+
 Every constructor here returns a ``Rearrangement``: a deterministic stream of
 ``(source_index, value)`` pairs that is injective by construction and comes
 with a coverage bound for the audits, or None when nothing certifies one.
@@ -393,45 +399,11 @@ def weighted_merge(
         coverage_bound=coverage,
         name=f"weighted_merge[alpha={alpha}]",
         limit_in_average=target,
-        meta={"alpha": alpha, "gamma": gamma, "swapped": swap},
     )
 
 
 # ---------------------------------------------------------------------------
-# Finite targets inside [liminf, limsup]
-
-
-def bounded_target(spec: SequenceSpec, l) -> Rearrangement:
-    """Rearrange a bounded spec so its average tends to l.
-
-    Splits the source into strands at the liminf and limsup (plus a rest),
-    weight-merges the extreme strands with the weight solving
-    l = alpha*liminf + (1-alpha)*limsup, and re-inserts the rest without
-    disturbing the limit.
-    """
-    l = as_fraction(l)
-    prof = profile(spec)
-    if not (prof.lo.is_finite and prof.hi.is_finite):
-        raise MalformedDescriptor("bounded_target needs a bounded profile")
-    m, big_m = prof.lo.value, prof.hi.value
-    if l < m or l > big_m:
-        raise TargetUnreachable(
-            f"target {l} outside [{m}, {big_m}]"
-        )
-    dec = decompose(spec, prof)
-    if m == big_m:
-        core = identity_rearrangement(spec, limit_in_average=ExtendedReal(m))
-        core.name = "bounded_target[degenerate]"
-        return core
-    alpha = (big_m - l) / (big_m - m)
-    merged = weighted_merge(dec.b, dec.c, alpha)
-    merged.source = spec
-    if dec.d is not None:
-        merged = merge_preserving(merged, dec.d)
-        merged.source = spec
-    merged.meta["target"] = l
-    merged.name = f"bounded_target[{l}]"
-    return merged
+# Oscillation
 
 
 def oscillator(spec: SequenceSpec) -> Rearrangement:
@@ -483,7 +455,6 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
         coverage_bound=None,
         name="oscillator",
         limit_in_average=None,
-        meta={"p": p, "q": q},
     )
 
 
@@ -639,13 +610,7 @@ def target_above_limsup(
         coverage_bound=None,
         name=f"target_above_limsup[{target}]",
         limit_in_average=limit,
-        meta={
-            "target": target,
-            "b_limit": b_lim,
-            "rate": v,
-            "bar": bar,
-            "placements": meta_placements,
-        },
+        meta={"placements": meta_placements},
     )
 
 
@@ -743,20 +708,7 @@ def two_sided_balance(
         coverage_bound=None,
         name=f"two_sided_balance[{target}]",
         limit_in_average=limit,
-        meta={"target": target},
     )
-
-
-def two_sided_from_spec(spec: SequenceSpec, target) -> Rearrangement:
-    """Convenience: decompose a spec with liminf -inf / limsup +inf and steer."""
-    prof = profile(spec)
-    if prof.lo != NEG_INF or prof.hi != POS_INF:
-        raise DensityFails("spec must have liminf -inf and limsup +inf")
-    dec = decompose(spec, prof)
-    extras = [dec.d] if dec.d is not None else None
-    r = two_sided_balance(dec.b, dec.c, target, extras=extras)
-    r.source = spec
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -767,14 +719,10 @@ def part_core(part: PartStream, source: SequenceSpec) -> Rearrangement:
     """A rearrangement that plays one part in its own order.
 
     Not surjective on its own (it covers only the part's source indices),
-    so it carries no usable coverage bound; it exists to serve as the core
-    of a limit-preserving merge that restores full coverage.
+    so it carries no coverage bound; it exists to serve as the core of a
+    limit-preserving merge that restores full coverage.
     """
-
-    def no_bound(_n: int) -> int:
-        raise NotDivergent("a lone part is not surjective; merge it first")
-
-    return _core_stream(source, part.emissions, no_bound, "part_core", part.limit)
+    return _core_stream(source, part.emissions, None, "part_core", part.limit)
 
 
 def mirror_rearrangement(r: Rearrangement, source: SequenceSpec) -> Rearrangement:
@@ -792,53 +740,64 @@ def mirror_rearrangement(r: Rearrangement, source: SequenceSpec) -> Rearrangemen
         coverage_bound=r.coverage_bound,
         name=f"mirror({r.name})",
         limit_in_average=lim,
-        meta={"mirrored": True},
     )
 
 
 def construct_target(spec: SequenceSpec, target) -> Rearrangement:
     """Rearrange any supported spec so its average tends to the target.
 
-    Routes by profile shape: bounded specs weight-merge their extreme
-    strands; specs divergent on both sides alternate greedily; specs with
-    one divergent side place the divergent elements at vanishing density
-    (position ~ value/(target - limit)), mirrored when the divergence is
-    downward.
+    Derives the profile and the decomposition once and routes by the
+    profile's ends.  A bounded spec weight-merges its extreme strands with
+    the weight solving target = alpha*liminf + (1-alpha)*limsup and
+    re-inserts the rest without disturbing the limit (the identity when
+    liminf equals limsup); a spec divergent on both sides alternates
+    greedily; a spec with one divergent side places the divergent elements
+    at vanishing density (position ~ value/(target - limit)), mirrored when
+    the divergence is downward.
     """
     t = as_fraction(target)
     prof = profile(spec)
-    if prof.lo.is_finite and prof.hi.is_finite:
-        return bounded_target(spec, t)
-    if prof.lo == NEG_INF and prof.hi == POS_INF:
-        return two_sided_from_spec(spec, t)
-    if not prof.finite:
+    lo, hi = prof.lo, prof.hi
+    bounded = lo.is_finite and hi.is_finite
+    if bounded and not lo.value <= t <= hi.value:
+        raise TargetUnreachable(f"target {t} outside [{lo.value}, {hi.value}]")
+    if lo == hi and not bounded:
         # a single infinity: the only attainable average limit
         raise TargetUnreachable(
-            f"target {target} outside the attainable range {{{prof.lo.render()}}}"
+            f"target {target} outside the attainable range {{{lo.render()}}}"
         )
-
     dec = decompose(spec, prof)
-    flip = prof.hi != POS_INF
-    if flip:
-        # Downward divergence: solve the flipped problem, then negate.
-        b_ps, c_ps, t = dec.c.negated(), dec.b.negated(), -t
-    else:
-        b_ps, c_ps = dec.b, dec.c
 
-    b_lim = b_ps.limit.value
-    if t > b_lim:
-        r = target_above_limsup(b_ps, c_ps, t)
-    elif t == b_lim:
-        core = part_core(b_ps, spec)
-        r = merge_preserving(core, c_ps)
-        r.name = f"at_limit[{t}]"
+    if bounded and lo == hi:
+        r = identity_rearrangement(spec, limit_in_average=lo)
+        r.name = "bounded_target[degenerate]"
+    elif bounded:
+        r = weighted_merge(dec.b, dec.c, (hi.value - t) / (hi.value - lo.value))
+        if dec.d is not None:
+            r = merge_preserving(r, dec.d)
+        r.name = f"bounded_target[{t}]"
+    elif lo == NEG_INF and hi == POS_INF:
+        extras = [dec.d] if dec.d is not None else None
+        r = two_sided_balance(dec.b, dec.c, t, extras=extras)
     else:
-        reach = f"(-inf, {-b_lim}]" if flip else f"[{b_lim}, +inf)"
-        raise TargetUnreachable(f"target {target} outside the attainable range {reach}")
-    if dec.d is not None:
-        r = merge_preserving(r, dec.d.negated() if flip else dec.d)
-    if flip:
-        r = mirror_rearrangement(r, spec)
-        r.meta["target"] = -t
+        flip = hi != POS_INF
+        if flip:
+            # Downward divergence: solve the flipped problem, then negate.
+            b_ps, c_ps, t = dec.c.negated(), dec.b.negated(), -t
+        else:
+            b_ps, c_ps = dec.b, dec.c
+        b_lim = b_ps.limit.value
+        if t > b_lim:
+            r = target_above_limsup(b_ps, c_ps, t)
+        elif t == b_lim:
+            r = merge_preserving(part_core(b_ps, spec), c_ps)
+            r.name = f"at_limit[{t}]"
+        else:
+            reach = f"(-inf, {-b_lim}]" if flip else f"[{b_lim}, +inf)"
+            raise TargetUnreachable(f"target {target} outside the attainable range {reach}")
+        if dec.d is not None:
+            r = merge_preserving(r, dec.d.negated() if flip else dec.d)
+        if flip:
+            r = mirror_rearrangement(r, spec)
     r.source = spec
     return r

@@ -198,6 +198,33 @@ def test_verify_names_the_line_of_a_short_row(tmp_path):
     assert err == "ERROR UsageError: line 3: 3 fields, expected 6\n"
 
 
+def test_verify_fails_a_trace_missing_a_row(tmp_path):
+    # without row n=2 the recurrence from n=1 to n=3 still balances
+    path = tmp_path / "gap.trace.csv"
+    path.write_text(
+        "n,source_index,value,partial_sum,average_decimal,average_exact\n"
+        "1,1,1/1,1/1,1,1/1\n"
+        "3,2,1/1,3/1,1,1/1\n"
+    )
+    code, out, _ = run("verify", str(path))
+    assert (code, out) == (1, "identities: FAIL\n")
+
+
+@pytest.mark.parametrize("row, detail", [
+    ("2,x,1/1,1/1,0.5,1/2", "invalid literal for int() with base 10: 'x'"),
+    ("2,2,1/0,1/1,0.5,1/2", "Fraction(1, 0)"),
+])
+def test_verify_names_the_line_of_an_unparsable_field(tmp_path, row, detail):
+    path = tmp_path / "bad.trace.csv"
+    path.write_text(
+        "n,source_index,value,partial_sum,average_decimal,average_exact\n"
+        "1,1,0/1,0/1,0,0/1\n" + row + "\n"
+    )
+    code, out, err = run("verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"ERROR UsageError: line 3: {detail}\n"
+
+
 def test_verify_missing_file_is_an_io_error():
     code, _, err = run("verify", "/nonexistent/trace.csv")
     assert code == 2 and err.startswith("ERROR IOError: ")

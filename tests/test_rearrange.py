@@ -23,7 +23,6 @@ from meanweave.rearrange import (
     PartStream,
     Rearrangement,
     RunningAverage,
-    bounded_target,
     construct_target,
     identity_rearrangement,
     merge_preserving,
@@ -32,7 +31,6 @@ from meanweave.rearrange import (
     sort_increasing,
     target_above_limsup,
     two_sided_balance,
-    two_sided_from_spec,
     weighted_merge,
 )
 from meanweave.seqspec import decompose
@@ -104,7 +102,7 @@ def test_mirror_negates_values_but_keeps_sources():
 
 
 def test_bounded_target_one_third_frozen_prefix_and_average():
-    r = bounded_target(parse_spec("interleave(const(0), const(1))"), F(1, 3))
+    r = construct_target(parse_spec("interleave(const(0), const(1))"), F(1, 3))
     ones = [e.n for e in iter_trace(r, 13) if e.value == 1]
     assert ones == [1, 3, 6, 9, 12]
     assert avg_at(r, 3000) == F(1001, 3000)
@@ -114,22 +112,22 @@ def test_bounded_target_hits_the_endpoints():
     # Every element must still appear, so the opposite level shows up with
     # vanishing density; these exact prefixes have six stray elements each.
     spec = parse_spec("interleave(const(0), const(1))")
-    assert avg_at(bounded_target(spec, F(0)), 2000) == F(3, 1000)
-    assert avg_at(bounded_target(spec, F(1)), 2000) == F(997, 1000)
+    assert avg_at(construct_target(spec, F(0)), 2000) == F(3, 1000)
+    assert avg_at(construct_target(spec, F(1)), 2000) == F(997, 1000)
 
 
 def test_bounded_target_rejects_targets_outside_the_hull():
     spec = parse_spec("interleave(const(0), const(1))")
     for t in (F(-1, 100), F(101, 100), F(2)):
         with pytest.raises(TargetUnreachable):
-            bounded_target(spec, t)
+            construct_target(spec, t)
 
 
 def test_bounded_target_degenerate_single_value():
-    r = bounded_target(parse_spec("const(5)"), F(5))
+    r = construct_target(parse_spec("const(5)"), F(5))
     assert avg_at(r, 50) == F(5)
     with pytest.raises(TargetUnreachable):
-        bounded_target(parse_spec("const(5)"), F(6))
+        construct_target(parse_spec("const(5)"), F(6))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +387,7 @@ def test_merge_preserving_needs_a_declared_limit():
 
 
 def test_two_sided_frozen_prefix_and_dip():
-    r = two_sided_from_spec(parse_spec("interleave(neg(runlen(4)), runlen(4))"), F(0))
+    r = construct_target(parse_spec("interleave(neg(runlen(4)), runlen(4))"), F(0))
     got = [(e.n, e.source_index, e.value) for e in iter_trace(r, 12)]
     assert got == [
         (1, 2, F(1)), (2, 1, F(-1)), (3, 4, F(2)), (4, 3, F(-2)),
@@ -404,7 +402,7 @@ def test_two_sided_frozen_prefix_and_dip():
 
 
 def test_two_sided_nonzero_target():
-    r = two_sided_from_spec(parse_spec("interleave(neg(runlen(4)), runlen(4))"), F(5))
+    r = construct_target(parse_spec("interleave(neg(runlen(4)), runlen(4))"), F(5))
     worst = F(0)
     for e in iter_trace(r, 20000):
         if e.n >= 10000:
@@ -450,7 +448,7 @@ def test_construct_target_two_sided_route_through_an_explicit_prefix():
 
 def test_two_sided_refuses_when_density_fails():
     with pytest.raises(DensityFails):
-        two_sided_from_spec(parse_spec("interleave(neg(linear()), linear())"), F(0))
+        construct_target(parse_spec("interleave(neg(linear()), linear())"), F(0))
 
 
 # ---------------------------------------------------------------------------
