@@ -91,6 +91,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.tube is not None:  # a malformed tube is refused before any output
+        target = ExtendedReal.parse(args.tube[0])
+        eps = Fraction(args.tube[1])
+        if eps <= 0:
+            raise ValueError("eps must be positive")
     with open(args.trace, newline="") as fh:
         t = read_trace_csv(fh)
     if not t:
@@ -99,8 +104,6 @@ def _cmd_verify(args) -> int:
     ok = verify_trace_identities(t)
     print(f"identities: {'PASS' if ok else 'FAIL'}")
     if args.tube is not None:
-        target = ExtendedReal.parse(args.tube[0])
-        eps = Fraction(args.tube[1])
         tube_ok = check_tube(t, target, eps, from_index=args.from_index)
         print(
             f"tube target={target.render()} eps={eps} "

@@ -11,10 +11,10 @@ Fractions only when they are read, and the tube, schedule and identity
 checks compare by integer cross-multiplication.
 
 ``iter_trace`` and ``check_permutation`` read a stream block by block
-(``Rearrangement.blocks``): the trace yields one entry per position, but
-inside an integer run it steps the integer sum itself; the audit checks
-injectivity position by position only over the first n outputs, and walks a
-run's sources only up to each probe.  The audit is the package's one
+(``Rearrangement.blocks``): the trace yields one entry per position, and
+inside every run it steps the sum by one integer over a common denominator;
+the audit checks injectivity position by position only over the first n
+outputs, and walks a run's sources only up to each probe.  The audit is the package's one
 coverage walk: it streams once, whether or not the stream certifies a
 coverage bound.
 """
@@ -145,18 +145,14 @@ def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterator[TraceEntry
         else:
             if 0 < left < size:
                 size = left
-            sources = islice(count(src, step), size)
-            if value.denominator == 1 and acc.den == 1:
-                v, num, k = value.numerator, acc.num, acc.n
-                for s in sources:
-                    num += v
-                    k += 1
-                    yield _live_entry(k, s, value, num, 1)
-                acc.num, acc.n = num, k
-            else:
-                for s in sources:
-                    add(value)
-                    yield _live_entry(acc.n, s, value, acc.num, acc.den)
+            # every position adds one integer over one common denominator
+            v = acc.align(value)
+            num, den, k = acc.num, acc.den, acc.n
+            for s in islice(count(src, step), size):
+                num += v
+                k += 1
+                yield _live_entry(k, s, value, num, den)
+            acc.num, acc.n = num, k
             left -= size
         if left == 0:
             return

@@ -43,7 +43,7 @@ from .errors import (
     ZOutsideRange,
 )
 from .extreal import NEG_INF, POS_INF, as_fraction
-from .rearrange import Rearrangement, RunningAverage
+from .rearrange import Rearrangement, RunningAverage, first_positive
 from .seqspec import (
     PartCursor,
     SequenceSpec,
@@ -184,13 +184,6 @@ def _stage_targets(pieces) -> Iterator[Fraction]:
 # The realizer
 
 
-def _first_positive(c0: int, c1: int) -> Optional[int]:
-    """The first k >= 0 with c0 + k*c1 > 0, or None when there is none."""
-    if c0 > 0:
-        return 0
-    return -c0 // c1 + 1 if c1 > 0 else None
-
-
 def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
     """Rearrange a spec so its averages accumulate exactly at Z ∪ {-inf, +inf}.
 
@@ -313,23 +306,12 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                     return head
                 backlog.append(side_cur.advance())
 
-        def toward(v, bound, x=None):
-            """(c0, c1): c0 + k*c1 has the sign of the average after k more
-            v's (and then x, if given) minus bound."""
-            num, den, m = avg.num, avg.den, avg.n
-            if x is not None:
-                xn, xd = x.numerator, x.denominator
-                num, den, m = num * xd + xn * den, den * xd, m + 1
-            bn, bd = bound.numerator, bound.denominator
-            return ((num * bd - bn * m * den) * v.denominator,
-                    (v.numerator * bd - bn * v.denominator) * den)
-
         def enters(v, x=None):
             """First k at which that average lies in (s_lo, s_hi), or None: it
             moves monotonically toward v, so where both edge tests first hold."""
-            lo0, lo1 = toward(v, s_lo, x)
-            hi0, hi1 = toward(v, s_hi, x)
-            k_lo, k_hi = _first_positive(lo0, lo1), _first_positive(-hi0, -hi1)
+            lo0, lo1 = avg.toward(v, s_lo, x)
+            hi0, hi1 = avg.toward(v, s_hi, x)
+            k_lo, k_hi = first_positive(lo0, lo1), first_positive(-hi0, -hi1)
             if k_lo is None or k_hi is None:
                 return None
             k = max(k_lo, k_hi)
@@ -353,10 +335,10 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
             run = 1
             if v is not None and n > 0 and cand_take is not side:
                 # the side holds while the average stays <= target (c)
-                t0, t1 = toward(v, target)
+                t0, t1 = avg.toward(v, target)
                 if t0 > 0:  # or > target (b)
                     t0, t1 = 1 - t0, -t1
-                bounds = [_first_positive(t0, t1), limit]
+                bounds = [first_positive(t0, t1), limit]
                 if settle_from is not None:
                     k = enters(v)
                     bounds.append(k if k is None else max(k, settle_from))

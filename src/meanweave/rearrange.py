@@ -18,11 +18,14 @@ replays the same emissions).
 
 Each constructor builds its stream from blocks ``(tag, value, count,
 first_src, step)`` (``Rearrangement.of_blocks``): ``count`` emissions of one
-value from the sources ``first_src + step*j``.  Most emit blocks of one.
-Runs (count > 1) come only from a part that is one ``Constant`` strand over an
-``AffineMap``: the climb (``target_above_limsup``) emits each fill gap as one
-block once its insertion gate is empty, the realizer emits each descent
-batch as one, and ``mirror_rearrangement`` passes them through.
+value from the sources ``first_src + step*j``.  Runs (count > 1) come only
+from a part that is one ``Constant`` strand over an ``AffineMap``: the
+weighted merge emits each stretch between two lead positions as one run,
+the oscillator the rest of each swing (its length from ``first_positive``,
+as in the realizer), and the climb (``target_above_limsup``) each fill gap
+once its insertion gate is empty; ``mirror_rearrangement`` passes runs
+through, and ``merge_preserving`` splits them only where its gate may open.
+Every run steps the running sum by one integer.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ Block = Tuple[str, Fraction, int, int, int]  # (tag, value, count, first_src, st
 class RunningAverage:
     """Exact running mean with cheap ordered comparisons.
 
-    Keeps the sum as an unreduced numerator/denominator pair so that integer
-    -valued streams never pay for rational normalization; comparisons against
-    rational bounds are integer cross-multiplications.
+    Keeps the sum as an unreduced numerator/denominator pair that grows only
+    when a value's denominator does not divide it, so that sums of integers
+    or of values over a few denominators never pay for rational
+    normalization; comparisons against rational bounds are integer
+    cross-multiplications.
     """
 
     __slots__ = ("n", "num", "den")
@@ -82,26 +87,34 @@ class RunningAverage:
 
     def add(self, value: Fraction):
         vn, vd = value.numerator, value.denominator
-        if vd == 1:
-            if self.den == 1:
-                self.num += vn
-            else:
-                self.num += vn * self.den
-        else:
-            self.num = self.num * vd + vn * self.den
-            self.den *= vd
+        den = self.den
+        if den == vd:
+            self.num += vn
+        elif den % vd:
+            self.num = self.num * vd + vn * den
+            self.den = den * vd
             if self.den > 1 << 128:
                 self._reduce()
+        else:
+            self.num += vn * (den // vd)
         self.n += 1
 
     def add_run(self, value: Fraction, k: int):
         """``add(value)`` k times, as one update."""
-        vn, vd = value.numerator * k, value.denominator
-        self.num = self.num * vd + vn * self.den
-        self.den *= vd
-        if self.den > 1 << 128:
-            self._reduce()
+        v = self.align(value)  # widens num first
+        self.num += v * k
         self.n += k
+
+    def align(self, value: Fraction) -> int:
+        """Widen the sum's denominator to a multiple of ``value``'s and return
+        ``value``'s numerator over it, so that each ``value`` adds that integer."""
+        vd = value.denominator
+        if self.den % vd:
+            if self.den > 1 << 128:
+                self._reduce()
+            self.num *= vd
+            self.den *= vd
+        return value.numerator * (self.den // vd)
 
     def _reduce(self):
         g = math.gcd(self.num, self.den)
@@ -133,6 +146,26 @@ class RunningAverage:
 
     def post_within(self, value: Fraction, lo: Fraction, hi: Fraction) -> bool:
         return self.post_cmp(value, lo) > 0 and self.post_cmp(value, hi) < 0
+
+    def toward(self, v: Fraction, bound: Fraction, x: Optional[Fraction] = None):
+        """(c0, c1): c0 + k*c1 has the sign of the average after k more v's
+        (and then x, if given) minus bound.  Along such a run the average
+        moves monotonically toward v, so ``first_positive`` finds where a
+        comparison first flips."""
+        num, den, m = self.num, self.den, self.n
+        if x is not None:
+            xn, xd = x.numerator, x.denominator
+            num, den, m = num * xd + xn * den, den * xd, m + 1
+        bn, bd = bound.numerator, bound.denominator
+        return ((num * bd - bn * m * den) * v.denominator,
+                (v.numerator * bd - bn * v.denominator) * den)
+
+
+def first_positive(c0: int, c1: int) -> Optional[int]:
+    """The first k >= 0 with c0 + k*c1 > 0, or None when there is none."""
+    if c0 > 0:
+        return 0
+    return -c0 // c1 + 1 if c1 > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -234,65 +267,69 @@ class _InsertionGate:
     together they keep the post-insertion average within eps of the limit.
     For infinite limits the conditions use the threshold M = 2^(l+1):
     |average| beyond M+2, |e|/(n+1) < 1, and n+1 > M+2.
+
+    The conditions on e and n alone hold exactly from n = ``opens`` on (an
+    integer fixed when the element is fetched), so the gate is surely shut
+    at every n < ``opens``; ``opens`` is None once nothing is left.  The
+    conditions on the average are integer cross-multiplications.
     """
 
     def __init__(self, limit: ExtendedReal, deferred: Iterator[Emission]):
         self.limit = limit
+        if limit.is_finite:
+            self._ln, self._ld = limit.value.numerator, limit.value.denominator
         self.level = 0
-        self._advance()
         self._deferred = deferred
-        self._pending = None
+        self._next()
 
-    def _advance(self):
+    def _next(self):
+        """Fetch the next deferred element at the next level and its ``opens``."""
         self.level += 1
-        self.eps3 = Fraction(1, 3 * (1 << self.level))  # (2^-l)/3
-        self.m_threshold = 1 << (self.level + 1)  # 2^(l+1)
+        self._pending = pending = next(self._deferred, None)
+        if pending is None:
+            self.opens = None
+            return
+        e = abs(pending[1])
         if self.limit.is_finite:
-            l_val = self.limit.value
-            self.window = (l_val - self.eps3, l_val + self.eps3)
+            self.d3 = 3 << self.level  # eps/3 = 1/d3
+            # |e| >= (n+1)/d3 exactly while n < floor(|e| d3); and n >= 1
+            self.opens = max(1, e.numerator * self.d3 // e.denominator)
+        else:
+            self.m2 = (1 << (self.level + 1)) + 2  # M + 2
+            self.opens = max(self.m2, e.numerator // e.denominator)
 
-    def admits(self, avg: RunningAverage, value: Fraction) -> bool:
-        if avg.n == 0:
+    def admits(self, avg: RunningAverage) -> bool:
+        n, num, den = avg.n, avg.num, avg.den
+        if self.opens is None or n < self.opens:
             return False
-        n1 = avg.n + 1
         if self.limit.is_finite:
-            if not avg.within(*self.window):
-                return False
-            if abs(value) >= self.eps3 * n1:
-                return False
-            # |average| / (n+1) < eps/3, cross-multiplied exactly
-            if abs(avg.num) * avg.den >= self.eps3 * (avg.den**2) * avg.n * n1:
-                return False
-            return True
-        m2 = self.m_threshold + 2
-        if n1 <= m2:
-            return False
-        if abs(value) >= n1:
-            return False
+            # |average - limit| < eps/3 and |average| / (n+1) < eps/3
+            dn = den * n
+            ld = self._ld
+            return (abs(num * ld - self._ln * dn) * self.d3 < ld * dn
+                    and abs(num) * self.d3 < dn * (n + 1))
         if self.limit.is_pos_inf:
-            return avg.cmp(Fraction(m2)) > 0
-        return avg.cmp(Fraction(-m2)) < 0
-
-    def empty(self) -> bool:
-        """True once every deferred element has been let in."""
-        if self._pending is None:
-            self._pending = next(self._deferred, None)
-        return self._pending is None
+            return num > self.m2 * den * n
+        return num < -self.m2 * den * n
 
     def take(self, avg: RunningAverage) -> Optional[Emission]:
         """The next deferred element if the gate admits it now, else None."""
-        if self.empty() or not self.admits(avg, self._pending[1]):
+        if not self.admits(avg):
             return None
-        pending, self._pending = self._pending, None
-        self._advance()
+        pending = self._pending
+        self._next()
         return pending
 
-    def drain(self, avg: RunningAverage) -> Iterator[Block]:
+    def drain(self, avg: RunningAverage) -> List[Block]:
         """Every deferred element the gate admits in a row, each a block of
         one tagged "extra" and added to the running average."""
+        if self.opens is None or avg.n < self.opens:
+            return []
+        out = []
         while (item := self.take(avg)) is not None:
             avg.add(item[1])
-            yield "extra", item[1], 1, item[0], 0
+            out.append(("extra", item[1], 1, item[0], 0))
+        return out
 
 
 def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
@@ -302,7 +339,8 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
     (source_index, value) pairs; each is inserted at the first position
     satisfying the insertion gate for its level, so perturbations shrink
     geometrically and the core's declared limit survives.  A run of the
-    core passes the gate one position at a time.
+    core passes whole while the gate is surely shut, and is split where the
+    gate may open.
     """
     if core.limit_in_average is None:
         raise UndeclaredLimit("core rearrangement has no declared average limit")
@@ -315,17 +353,22 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
     def blocks():
         gate = _InsertionGate(limit, fresh_extras())
         avg = RunningAverage()
-        for block in core.blocks():
-            tag, value, count, src, step = block
-            if count == 1:
-                yield from gate.drain(avg)
-                yield block
-                avg.add(value)
-                continue
-            for j in range(count):
-                yield from gate.drain(avg)
-                yield tag, value, 1, src + step * j, 0
-                avg.add(value)
+        for tag, value, count, src, step in core.blocks():
+            while count:
+                opens = gate.opens
+                if opens is not None and avg.n >= opens:
+                    yield from gate.drain(avg)
+                    k = 1
+                else:
+                    k = count if opens is None else min(count, opens - avg.n)
+                if k == 1:
+                    avg.add(value)
+                    yield tag, value, 1, src, 0
+                else:
+                    avg.add_run(value, k)
+                    yield tag, value, k, src, step
+                src += step * k
+                count -= k
 
     return Rearrangement.of_blocks(
         source=core.source,
@@ -370,23 +413,28 @@ def weighted_merge(
     swap = alpha > Fraction(1, 2)
     lead, other = (b_stream, a_stream) if swap else (a_stream, b_stream)
     gamma = 1 / ((1 - alpha) if swap else alpha)  # >= 2
+    gn, gd = gamma.numerator, gamma.denominator
 
     def blocks():
         lead_it = lead.emissions()
-        other_it = other.emissions()
+        other_cur = PartCursor(other)
         group = 1
-        next_head = 1  # first position of group 1
-        pos = 0
+        pos = 1  # position of group 1's lead
         while True:
-            pos += 1
-            if pos == next_head:
-                src, value = next(lead_it)
-                yield "lead", value, 1, src, 0
-                group += 1
-                next_head = max(pos + 1, math.ceil((group - 1) * gamma))
+            src, value = next(lead_it)
+            yield "lead", value, 1, src, 0
+            # the next lead sits at ceil(group * gamma) > pos, as gamma >= 2
+            head = -(-group * gn // gd)
+            group += 1
+            gap = head - pos - 1
+            if gap > 1 and other_cur.step is not None:
+                value = other_cur.head[1]
+                yield "other", value, gap, other_cur.take_run(gap), other_cur.step
             else:
-                src, value = next(other_it)
-                yield "other", value, 1, src, 0
+                for _ in range(gap):
+                    src, value = other_cur.advance()
+                    yield "other", value, 1, src, 0
+            pos = head
 
     g_ceil = math.ceil(gamma)
 
@@ -426,28 +474,35 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
 
     def blocks():
         avg = RunningAverage()
-        b_it = dec.b.emissions()
-        c_it = dec.c.emissions()
         d_it = dec.emissions("d")
 
-        def emit(pair, tag):
-            src, value = pair
+        def swing(cur, bound, sign, tag):
+            """One element of cur, then more while sign * (average - bound)
+            >= 0; a constant strand's further elements are one run."""
+            src, value = cur.advance()
             avg.add(value)
-            return tag, value, 1, src, 0
+            yield tag, value, 1, src, 0
+            if cur.step is not None:
+                v = cur.head[1]
+                c0, c1 = avg.toward(v, bound)
+                k = first_positive(-sign * c0, -sign * c1)
+                if k:
+                    avg.add_run(v, k)
+                    yield tag, v, k, cur.take_run(k), cur.step
+                return
+            while sign * avg.cmp(bound) >= 0:
+                src, value = cur.advance()
+                avg.add(value)
+                yield tag, value, 1, src, 0
 
+        sides = ((PartCursor(dec.b), p, 1, "low"), (PartCursor(dec.c), q, -1, "high"))
         while True:
-            rest = next(d_it, None)
-            if rest is not None:
-                yield emit(rest, "rest")
-            yield emit(next(b_it), "low")
-            while avg.cmp(p) >= 0:
-                yield emit(next(b_it), "low")
-            rest = next(d_it, None)
-            if rest is not None:
-                yield emit(rest, "rest")
-            yield emit(next(c_it), "high")
-            while avg.cmp(q) <= 0:
-                yield emit(next(c_it), "high")
+            for side in sides:
+                rest = next(d_it, None)
+                if rest is not None:
+                    avg.add(rest[1])
+                    yield "rest", rest[1], 1, rest[0], 0
+                yield from swing(*side)
 
     return Rearrangement.of_blocks(
         source=spec,
@@ -573,7 +628,7 @@ def target_above_limsup(
                 item = gate.take(avg)
                 if item is not None:
                     (src, value), tag = item, "extra"
-                elif fill.step is not None and gate.empty():
+                elif fill.step is not None and gate.opens is None:
                     # nothing left to let in: the rest of the gap is one run
                     gap = slot - 1 - pos
                     value = fill.head[1]

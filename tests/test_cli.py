@@ -158,6 +158,18 @@ def test_verify_checks_identities_and_tube(tmp_path):
     assert out == "identities: PASS\ntube target=1/3 eps=1/10000 from=150: FAIL\n"
 
 
+def test_verify_refuses_a_malformed_tube_before_any_output(tmp_path):
+    base = tmp_path / "run"
+    run("construct", "--target", "1/3", "--n", "20", "--out", str(base),
+        "interleave(const(0), const(1))")
+    trace_path = str(base) + ".trace.csv"
+    for tube, why in ((("2", "0"), "eps must be positive"),
+                      (("abc", "1/10"), "")):
+        code, out, err = run("verify", trace_path, "--tube", *tube)
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR UsageError: ") and why in err
+
+
 def test_verify_rejects_a_repeated_source_index(tmp_path):
     base = tmp_path / "run"
     run("construct", "--target", "1/3", "--n", "200", "--out", str(base),

@@ -27,7 +27,7 @@ from meanweave.harness import (
     iter_trace,
     verify_trace_identities,
 )
-from meanweave.rearrange import Rearrangement, RunningAverage
+from meanweave.rearrange import Rearrangement, RunningAverage, first_positive, merge_preserving
 from meanweave.seqspec import (
     Affine,
     AffineMap,
@@ -604,5 +604,112 @@ def test_block_streams_audit_and_trace_like_their_emissions(blocks, n, probes, s
     assert list(blocky.stream()) == [(src, value) for src, value, _tag in emissions]
     assert outcome(lambda: check_permutation(blocky, n, probes)) == outcome(
         lambda: check_permutation(flat, n, probes))
-    assert list(iter_trace(blocky)) == list(iter_trace(flat))
+    entries = list(iter_trace(blocky))
+    assert entries == list(iter_trace(flat))
     assert list(iter_trace(blocky, n)) == list(iter_trace(flat, n))
+    total = F(0)
+    for i, ((_src, value, _tag), e) in enumerate(zip(emissions, entries), 1):
+        total += value
+        assert (e.n, e.partial_sum) == (i, total)
+        assert e.average == e.partial_sum / e.n
+
+
+# ---------------------------------------------------------------------------
+# The running sum and the shared run formula against Fraction arithmetic
+
+
+@settings(max_examples=150, **COMMON)
+@given(st.lists(st.tuples(st.one_of(rationals, prime_fractions,
+                                    st.fractions(-3, 3, max_denominator=10**12)),
+                          st.integers(0, 6), rationals),
+                min_size=1, max_size=40))
+def test_running_sum_adds_and_runs_like_fractions(ops):
+    """``add`` (k = 0) and ``add_run`` (k >= 1) keep ``average`` and ``cmp``
+    equal to a Fraction sum, also once huge denominators force a reduction;
+    ``toward``/``first_positive`` find the first k more values that put the
+    average above the bound."""
+    ra = RunningAverage()
+    total, n = F(0), 0
+    for value, k, bound in ops:
+        if k == 0:
+            ra.add(value)
+        else:
+            ra.add_run(value, k)
+        total += value * max(k, 1)
+        n += max(k, 1)
+        avg = total / n
+        assert ra.average() == avg
+        assert ra.cmp(bound) == (avg > bound) - (avg < bound)
+        first = next((j for j in range(200) if (total + j * value) / (n + j) > bound), None)
+        got = first_positive(*ra.toward(value, bound))
+        assert got == first if first is not None else got is None or got >= 200
+
+
+# ---------------------------------------------------------------------------
+# The insertion gate admits at the positions its conditions give
+
+
+def gate_reference(core, extras, limit):
+    """merge_preserving's emissions from the gate's conditions as stated,
+    checked with Fractions at every position."""
+    out, pending = [], list(extras)
+    total, n, level = F(0), 0, 1
+
+    def admits(e):
+        if n == 0:
+            return False
+        avg, n1 = total / n, n + 1
+        if limit.is_finite:
+            eps3 = F(1, 3 * 2**level)
+            return (abs(avg - limit.value) < eps3 and abs(e) < eps3 * n1
+                    and abs(avg) / n1 < eps3)
+        m2 = 2 ** (level + 1) + 2
+        beyond = avg > m2 if limit.is_pos_inf else avg < -m2
+        return n1 > m2 and abs(e) < n1 and beyond
+
+    for src, value, tag in core:
+        while pending and admits(pending[0][1]):
+            extra = pending.pop(0)
+            out.append((*extra, "extra"))
+            total, n, level = total + extra[1], n + 1, level + 1
+        out.append((src, value, tag))
+        total, n = total + value, n + 1
+    return out
+
+
+@st.composite
+def gated_cores(draw):
+    """A limit, core runs whose averages settle near it, and deferred extras."""
+    limit = draw(st.sampled_from([F(0), F(1, 2), F(-2), POS_INF, NEG_INF]))
+    if isinstance(limit, F):
+        values = st.sampled_from([limit + d for d in (F(-1), F(-1, 3), 0, F(1, 2), 1)])
+        limit = ExtendedReal(limit)
+    else:
+        sign = 1 if limit is POS_INF else -1
+        values = st.integers(5, 60).map(lambda v: F(sign * v))
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 40)), min_size=1, max_size=25))
+    extras = draw(st.lists(st.fractions(-30, 30, max_denominator=4), max_size=8))
+    return limit, runs, [(10**6 + i, e) for i, e in enumerate(extras)]
+
+
+@settings(max_examples=200, **COMMON)
+@given(gated_cores())
+def test_merge_preserving_admits_alike_over_runs_and_singles(drawn):
+    """A core of runs and the same core cut into blocks of one give the same
+    stream, and both admit each extra where the gate's conditions, checked
+    at every position, first hold: the surely-shut bound hides no admission."""
+    limit, runs, extras = drawn
+    blocks, src = [], 1
+    for value, count in runs:
+        blocks.append(("core", value, count, src, 1))
+        src += count
+    singles = [(tag, value, 1, src + j, 0)
+               for tag, value, count, src, _step in blocks for j in range(count)]
+    streams = [
+        list(merge_preserving(
+            Rearrangement.of_blocks(None, lambda b=b: iter(b), None, "core", limit),
+            extras).tagged_stream())
+        for b in (blocks, singles)
+    ]
+    core = [(src, value, tag) for tag, value, _one, src, _step in singles]
+    assert streams[0] == streams[1] == gate_reference(core, extras, limit)

@@ -1,11 +1,14 @@
 """Pinned stream output: SHA-256 of the first tagged emissions.
 
 The first 20,000 of one fixed input per bench ``weave`` route, the mirrored
-climb, a climb whose runs pass the insertion gate of a middle strand, and
-the four-strand realizer; and the first 100,000 of the four-strand realizer
-for one prescribed set per bench ``realize`` shape (each of the low and high
-pieces a point or an interval).  Each stream's ``blocks()`` must also expand
-to its ``tagged_stream()``.
+climb, a climb whose runs pass the insertion gate of a middle strand, the
+four-strand realizer, and six routes over rational constants, a rest
+strand and a folded side without constant runs; and the first 100,000
+of the four-strand realizer for one prescribed set per bench ``realize``
+shape (each of the low and high pieces a point or an interval).  Each
+stream's ``blocks()`` must also expand to its ``tagged_stream()``, and the
+oscillator and the bounded route cover their first 20,000 emissions with a
+pinned number of blocks.
 """
 
 import hashlib
@@ -40,6 +43,15 @@ STREAMS = {
     "mirrored_climb": _route("interleave(const(-2), neg(pow(2)))", F(-4)),
     "climb_middle": _route("interleave(interleave(const(0), const(1)), pow(2))", F(3)),
     "four_strand_realizer": four_strand_realizer,
+    # rational constants, as the bench draws them; a rest strand; a folded
+    # side with no constant runs, which steps one emission at a time
+    "bounded_rational": _route("interleave(const(-7/3), const(5/2))", F(1, 5)),
+    "oscillator_rational": _route("interleave(const(-7/3), const(5/2))", None),
+    "bounded_rational_middle": _route(
+        "interleave(const(-7/3), interleave(const(5/2), const(-1/2)))", F(1, 5)),
+    "oscillator_rest": _route("interleave(interleave(const(0), const(3)), const(1))", None),
+    "bounded_folded": _route("interleave(interleave(const(0), const(0)), const(1))", F(1, 3)),
+    "oscillator_folded": _route("interleave(interleave(const(0), const(0)), const(1))", None),
 }
 
 DIGESTS = {
@@ -61,6 +73,18 @@ DIGESTS = {
         "2e2b6c8516318d6b175894ca83cfbc2b3e1d815ff169c396d828f34b1ec39738",
     "four_strand_realizer":
         "8b52ff32698dc5819122682704ab59ce9c443dd96b7ff70291641c653e507289",
+    "bounded_rational":
+        "9422431f9bfcdfa0ea26bdfbf1fbb38f9b24c800bc3159af3bc63e1570b0c3c3",
+    "oscillator_rational":
+        "6fd90267dbdcf498a045a38768f4b6b20bee4fc9642bd0592a253928440356ca",
+    "bounded_rational_middle":
+        "7e79609a386a64a7463d4d832e090588d4486b4b6cf9ae9b42567fcce892d1ea",
+    "oscillator_rest":
+        "90212d754d2d2a2f44c894be13c05d443507b31629022c1227995f872b4d02f3",
+    "bounded_folded":
+        "8332c4b2e24021e15951572423dae1775336bd415060b67af70f62a2279e8296",
+    "oscillator_folded":
+        "412e3b0f42a22eb67ebaceec16a5352ff8d03ab7de626e799862901b8f40128e",
 }
 
 
@@ -114,3 +138,18 @@ def test_realizer_digest_and_block_expansion(shape):
         REALIZER_COUNT,
         REALIZER_DIGESTS[shape],
     )
+
+
+# constant strands emit runs: a return to per-emission steering fails here
+BLOCK_COUNTS = {"oscillator": 27, "bounded": 17_778}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_COUNTS))
+def test_constant_strands_cover_the_pinned_emissions_in_runs(name):
+    covered = blocks = 0
+    for block in STREAMS[name]().blocks():
+        blocks += 1
+        covered += block[2]
+        if covered >= COUNT:
+            break
+    assert blocks == BLOCK_COUNTS[name]
