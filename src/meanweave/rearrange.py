@@ -55,6 +55,7 @@ from .seqspec import (
     PartStream,
     SequenceSpec,
     decompose,
+    limited_strands,
     profile,
     push_pointwise,
     strands,
@@ -381,72 +382,103 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
 
 
 # ---------------------------------------------------------------------------
-# Weighted merge of two convergent streams
+# Weighted merge of convergent streams
 
 
 def weighted_merge(
-    a_stream: PartStream, b_stream: PartStream, alpha: Fraction
+    a_stream: PartStream, b_stream: PartStream, alpha: Fraction, rest=()
 ) -> Rearrangement:
-    """Interleave two convergent streams with asymptotic density alpha : 1-alpha.
+    """Interleave convergent streams, each at a positive asymptotic density.
 
-    Positions are grouped into consecutive groups of rational length
-    gamma = 1/alpha; the first position of each group takes the next
-    a-element and the rest take b-elements, so a prefix of length m holds
-    m*alpha + O(1) a-elements and the average tends to
-    alpha*a + (1-alpha)*b.
+    ``rest`` holds further (part, weight) pairs; a and b share what their
+    weights leave as alpha : 1-alpha.  So part i holds weight w_i > 0, the
+    weights sum to 1 (``meta["weights"]`` lists each (limit, w_i)), and the
+    average tends to sum w_i * limit_i.  With alpha 0 or 1 and no rest, one
+    of a and b alone carries the limit and the other is deferred.
+
+    The part of largest weight (the last of equals) fills; the others, of
+    weight w_L together, lead.  Lead emission c+1 sits at position
+    ceil(c/w_L) (the first at 1) and goes to the lead j of largest priority
+    (c+1)*w_j - count_j*w_L, the first of equals; the filler's stretch
+    between two lead emissions is one gap, a run when the filler is one
+    constant strand.  All of it is integer arithmetic over the weights'
+    common denominator.
+
+    Coverage: after N positions the filler lags N*w_fill by at most 1, and a
+    lead, as the chosen priority is positive (they sum to w_L), lags its
+    share of the lead emissions by less than k-2 over k parts.  So part i's
+    K-th element comes by position ceil(1/w_min)*(K + k-1), with K the
+    ``IndexMap.rank_bound`` of the sources up to n.
     """
     alpha = as_fraction(alpha)
     if alpha < 0 or alpha > 1:
         raise WeightOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
-    if not (a_stream.limit.is_finite and b_stream.limit.is_finite):
+    parts = [a_stream, b_stream] + [part for part, _w in rest]
+    if not all(part.limit is not None and part.limit.is_finite for part in parts):
         raise UndeclaredLimit("weighted merge needs finite declared limits")
-    a_lim, b_lim = a_stream.limit.value, b_stream.limit.value
-    target = ExtendedReal(alpha * a_lim + (1 - alpha) * b_lim)
 
-    if alpha in (0, 1):
+    if alpha in (0, 1) and not rest:
         # one stream alone carries the limit; the other is deferred
         kept, deferred = (a_stream, b_stream) if alpha else (b_stream, a_stream)
         core = part_core(kept, kept.spec)
         core.name = f"weighted_merge[alpha={alpha}]"
         return merge_preserving(core, deferred)
 
-    swap = alpha > Fraction(1, 2)
-    lead, other = (b_stream, a_stream) if swap else (a_stream, b_stream)
-    gamma = 1 / ((1 - alpha) if swap else alpha)  # >= 2
-    gn, gd = gamma.numerator, gamma.denominator
+    share = 1 - sum(as_fraction(w) for _part, w in rest)
+    weights = [share * alpha, share * (1 - alpha)] + [as_fraction(w) for _part, w in rest]
+    if min(weights) <= 0:
+        raise WeightOutOfRange(f"every weight must be positive, got {weights}")
+    k = len(parts)
+    den = math.lcm(*(w.denominator for w in weights))
+    ws = [w.numerator * (den // w.denominator) for w in weights]  # sum to den
+    fill = max(range(k), key=lambda i: (ws[i], i))
+    tags = ["lead", "lead"] + ["rest"] * (k - 2)
+    if fill < 2:
+        tags[fill] = "other"
+    leads = [i for i in range(k) if i != fill]
+    lead_ws = [ws[j] for j in leads]
+    lead_w = den - ws[fill]
+    chooses = len(leads) > 1  # one lead leaves nothing to choose
 
     def blocks():
-        lead_it = lead.emissions()
-        other_cur = PartCursor(other)
-        group = 1
-        pos = 1  # position of group 1's lead
+        filler, fill_tag = PartCursor(parts[fill]), tags[fill]
+        lead_its = [parts[j].emissions() for j in leads]
+        lead_tags = [tags[j] for j in leads]
+        priority = [0] * len(leads)
+        i = c = 0
+        pos = 1  # of the first lead emission
         while True:
-            src, value = next(lead_it)
-            yield "lead", value, 1, src, 0
-            # the next lead sits at ceil(group * gamma) > pos, as gamma >= 2
-            head = -(-group * gn // gd)
-            group += 1
+            if chooses:
+                priority = [p + w for p, w in zip(priority, lead_ws)]
+                i = priority.index(max(priority))
+                priority[i] -= lead_w
+            src, value = next(lead_its[i])
+            yield lead_tags[i], value, 1, src, 0
+            c += 1
+            head = -(-c * den // lead_w)  # > pos, as lead_w < den
             gap = head - pos - 1
-            if gap > 1 and other_cur.step is not None:
-                value = other_cur.head[1]
-                yield "other", value, gap, other_cur.take_run(gap), other_cur.step
+            if gap > 1 and filler.step is not None:
+                value = filler.head[1]
+                yield fill_tag, value, gap, filler.take_run(gap), filler.step
             else:
                 for _ in range(gap):
-                    src, value = other_cur.advance()
-                    yield "other", value, 1, src, 0
+                    src, value = filler.advance()
+                    yield fill_tag, value, 1, src, 0
             pos = head
 
-    g_ceil = math.ceil(gamma)
+    scale = -(-den // min(ws))  # ceil(1 / w_min)
+    limits = tuple((part.limit.value, w) for part, w in zip(parts, weights))
 
     def coverage(n: int) -> int:
-        return g_ceil * (n + 1)
+        return scale * (max(part.witness.rank_bound(n) for part in parts) + k - 1)
 
     return Rearrangement.of_blocks(
         source=None,
         blocks=blocks,
         coverage_bound=coverage,
         name=f"weighted_merge[alpha={alpha}]",
-        limit_in_average=target,
+        limit_in_average=ExtendedReal(sum(w * limit for limit, w in limits)),
+        meta={"weights": limits},
     )
 
 
@@ -802,13 +834,18 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
     """Rearrange any supported spec so its average tends to the target.
 
     Derives the profile and the decomposition once and routes by the
-    profile's ends.  A bounded spec weight-merges its extreme strands with
-    the weight solving target = alpha*liminf + (1-alpha)*limsup and
-    re-inserts the rest without disturbing the limit (the identity when
-    liminf equals limsup); a spec divergent on both sides alternates
-    greedily; a spec with one divergent side places the divergent elements
-    at vanishing density (position ~ value/(target - limit)), mirrored when
-    the divergence is downward.
+    profile's ends.  A bounded spec (the identity when liminf equals
+    limsup) weight-merges its strands.  For t strictly inside (lo, hi), the
+    m middle strands of ``limited_strands``, with mean limit m_bar, share
+    delta = min(1/2, (t-lo)/(2(m_bar-lo)), (hi-t)/(2(hi-m_bar))) equally,
+    and the extreme strands take 1-delta at the alpha solving
+    (t - delta*m_bar)/(1-delta) = alpha*lo + (1-alpha)*hi: the weights are
+    positive, sum to 1 and average the limits to t exactly.  At t = lo or
+    hi the middle strands need vanishing density, so they enter through the
+    insertion gate.  A spec divergent
+    on both sides alternates greedily; a spec with one divergent side
+    places the divergent elements at vanishing density (position ~
+    value/(target - limit)), mirrored when the divergence is downward.
     """
     t = as_fraction(target)
     prof = profile(spec)
@@ -827,9 +864,18 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
         r = identity_rearrangement(spec, limit_in_average=lo)
         r.name = "bounded_target[degenerate]"
     elif bounded:
-        r = weighted_merge(dec.b, dec.c, (hi.value - t) / (hi.value - lo.value))
-        if dec.d is not None:
-            r = merge_preserving(r, dec.d)
+        a, b = lo.value, hi.value
+        if dec.d is None or t in (a, b):
+            r = weighted_merge(dec.b, dec.c, (b - t) / (b - a))
+            if dec.d is not None:
+                r = merge_preserving(r, dec.d)
+        else:
+            middle = [s for s in limited_strands(spec) if s.limit not in (lo, hi)]
+            mean = sum(s.limit.value for s in middle) / len(middle)
+            delta = min(Fraction(1, 2), (t - a) / (mean - a) / 2, (b - t) / (b - mean) / 2)
+            t_ex = (t - delta * mean) / (1 - delta)
+            r = weighted_merge(dec.b, dec.c, (b - t_ex) / (b - a),
+                               [(s, delta / len(middle)) for s in middle])
         r.name = f"bounded_target[{t}]"
     elif lo == NEG_INF and hi == POS_INF:
         extras = [dec.d] if dec.d is not None else None

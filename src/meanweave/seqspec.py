@@ -756,7 +756,8 @@ class IndexMap:
     ``AffineMap`` is affine and ``WovenMap`` alternates between two maps.
     Maps are frozen values; equality compares this representation.  A
     subclass gives ``_at(k)``, its k-th image, ``__iter__``, its images in
-    order, and ``split()``, its odd and its even elements.
+    order, ``split()``, its odd and its even elements, and ``rank_bound(n)``,
+    an upper bound on the rank of every source index up to n.
     """
 
     __slots__ = ()
@@ -791,6 +792,10 @@ class AffineMap(IndexMap):
         s, o = self.slope, self.offset
         return AffineMap(2 * s, o), AffineMap(2 * s, o + s)
 
+    def rank_bound(self, n: int) -> int:
+        # slope, offset >= 1: the k-th image is at least k
+        return n
+
 
 @dataclass(frozen=True, slots=True)
 class WovenMap(IndexMap):
@@ -808,6 +813,9 @@ class WovenMap(IndexMap):
 
     def split(self) -> Tuple[IndexMap, IndexMap]:
         return self.first, self.second
+
+    def rank_bound(self, n: int) -> int:
+        return max(2 * self.first.rank_bound(n) - 1, 2 * self.second.rank_bound(n))
 
 
 IDENTITY_MAP = AffineMap(1, 1)

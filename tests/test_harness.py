@@ -117,6 +117,59 @@ def test_audit_frozen_coverage_report_for_the_weighted_merge():
     assert report.coverage == ((10, 33, 12), (100, 303, 147), (1000, 3003, 1497))
 
 
+MIDDLE = "interleave(const(-1), interleave(const(2), const(1/2)))"
+
+
+def delayed(r, src, after):
+    """``r`` with the emission of source ``src`` moved to just after output
+    ``after``: still injective, and covered later than ``r`` covers it."""
+
+    def blocks():
+        held, rank = None, 0
+        for s, value, tag in r.tagged_stream():
+            if s == src:
+                held = (tag, value, 1, s, 0)
+                continue
+            rank += 1
+            yield tag, value, 1, s, 0
+            if rank == after:
+                yield held
+
+    return Rearrangement.of_blocks(r.source, blocks, r.coverage_bound, "delayed")
+
+
+def test_the_middle_route_certifies_its_coverage():
+    r = construct_target(parse_spec(MIDDLE), F(6, 5))
+    report = check_permutation(r, 1000, probes=(10, 100, 1000))
+    assert all(bound is not None and at <= bound for _p, bound, at in report.coverage)
+
+
+@pytest.mark.parametrize("late, caught", [(0, False), (1, True)])
+def test_a_middle_element_delayed_past_the_bound_is_a_coverage_violation(late, caught):
+    # source 4 is the first element of the middle strand const(1/2)
+    r = construct_target(parse_spec(MIDDLE), F(6, 5))
+    bound = r.coverage_bound(10)
+    broken = delayed(r, 4, bound - 1 + late)  # emitted at output bound + late
+    if not caught:
+        assert check_permutation(broken, 1000, probes=(10,)).coverage == ((10, bound, bound),)
+        return
+    with pytest.raises(CoverageViolation) as info:
+        check_permutation(broken, 1000, probes=(10, 100, 1000))
+    assert (info.value.prefix, info.value.bound) == (10, bound)
+
+
+def test_a_merge_over_a_deeply_folded_strand_covers_within_its_bound():
+    # the const(0) strands fold into one part whose source 3 has rank 5, so
+    # a bound that takes a source's rank to be at most the source is too small
+    spec = parse_spec(
+        "interleave(const(0), interleave(const(1), interleave(const(0),"
+        " interleave(const(0), interleave(const(0), const(0))))))"
+    )
+    r = construct_target(spec, F(2, 5))
+    report = check_permutation(r, 1000, probes=(10, 100, 1000))
+    assert all(at <= bound for _p, bound, at in report.coverage)
+
+
 def test_audit_stops_once_outputs_and_probes_are_covered():
     # the identity covers probe p at rank p, so the audit reads 100 outputs
     # although the claimed bounds would let it read 1000

@@ -27,7 +27,13 @@ from meanweave.harness import (
     iter_trace,
     verify_trace_identities,
 )
-from meanweave.rearrange import Rearrangement, RunningAverage, first_positive, merge_preserving
+from meanweave.rearrange import (
+    Rearrangement,
+    RunningAverage,
+    construct_target,
+    first_positive,
+    merge_preserving,
+)
 from meanweave.seqspec import (
     Affine,
     AffineMap,
@@ -713,3 +719,53 @@ def test_merge_preserving_admits_alike_over_runs_and_singles(drawn):
     ]
     core = [(src, value, tag) for tag, value, _one, src, _step in singles]
     assert streams[0] == streams[1] == gate_reference(core, extras, limit)
+
+
+@st.composite
+def middle_targets(draw):
+    """A bounded spec of 3-5 distinct constant strands in a random order, so
+    1-3 middle strands, and a target strictly inside its hull."""
+    values = draw(st.lists(rationals, min_size=3, max_size=5, unique=True))
+    lo, hi = min(values), max(values)
+    t = draw(st.fractions(lo, hi, max_denominator=24).filter(lambda x: lo < x < hi))
+    order = draw(st.permutations(values))
+    text = f"const({order[-1]})"
+    for v in reversed(order[:-1]):
+        text = f"interleave(const({v}), {text})"
+    return text, t
+
+
+# fixed before the first run: every count within LAG of n*w at every prefix
+# up to HORIZON; the average is then within LAG*sum|l - t|/HORIZON <= 3*5*40/20000
+# of the target, inside TOLERANCE
+LAG, HORIZON, TOLERANCE = 3, 20_000, F(1, 25)
+
+
+@settings(max_examples=40, **COMMON)
+@given(middle_targets())
+def test_middle_strands_merge_at_positive_density(drawn):
+    text, t = drawn
+    r = construct_target(parse_spec(text), t)
+    weights = dict(r.meta["weights"])  # strand limit -> weight; limits are distinct
+    assert len(weights) == text.count("const")
+    assert all(w > 0 for w in weights.values())
+    assert sum(weights.values()) == 1
+    assert sum(w * limit for limit, w in weights.items()) == t
+
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    # per strand [count, w*den]; a strand's count - n*w falls between its
+    # emissions, so it is least just before one and greatest just after
+    strands = {v: [0, int(w * den)] for v, w in weights.items()}
+    for n, (_src, value, _tag) in enumerate(islice(r.tagged_stream(), HORIZON), 1):
+        strand = strands[value]
+        c, scaled = strand
+        assert c * den - (n - 1) * scaled >= -LAG * den
+        assert (c + 1) * den - n * scaled <= LAG * den
+        strand[0] = c + 1
+    for c, scaled in strands.values():
+        assert c * den - HORIZON * scaled >= -LAG * den
+    average = sum(c * v for v, (c, _scaled) in strands.items()) / HORIZON
+    assert abs(average - t) < TOLERANCE
+
+    report = check_permutation(r, 1000, probes=(10, 100, 1000))
+    assert all(bound is not None and at <= bound for _p, bound, at in report.coverage)

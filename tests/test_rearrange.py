@@ -123,6 +123,28 @@ def test_bounded_target_rejects_targets_outside_the_hull():
             construct_target(spec, t)
 
 
+MIDDLE = "interleave(const(-1), interleave(const(2), const(1/2)))"
+
+
+@pytest.mark.parametrize("t", [F(-1), F(2)])
+def test_bounded_target_at_an_end_keeps_the_gate_for_middle_strands(t):
+    # an end of the hull leaves the middle strand at vanishing density
+    r = construct_target(parse_spec(MIDDLE), t)
+    assert r.name == f"bounded_target[{t}]"
+    assert r.coverage_bound is None and "weights" not in r.meta
+    tags = {tag for _src, _value, tag in islice(r.tagged_stream(), 20_000)}
+    assert "extra" in tags and "rest" not in tags
+    assert abs(avg_at(r, 2_000) - t) > abs(avg_at(r, 20_000) - t)
+    assert abs(avg_at(r, 20_000) - t) < F(1, 100)
+
+
+def test_bounded_target_with_a_middle_strand_rejects_targets_outside_the_hull():
+    spec = parse_spec(MIDDLE)
+    for t in (F(-1001, 1000), F(2001, 1000), F(-5), F(7)):
+        with pytest.raises(TargetUnreachable):
+            construct_target(spec, t)
+
+
 def test_bounded_target_degenerate_single_value():
     r = construct_target(parse_spec("const(5)"), F(5))
     assert avg_at(r, 50) == F(5)

@@ -2,8 +2,9 @@
 
 The first 20,000 of one fixed input per bench ``weave`` route, the mirrored
 climb, a climb whose runs pass the insertion gate of a middle strand, the
-four-strand realizer, and six routes over rational constants, a rest
-strand and a folded side without constant runs; and the first 100,000
+four-strand realizer, six routes over rational constants, a rest strand
+and a folded side without constant runs, and a bounded route with two
+middle strands of different limits; and the first 100,000
 of the four-strand realizer for one prescribed set per bench ``realize``
 shape (each of the low and high pieces a point or an interval).  Each
 stream's ``blocks()`` must also expand to its ``tagged_stream()``, and the
@@ -49,6 +50,8 @@ STREAMS = {
     "oscillator_rational": _route("interleave(const(-7/3), const(5/2))", None),
     "bounded_rational_middle": _route(
         "interleave(const(-7/3), interleave(const(5/2), const(-1/2)))", F(1, 5)),
+    "bounded_two_middle": _route(
+        "interleave(const(0), interleave(const(1), interleave(const(1/3), const(2/3))))", F(1, 2)),
     "oscillator_rest": _route("interleave(interleave(const(0), const(3)), const(1))", None),
     "bounded_folded": _route("interleave(interleave(const(0), const(0)), const(1))", F(1, 3)),
     "oscillator_folded": _route("interleave(interleave(const(0), const(0)), const(1))", None),
@@ -58,7 +61,7 @@ DIGESTS = {
     "bounded":
         "9c74a8bb7800291e08e97ecd748c21b0c203e7da1940ffbfa3fc23901f6babd3",
     "bounded_middle":
-        "6613054f0b4b08e1341c5645a5d34b3d38198395185be3dd966dc1a20fde795c",
+        "a9fe263d125586b4427577300b11ff580d9c1ed021af75bf87347a4da71c01b5",
     "climb_linear":
         "9599a086805f70c85dcee6fb6790d575444b70424f6ece6b3e1f514075ba0c0a",
     "climb_pow2":
@@ -78,7 +81,9 @@ DIGESTS = {
     "oscillator_rational":
         "6fd90267dbdcf498a045a38768f4b6b20bee4fc9642bd0592a253928440356ca",
     "bounded_rational_middle":
-        "7e79609a386a64a7463d4d832e090588d4486b4b6cf9ae9b42567fcce892d1ea",
+        "028ac71cd52dbb90ab5a468d8d35aef204f80b5eaebd6a6f4970f843c4d6fb14",
+    "bounded_two_middle":
+        "7f6c8f657eb51d02fdc8e9839f7270f48bb63f3ba37b420e9bd1a1f9c2a45007",
     "oscillator_rest":
         "90212d754d2d2a2f44c894be13c05d443507b31629022c1227995f872b4d02f3",
     "bounded_folded":
