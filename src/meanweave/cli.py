@@ -9,7 +9,6 @@ mismatches exit with status 1.
 from __future__ import annotations
 
 import argparse
-import itertools
 import re
 import sys
 from fractions import Fraction
@@ -69,13 +68,12 @@ def _cmd_construct(args) -> int:
         r = realizer_from_spec(spec, AARSet.parse(args.realize))
     perm_path = args.out + ".perm.txt"
     csv_path = args.out + ".trace.csv"
-    trace = iter_trace(r, args.n)
-    first = next(trace)  # a refused horizon raises here, before any file opens
+    trace = iter_trace(r, args.n)  # a refused horizon raises here, before any file opens
     last = {}
     with open(perm_path, "w") as pf, open(csv_path, "w", newline="") as cf:
 
         def entries():
-            for e in itertools.chain((first,), trace):
+            for e in trace:
                 pf.write(f"{e.n} {e.source_index}\n")
                 last["e"] = e
                 yield e

@@ -1,22 +1,16 @@
 """Exact-arithmetic verification: traces, permutation audits, tube checks.
 
-Everything here is exact — averages are rationals, interval membership is
-decided by rational comparison, and the brute-force envelope oracle
-enumerates subsets.  Floating point appears only in the decimal rendering
-of CSV output, which is display-only.
+Everything here is exact: averages are rationals compared by integer
+cross-multiplication, and the envelope oracle enumerates subsets.  Floats
+appear only in the decimal column of CSV output, which is display-only.
 
-A trace keeps its running sum as the unreduced integer pair of
-``RunningAverage``; an entry builds ``partial_sum`` and ``average`` as
-Fractions only when they are read, and the tube, schedule and identity
-checks compare by integer cross-multiplication.
-
-``iter_trace`` and ``check_permutation`` read a stream block by block
-(``Rearrangement.blocks``): the trace yields one entry per position, and
-inside every run it steps the sum by one integer over a common denominator;
-the audit checks injectivity position by position only over the first n
-outputs, and walks a run's sources only up to each probe.  The audit is the package's one
-coverage walk: it streams once, whether or not the stream certifies a
-coverage bound.
+One walker reads a stream's blocks and keeps the exact running sum as an
+unreduced integer pair.  ``iter_trace`` returns a re-iterable trace that
+expands each block into entries, which build ``partial_sum`` and ``average``
+as Fractions only when read.  ``check_tube`` and ``check_schedule`` share one
+window test, which reads such a trace as runs and tests each stretch of a run
+inside a window at its two ends; other entries are runs of one.  The audit
+``check_permutation`` reads the blocks itself and streams once.
 """
 
 from __future__ import annotations
@@ -26,11 +20,11 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
 from .extreal import ExtendedReal, as_fraction
-from .rearrange import Rearrangement, RunningAverage
+from .rearrange import Rearrangement, widen
 
 __all__ = [
     "TraceEntry",
@@ -130,32 +124,58 @@ def _live_entry(n, source_index, value, num, den) -> TraceEntry:
     return e
 
 
-def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterator[TraceEntry]:
-    """Stream the first n trace entries (all of them when n is None)."""
+def _walk(r: Rearrangement, n: Optional[int]):
+    """The first n positions (all when n is None) as blocks ``(n0, count,
+    value, first_src, step, num, v, den)``: positions n0+1..n0+count, the sum
+    num/den before them, each adding the integer v over den.  The one loop
+    that keeps the exact running sum; den widens by ``rearrange.widen``."""
+    num, den, k = 0, 1, 0
+    for _tag, value, size, src, step in r.blocks():
+        vd = value.denominator
+        if den == vd:
+            v = value.numerator
+        else:
+            if den % vd:
+                num, den = widen(num, den, vd)
+            v = value.numerator * (den // vd)
+        if size == 1:
+            yield k, 1, value, src, step, num, v, den
+            num += v
+            k += 1
+        else:
+            if n is not None and k + size > n:
+                size = n - k
+            yield k, size, value, src, step, num, v, den
+            num += v * size
+            k += size
+        if k == n:
+            return
+
+
+class _Trace:
+    """What ``iter_trace`` returns: each iteration walks the stream afresh,
+    and position n0+j of a block holds the sum num + j*v over den."""
+
+    def __init__(self, r: Rearrangement, n: Optional[int]):
+        self.r, self.n = r, n
+
+    def __iter__(self) -> Iterator[TraceEntry]:
+        for k, size, value, src, step, num, v, den in _walk(self.r, self.n):
+            if size == 1:
+                yield _live_entry(k + 1, src, value, num + v, den)
+            else:
+                for s in islice(count(src, step), size):
+                    num += v
+                    k += 1
+                    yield _live_entry(k, s, value, num, den)
+
+
+def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterable[TraceEntry]:
+    """The first n trace entries (all of them when n is None), lazy and
+    re-iterable; n < 1 raises ValueError here, not when the trace is read."""
     if n is not None and n < 1:
         raise ValueError("trace needs at least one entry")
-    acc = RunningAverage()
-    add = acc.add
-    left = -1 if n is None else n  # entries still to yield; negative: no end
-    for _tag, value, size, src, step in r.blocks():
-        if size == 1:
-            add(value)
-            yield _live_entry(acc.n, src, value, acc.num, acc.den)
-            left -= 1
-        else:
-            if 0 < left < size:
-                size = left
-            # every position adds one integer over one common denominator
-            v = acc.align(value)
-            num, den, k = acc.num, acc.den, acc.n
-            for s in islice(count(src, step), size):
-                num += v
-                k += 1
-                yield _live_entry(k, s, value, num, den)
-            acc.num, acc.n = num, k
-            left -= size
-        if left == 0:
-            return
+    return _Trace(r, n)
 
 
 def trace(r: Rearrangement, n: int) -> List[TraceEntry]:
@@ -256,24 +276,12 @@ def check_tube(t, target, eps, from_index: int = 1) -> bool:
     if eps <= 0:
         raise ValueError("eps must be positive")
     if target.is_finite:
-        lo = target.value - eps
-        hi = target.value + eps
+        lo, hi = target.value - eps, target.value + eps
     elif target.is_pos_inf:
         lo, hi = 1 / eps, None
     else:
         lo, hi = None, -1 / eps
-    for entry in t:
-        if entry.n >= from_index and not _inside(entry, lo, hi):
-            return False
-    return True
-
-
-def _inside(entry: TraceEntry, lo: Optional[Fraction], hi: Optional[Fraction]) -> bool:
-    """lo < average < hi by cross-multiplication; a None bound is unbounded."""
-    p, q = entry._average_pair()
-    if lo is not None and lo.numerator * q >= p * lo.denominator:
-        return False
-    return hi is None or p * hi.denominator < hi.numerator * q
+    return _check_windows(t, [(from_index, lo, hi)])
 
 
 def check_schedule(t, schedule) -> bool:
@@ -281,32 +289,45 @@ def check_schedule(t, schedule) -> bool:
 
     Window k constrains positions [from_k, from_{k+1}) — the last window
     extends to the end of the trace — to the open interval (lo_k, hi_k).
+    Raises ValueError unless the from-indices strictly increase.
     """
-    entries = list(schedule)
-    if not entries:
-        return True
-    idx = -1
-    lo_n = lo_d = hi_n = hi_d = None
-    next_from = entries[0].from_index
-    for te in t:
-        n = te.n
-        while next_from is not None and n >= next_from:
-            idx += 1
-            w = entries[idx]
-            lo_n, lo_d = w.lo.numerator, w.lo.denominator
-            hi_n, hi_d = w.hi.numerator, w.hi.denominator
-            next_from = (
-                entries[idx + 1].from_index if idx + 1 < len(entries) else None
-            )
-        if idx < 0:
-            continue
-        a = te._avg  # TraceEntry._average_pair, inlined for long replays
-        if a is None:
-            p, q = te._num, te._den * n
-        else:
-            p, q = a.numerator, a.denominator
-        if not (lo_n * q < p * lo_d and p * hi_d < hi_n * q):
-            return False
+    windows = [(w.from_index, w.lo, w.hi) for w in schedule]
+    return not windows or _check_windows(t, windows)
+
+
+def _entry_run(e: TraceEntry):
+    p, q = e._average_pair()  # a run of one at the entry's stated average
+    return e.n - 1, 1, None, None, None, p * e.n, 0, q
+
+
+def _check_windows(t, windows) -> bool:
+    """True iff window k holds the averages at positions [from_k, from_{k+1})
+    strictly inside (lo_k, hi_k), a None bound being none.  An ``iter_trace``
+    trace is read as runs: the average moves monotonically toward a run's
+    value, so a run's stretch inside one window is tested at its two ends."""
+    windows = [(0, None, None), *windows]  # positions before the first are free
+    starts = [w[0] for w in windows] + [None]
+    if any(a >= b for a, b in zip(starts[1:], starts[2:-1])):
+        raise ValueError("window from-indices must strictly increase")
+    # a missing bound is a pair that passes every cross-multiplication below
+    bounds = [((-1, 0) if lo is None else (lo.numerator, lo.denominator),
+               (1, 0) if hi is None else (hi.numerator, hi.denominator))
+              for _f, lo, hi in windows]
+    runs = _walk(t.r, t.n) if isinstance(t, _Trace) else map(_entry_run, t)
+    k, nxt = -1, 0  # window k holds the positions before nxt
+    for n0, size, _value, _src, _step, num, v, den in runs:
+        j, end = n0 + 1, n0 + size
+        while j <= end:
+            while nxt is not None and j >= nxt:
+                k += 1
+                (ln, ld), (hn, hd) = bounds[k]
+                nxt = starts[k + 1]
+            p, q = num + (j - n0) * v, den * j
+            if not (ln * q < p * ld and p * hd < hn * q):
+                return False
+            # next: this stretch's last position, or the next stretch's first
+            stop = end if nxt is None or nxt > end else nxt - 1
+            j = stop if stop > j else j + 1
     return True
 
 

@@ -88,40 +88,21 @@ class RunningAverage:
 
     def add(self, value: Fraction):
         vn, vd = value.numerator, value.denominator
-        den = self.den
-        if den == vd:
+        if self.den == vd:
             self.num += vn
-        elif den % vd:
-            self.num = self.num * vd + vn * den
-            self.den = den * vd
-            if self.den > 1 << 128:
-                self._reduce()
         else:
-            self.num += vn * (den // vd)
+            if self.den % vd:
+                self.num, self.den = widen(self.num, self.den, vd)
+            self.num += vn * (self.den // vd)
         self.n += 1
 
     def add_run(self, value: Fraction, k: int):
         """``add(value)`` k times, as one update."""
-        v = self.align(value)  # widens num first
-        self.num += v * k
-        self.n += k
-
-    def align(self, value: Fraction) -> int:
-        """Widen the sum's denominator to a multiple of ``value``'s and return
-        ``value``'s numerator over it, so that each ``value`` adds that integer."""
         vd = value.denominator
         if self.den % vd:
-            if self.den > 1 << 128:
-                self._reduce()
-            self.num *= vd
-            self.den *= vd
-        return value.numerator * (self.den // vd)
-
-    def _reduce(self):
-        g = math.gcd(self.num, self.den)
-        if g > 1:
-            self.num //= g
-            self.den //= g
+            self.num, self.den = widen(self.num, self.den, vd)
+        self.num += value.numerator * (self.den // vd) * k
+        self.n += k
 
     def average(self) -> Fraction:
         return Fraction(self.num, self.den * self.n)
@@ -160,6 +141,14 @@ class RunningAverage:
         bn, bd = bound.numerator, bound.denominator
         return ((num * bd - bn * m * den) * v.denominator,
                 (v.numerator * bd - bn * v.denominator) * den)
+
+
+def widen(num: int, den: int, vd: int) -> Tuple[int, int]:
+    """``num/den`` over a multiple of ``vd``; a pair past 2**128 is reduced first."""
+    if den > 1 << 128:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    return num * vd, den * vd
 
 
 def first_positive(c0: int, c1: int) -> Optional[int]:

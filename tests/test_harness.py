@@ -67,8 +67,10 @@ def test_trace_entries_carry_exact_partial_sums_and_averages():
 
 def test_iter_trace_is_lazy_and_bounded():
     r = identity_rearrangement(parse_spec("geom(2)"))
-    got = list(iter_trace(r, 3))
+    t = iter_trace(r, 3)
+    got = list(t)
     assert [e.value for e in got] == [F(2), F(4), F(8)]
+    assert list(t) == got  # each pass walks the stream afresh
 
 
 def test_trace_requires_a_positive_length():
@@ -80,7 +82,7 @@ def test_iter_trace_refuses_a_nonpositive_length():
     r = identity_rearrangement(parse_spec("const(0)"))
     for n in (0, -1):
         with pytest.raises(ValueError, match="at least one entry"):
-            next(iter_trace(r, n))
+            iter_trace(r, n)  # refused at the call, before the trace is read
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +316,36 @@ def test_schedule_entries_before_the_first_window_are_unconstrained():
 
 def test_empty_schedule_is_vacuously_satisfied():
     assert check_schedule(synthetic_trace([1, 2, 3]), [])
+
+
+def run_trace():
+    """Averages 0, 1/2, 2/3, ..., 10/11: a single 0, then one run of ten 1s."""
+    blocks = [("core", F(0), 1, 1, 0), ("core", F(1), 10, 2, 1)]
+    return iter_trace(Rearrangement.of_blocks(None, lambda: iter(blocks), None, "run"))
+
+
+# A live trace is read as runs, a list of its entries as runs of one.
+READS = pytest.mark.parametrize("read", [lambda t: t, list], ids=["runs", "entries"])
+
+
+@READS
+def test_schedule_windows_out_of_order_are_refused(read):
+    first, second = window(1, -1, 1), window(5, 2, 3)
+    assert not check_schedule(read(run_trace()), [first, second])  # 4/5 at n=5
+    with pytest.raises(ValueError, match="strictly increase"):
+        check_schedule(read(run_trace()), [second, first])
+    with pytest.raises(ValueError, match="strictly increase"):
+        check_schedule(read(run_trace()), [first, window(1, 2, 3)])
+
+
+@READS
+def test_a_window_starting_inside_a_run_splits_it(read):
+    # Both ends of the run (1/2 at n=2, 10/11 at n=11) sit inside their
+    # windows; only the split at n=5 finds the average 4/5 on the bound.
+    assert not check_schedule(read(run_trace()), [window(1, -1, 1), window(5, "4/5", 1)])
+    assert check_schedule(read(run_trace()), [window(1, -1, 1), window(5, "3/4", 1)])
+    assert not check_tube(read(run_trace()), F(9, 10), F(1, 10), from_index=5)
+    assert check_tube(read(run_trace()), F(17, 20), F(1, 10), from_index=5)
 
 
 # ---------------------------------------------------------------------------

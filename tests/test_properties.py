@@ -22,11 +22,14 @@ from meanweave.extreal import NEG_INF, POS_INF, ExtendedReal
 from meanweave.harness import (
     TraceEntry,
     check_permutation,
+    check_schedule,
+    check_tube,
     downward_jump_bound_holds,
     envelope_oracle,
     iter_trace,
     verify_trace_identities,
 )
+from meanweave.realizer import ScheduleEntry
 from meanweave.rearrange import (
     Rearrangement,
     RunningAverage,
@@ -618,6 +621,64 @@ def test_block_streams_audit_and_trace_like_their_emissions(blocks, n, probes, s
         total += value
         assert (e.n, e.partial_sum) == (i, total)
         assert e.average == e.partial_sum / e.n
+
+
+def windows_reference(avgs, windows):
+    """Window k holds positions [from_k, from_{k+1}) strictly inside
+    (lo_k, hi_k), tested position by position with Fractions."""
+    for m, a in enumerate(avgs, 1):
+        held = [w for w in windows if w[0] <= m]
+        if held and not held[-1][1] < a < held[-1][2]:
+            return False
+    return True
+
+
+@settings(max_examples=300, **COMMON)
+@given(block_streams(), st.data())
+def test_window_checks_over_runs_match_a_per_position_reference(blocks, data):
+    """check_schedule and check_tube read a live trace as runs, split where a
+    window starts inside a run; the verdict is the one a per-entry read and a
+    Fraction reference give, also for bounds equal to an attained average."""
+    positions = sum(count for _tag, _value, count, _src, _step in blocks)
+    n = data.draw(st.integers(1, positions))  # a horizon that may cut a run
+    r = Rearrangement.of_blocks(None, lambda: iter(blocks), None, "blocks")
+    avgs, total = [], F(0)
+    for _src, value in islice(r.stream(), n):
+        total += value
+        avgs.append(total / (len(avgs) + 1))
+    entries = list(iter_trace(r, n))
+    stated = [TraceEntry(e.n, e.source_index, e.value, e.partial_sum, e.average)
+              for e in entries]
+    slack = st.sampled_from([F(0), F(0), F(1, 1000), F(1), F(-1, 1000)])  # 0: attained
+
+    starts = sorted(data.draw(st.sets(st.integers(1, n + 1), min_size=1, max_size=4)))
+    windows = []
+    for a, b in zip(starts, starts[1:] + [n + 1]):
+        held = avgs[a - 1:b - 1] or [data.draw(st.fractions(-6, 6, max_denominator=3))]
+        windows.append((a, min(held) - data.draw(slack), max(held) + data.draw(slack)))
+    schedule = [ScheduleEntry(lo, hi, a, "tube", 1) for a, lo, hi in windows]
+    want = windows_reference(avgs, windows)
+    for t in (iter_trace(r, n), entries, stated):
+        assert check_schedule(t, schedule) == want
+
+    from_index = data.draw(st.integers(1, n + 1))
+    tail = avgs[from_index - 1:] or avgs
+    target = data.draw(st.sampled_from([POS_INF, NEG_INF]) | st.sampled_from(tail)
+                       | st.fractions(-6, 6, max_denominator=3))
+    if target is POS_INF:
+        m = max(min(tail) - data.draw(slack), F(1, 7))
+        eps, lo, hi = 1 / m, m, None
+    elif target is NEG_INF:
+        m = min(max(tail) + data.draw(slack), F(-1, 7))
+        eps, lo, hi = -1 / m, None, m
+    else:
+        eps = max(abs(a - target) for a in tail) + data.draw(slack)
+        eps = eps if eps > 0 else F(1, 5)
+        lo, hi = target - eps, target + eps
+    want = all((lo is None or lo < a) and (hi is None or a < hi)
+               for a in avgs[from_index - 1:])
+    for t in (iter_trace(r, n), entries, stated):
+        assert check_tube(t, target, eps, from_index) == want
 
 
 # ---------------------------------------------------------------------------
