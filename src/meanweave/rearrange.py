@@ -22,10 +22,16 @@ value from the sources ``first_src + step*j``.  Runs (count > 1) come only
 from a part that is one ``Constant`` strand over an ``AffineMap``: the
 weighted merge emits each stretch between two lead positions as one run,
 the oscillator the rest of each swing (its length from ``first_positive``,
-as in the realizer), and the climb (``target_above_limsup``) each fill gap
-once its insertion gate is empty; ``mirror_rearrangement`` passes runs
-through, and ``merge_preserving`` splits them only where its gate may open.
-Every run steps the running sum by one integer.
+as in the realizer), a core that plays one part in its own order runs of
+doubling length, and the climb (``target_above_limsup``) each fill gap up
+to the next slot; ``mirror_rearrangement`` passes runs through, and
+``merge_preserving`` splits them only at slots.  Every run steps the
+running sum by one integer.
+
+Elements that must come back at vanishing density (the extras) enter at
+fixed output positions: the l-th at slot_l = max(slot_{l-1} + 1,
+(l+1)**3 * ceil(max(1, |e_l|))) (``_slots``), a rule that reads neither the
+running average nor the limit.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .errors import (
 )
 from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
 from .seqspec import (
+    IDENTITY_MAP,
     IndexMap,
     PartCursor,
     PartStream,
@@ -224,139 +231,82 @@ class Rearrangement:
         return f"Rearrangement({self.name})"
 
 
-def _core_stream(source, pairs, coverage_bound, name, limit) -> Rearrangement:
-    """A stream that plays the ``pairs()`` (source_index, value) in order,
-    each a block of one tagged "core"."""
+def _core_stream(part: PartStream, source, coverage_bound, name) -> Rearrangement:
+    """A stream that plays ``part`` in its own order, tagged "core": a
+    constant strand over an affine map as runs of doubling length, any
+    other part as blocks of one."""
 
     def blocks():
-        for src, value in pairs():
-            yield "core", value, 1, src, 0
+        if part.run_step() is None:
+            for src, value in part.emissions():
+                yield "core", value, 1, src, 0
+            return
+        cur, k = PartCursor(part), 1
+        while True:
+            yield "core", cur.head[1], k, cur.take_run(k), cur.step
+            k *= 2
 
-    return Rearrangement.of_blocks(source, blocks, coverage_bound, name, limit)
+    return Rearrangement.of_blocks(source, blocks, coverage_bound, name, part.limit)
 
 
 def identity_rearrangement(
     spec: SequenceSpec, limit_in_average: Optional[ExtendedReal] = None
 ) -> Rearrangement:
     return _core_stream(
-        spec, lambda: enumerate(spec.iter_terms(), start=1), lambda n: n,
-        "identity", limit_in_average,
+        PartStream(spec, IDENTITY_MAP, limit_in_average), spec, lambda n: n, "identity"
     )
 
 
 # ---------------------------------------------------------------------------
-# Extras insertion gate (limit-preserving merge conditions)
+# Slot schedule of deferred elements
 
 
-class _InsertionGate:
-    """Holds the deferred elements and decides when the next may enter.
+def _slots(deferred: Iterator[Emission]) -> Iterator[Tuple[int, int, Fraction]]:
+    """(slot, source_index, value) of each deferred element, in order.
 
-    The l-th extra (value e) may be emitted at position n+1 once the three
-    exact conditions hold for eps = 2^-l: the running average is within
-    eps/3 of the limit, |e|/(n+1) < eps/3, and |average|/(n+1) < eps/3 —
-    together they keep the post-insertion average within eps of the limit.
-    For infinite limits the conditions use the threshold M = 2^(l+1):
-    |average| beyond M+2, |e|/(n+1) < 1, and n+1 > M+2.
-
-    The conditions on e and n alone hold exactly from n = ``opens`` on (an
-    integer fixed when the element is fetched), so the gate is surely shut
-    at every n < ``opens``; ``opens`` is None once nothing is left.  The
-    conditions on the average are integer cross-multiplications.
+    The l-th element e_l enters at output position
+    slot_l = max(slot_{l-1} + 1, (l+1)**3 * ceil(max(1, |e_l|))), read off
+    l and |e_l| alone: neither the running average nor the limit.  By
+    position n about n**(1/3) extras are placed, each with |e_l| <= n/(l+1)**3,
+    so for every K they sum to at most S_K + n/K (S_K the first K): o(n), and
+    the core's average limit, finite or infinite, survives.
     """
-
-    def __init__(self, limit: ExtendedReal, deferred: Iterator[Emission]):
-        self.limit = limit
-        if limit.is_finite:
-            self._ln, self._ld = limit.value.numerator, limit.value.denominator
-        self.level = 0
-        self._deferred = deferred
-        self._next()
-
-    def _next(self):
-        """Fetch the next deferred element at the next level and its ``opens``."""
-        self.level += 1
-        self._pending = pending = next(self._deferred, None)
-        if pending is None:
-            self.opens = None
-            return
-        e = abs(pending[1])
-        if self.limit.is_finite:
-            self.d3 = 3 << self.level  # eps/3 = 1/d3
-            # |e| >= (n+1)/d3 exactly while n < floor(|e| d3); and n >= 1
-            self.opens = max(1, e.numerator * self.d3 // e.denominator)
-        else:
-            self.m2 = (1 << (self.level + 1)) + 2  # M + 2
-            self.opens = max(self.m2, e.numerator // e.denominator)
-
-    def admits(self, avg: RunningAverage) -> bool:
-        n, num, den = avg.n, avg.num, avg.den
-        if self.opens is None or n < self.opens:
-            return False
-        if self.limit.is_finite:
-            # |average - limit| < eps/3 and |average| / (n+1) < eps/3
-            dn = den * n
-            ld = self._ld
-            return (abs(num * ld - self._ln * dn) * self.d3 < ld * dn
-                    and abs(num) * self.d3 < dn * (n + 1))
-        if self.limit.is_pos_inf:
-            return num > self.m2 * den * n
-        return num < -self.m2 * den * n
-
-    def take(self, avg: RunningAverage) -> Optional[Emission]:
-        """The next deferred element if the gate admits it now, else None."""
-        if not self.admits(avg):
-            return None
-        pending = self._pending
-        self._next()
-        return pending
-
-    def drain(self, avg: RunningAverage) -> List[Block]:
-        """Every deferred element the gate admits in a row, each a block of
-        one tagged "extra" and added to the running average."""
-        if self.opens is None or avg.n < self.opens:
-            return []
-        out = []
-        while (item := self.take(avg)) is not None:
-            avg.add(item[1])
-            out.append(("extra", item[1], 1, item[0], 0))
-        return out
+    slot = 0
+    for l, (src, value) in enumerate(deferred, 1):
+        size = max(1, -(-abs(value.numerator) // value.denominator))
+        slot = max(slot + 1, (l + 1) ** 3 * size)
+        yield slot, src, value
 
 
 def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
     """Weave deferred elements into a stream without moving its average limit.
 
     ``extras`` is a ``PartStream`` or an ordered collection of
-    (source_index, value) pairs; each is inserted at the first position
-    satisfying the insertion gate for its level, so perturbations shrink
-    geometrically and the core's declared limit survives.  A run of the
-    core passes whole while the gate is surely shut, and is split where the
-    gate may open.
+    (source_index, value) pairs; the l-th enters at the output position
+    slot_l of the slot schedule (``_slots``), and the core keeps its order
+    in the positions between.  A run of the core passes whole up to the
+    next slot.
     """
     if core.limit_in_average is None:
         raise UndeclaredLimit("core rearrangement has no declared average limit")
-    limit = core.limit_in_average
     if isinstance(extras, PartStream):
         fresh_extras = extras.emissions
     else:
         fresh_extras = tuple(extras).__iter__
 
     def blocks():
-        gate = _InsertionGate(limit, fresh_extras())
-        avg = RunningAverage()
+        due = _slots(fresh_extras())
+        nxt = next(due, None)
+        pos = 0
         for tag, value, count, src, step in core.blocks():
             while count:
-                opens = gate.opens
-                if opens is not None and avg.n >= opens:
-                    yield from gate.drain(avg)
-                    k = 1
-                else:
-                    k = count if opens is None else min(count, opens - avg.n)
-                if k == 1:
-                    avg.add(value)
-                    yield tag, value, 1, src, 0
-                else:
-                    avg.add_run(value, k)
-                    yield tag, value, k, src, step
+                while nxt is not None and nxt[0] == pos + 1:
+                    pos += 1
+                    yield "extra", nxt[2], 1, nxt[1], 0
+                    nxt = next(due, None)
+                k = count if nxt is None else min(count, nxt[0] - pos - 1)
+                yield tag, value, k, src, step
+                pos += k
                 src += step * k
                 count -= k
 
@@ -365,7 +315,7 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
         blocks=blocks,
         coverage_bound=None,
         name=f"merge_preserving({core.name})",
-        limit_in_average=limit,
+        limit_in_average=core.limit_in_average,
         meta=dict(core.meta),
     )
 
@@ -575,9 +525,11 @@ def sort_increasing(c_part) -> Rearrangement:
     if c_part.limit != POS_INF:
         raise NotDivergent("sort_increasing needs a part tending to +inf")
 
-    return _core_stream(
-        c_part.spec, lambda: _sorted_emissions(c_part), None, "sort_increasing", POS_INF
-    )
+    def blocks():
+        for src, value in _sorted_emissions(c_part):
+            yield "core", value, 1, src, 0
+
+    return Rearrangement.of_blocks(c_part.spec, blocks, None, "sort_increasing", POS_INF)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +544,9 @@ def target_above_limsup(
     The divergent strand is sorted, its values not exceeding
     max{1, 2(target-b)} are deferred, and the n-th surviving value x_n is
     emitted at output index floor((s_n - x_n/2) / (target-b)) where s_n is
-    the running sum of survivors; all other slots carry bounded-strand
-    elements (or, once admissible, deferred survivors' gate-fed returns).
+    the running sum of survivors; all other positions carry bounded-strand
+    elements, apart from the deferred values, each on the first of them at
+    or after its slot in the slot schedule (``_slots``).
     Placing x_n half its own weight early centres the sawtooth of the
     average on the target: it overshoots by about (target-b) x_n/(2 s_n)
     right after a placement and undershoots by as much just before one,
@@ -602,8 +555,8 @@ def target_above_limsup(
     they strictly increase, and the first slot is at least 1.
     meta["placements"](count) replays the stream and returns the
     (slot, source_index, value) of the first count "place" emissions.
-    Once the gate is empty, a constant bounded strand fills each gap between
-    two placements as one block.
+    A constant bounded strand fills each gap between two placements as runs,
+    split only at the deferred values' slots.
     """
     target = as_fraction(target)
     if not b_part.limit.is_finite:
@@ -634,8 +587,8 @@ def target_above_limsup(
 
     def blocks():
         deferred, first_survivor, surv_it = split_sorted()
-        gate = _InsertionGate(limit, iter(deferred))
-        avg = RunningAverage()
+        due = _slots(iter(deferred))
+        nxt = next(due, None)
         fill = PartCursor(b_part)
         pos = 0
         s = Fraction(0)
@@ -644,27 +597,22 @@ def target_above_limsup(
             s += survivor[1]
             slot = math.floor(v * (s - survivor[1] / 2))
             while pos + 1 < slot:
-                # fill with a deferred element when the gate allows, else
-                # with the next bounded-strand element
-                item = gate.take(avg)
-                if item is not None:
-                    (src, value), tag = item, "extra"
-                elif fill.step is not None and gate.opens is None:
-                    # nothing left to let in: the rest of the gap is one run
-                    gap = slot - 1 - pos
-                    value = fill.head[1]
-                    src = fill.take_run(gap)
+                if nxt is not None and nxt[0] <= pos + 1:
+                    # a deferred element takes the first fill position at
+                    # or after its slot
+                    pos += 1
+                    yield "extra", nxt[2], 1, nxt[1], 0
+                    nxt = next(due, None)
+                elif fill.step is not None:
+                    # the rest of the gap, up to the next due slot, is one run
+                    gap = slot - 1 - pos if nxt is None else min(slot, nxt[0]) - 1 - pos
                     pos += gap
-                    avg.add_run(value, gap)
-                    yield "fill", value, gap, src, fill.step
-                    break
+                    yield "fill", fill.head[1], gap, fill.take_run(gap), fill.step
                 else:
-                    (src, value), tag = fill.advance(), "fill"
-                pos += 1
-                avg.add(value)
-                yield tag, value, 1, src, 0
+                    src, value = fill.advance()
+                    pos += 1
+                    yield "fill", value, 1, src, 0
             pos += 1
-            avg.add(survivor[1])
             yield "place", survivor[1], 1, survivor[0], 0
             survivor = next(surv_it)
 
@@ -713,7 +661,7 @@ def _strand_for_path(part: PartStream, side: str):
         if step == "second":
             halves.reverse()
         (spec, wit), (other, other_wit) = halves
-        # leftovers only feed the insertion gate, which needs no limit
+        # leftovers only feed the slot schedule, which needs no limit
         leftovers.append(PartStream(other, other_wit, None))
     return PartStream(spec, wit, part.limit), leftovers
 
@@ -727,7 +675,9 @@ def two_sided_balance(
     condition; the qualifying sub-strands alternate greedily around the
     target (elements from the +inf side while the average is below, from
     the -inf side while above).  Everything else is deferred and re-enters
-    through the insertion gate.
+    at the slots of the slot schedule (``_slots``); an extra due at the next
+    position takes the place of a steering step, so the greedy average sees
+    it.
     """
     target = as_fraction(target)
     if b_part.limit != NEG_INF:
@@ -755,28 +705,27 @@ def two_sided_balance(
             iters = alive
 
     def blocks():
-        gate = _InsertionGate(limit, deferred_emissions())
+        due = _slots(deferred_emissions())
+        nxt = next(due, None)
         avg = RunningAverage()
-        b_it = b_sel.emissions()
-        c_it = c_sel.emissions()
-
+        # climb with +inf-side elements until the average reaches target,
+        # then descend with -inf-side elements until it returns to it; an
+        # extra due at the next position is emitted in place of a step
+        sides = ((c_sel.emissions(), "high", -1), (b_sel.emissions(), "low", 1))
         while True:
-            # climb with +inf-side elements until the average reaches target
-            first = True
-            while first or avg.cmp(target) < 0:
-                first = False
-                yield from gate.drain(avg)
-                src, value = next(c_it)
-                avg.add(value)
-                yield "high", value, 1, src, 0
-            # descend with -inf-side elements until it returns to target
-            first = True
-            while first or avg.cmp(target) > 0:
-                first = False
-                yield from gate.drain(avg)
-                src, value = next(b_it)
-                avg.add(value)
-                yield "low", value, 1, src, 0
+            for it, tag, sign in sides:
+                first = True
+                while first or sign * avg.cmp(target) > 0:
+                    if nxt is not None and nxt[0] == avg.n + 1:
+                        _slot, src, value = nxt
+                        nxt = next(due, None)
+                        avg.add(value)
+                        yield "extra", value, 1, src, 0
+                        continue
+                    first = False
+                    src, value = next(it)
+                    avg.add(value)
+                    yield tag, value, 1, src, 0
 
     return Rearrangement.of_blocks(
         source=None,
@@ -798,7 +747,7 @@ def part_core(part: PartStream, source: SequenceSpec) -> Rearrangement:
     so it carries no coverage bound; it exists to serve as the core of a
     limit-preserving merge that restores full coverage.
     """
-    return _core_stream(source, part.emissions, None, "part_core", part.limit)
+    return _core_stream(part, source, None, "part_core")
 
 
 def mirror_rearrangement(r: Rearrangement, source: SequenceSpec) -> Rearrangement:
@@ -830,11 +779,12 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
     and the extreme strands take 1-delta at the alpha solving
     (t - delta*m_bar)/(1-delta) = alpha*lo + (1-alpha)*hi: the weights are
     positive, sum to 1 and average the limits to t exactly.  At t = lo or
-    hi the middle strands need vanishing density, so they enter through the
-    insertion gate.  A spec divergent
-    on both sides alternates greedily; a spec with one divergent side
-    places the divergent elements at vanishing density (position ~
-    value/(target - limit)), mirrored when the divergence is downward.
+    hi the middle strands need vanishing density, so they enter at the
+    slots of the slot schedule (``merge_preserving``).  A spec divergent on
+    both sides alternates greedily; a spec with one divergent side places
+    the divergent elements at vanishing density (position ~
+    value/(target - limit)), mirrored when the divergence is downward; its
+    middle strands, and at t = limit its divergent ones, enter at slots.
     """
     t = as_fraction(target)
     prof = profile(spec)

@@ -713,34 +713,22 @@ def test_running_sum_adds_and_runs_like_fractions(ops):
 
 
 # ---------------------------------------------------------------------------
-# The insertion gate admits at the positions its conditions give
+# Extras enter at the slots of the stated schedule
 
 
-def gate_reference(core, extras, limit):
-    """merge_preserving's emissions from the gate's conditions as stated,
-    checked with Fractions at every position."""
-    out, pending = [], list(extras)
-    total, n, level = F(0), 0, 1
-
-    def admits(e):
-        if n == 0:
-            return False
-        avg, n1 = total / n, n + 1
-        if limit.is_finite:
-            eps3 = F(1, 3 * 2**level)
-            return (abs(avg - limit.value) < eps3 and abs(e) < eps3 * n1
-                    and abs(avg) / n1 < eps3)
-        m2 = 2 ** (level + 1) + 2
-        beyond = avg > m2 if limit.is_pos_inf else avg < -m2
-        return n1 > m2 and abs(e) < n1 and beyond
-
-    for src, value, tag in core:
-        while pending and admits(pending[0][1]):
-            extra = pending.pop(0)
-            out.append((*extra, "extra"))
-            total, n, level = total + extra[1], n + 1, level + 1
-        out.append((src, value, tag))
-        total, n = total + value, n + 1
+def slot_reference(core, extras):
+    """merge_preserving's emissions from the slot rule as stated: the l-th
+    extra at output position max(slot_{l-1} + 1, (l+1)**3 * ceil(max(1, |e_l|))),
+    the core in its order at every other position up to its end."""
+    at, slot = {}, 0
+    for l, (src, e) in enumerate(extras, 1):
+        slot = max(slot + 1, (l + 1) ** 3 * math.ceil(max(1, abs(e))))
+        at[slot] = (src, e, "extra")
+    out = []
+    for item in core:
+        while len(out) + 1 in at:
+            out.append(at[len(out) + 1])
+        out.append(item)
     return out
 
 
@@ -755,7 +743,8 @@ def gated_cores(draw):
         sign = 1 if limit is POS_INF else -1
         values = st.integers(5, 60).map(lambda v: F(sign * v))
     runs = draw(st.lists(st.tuples(values, st.integers(1, 40)), min_size=1, max_size=25))
-    extras = draw(st.lists(st.fractions(-30, 30, max_denominator=4), max_size=8))
+    extras = draw(st.lists(
+        st.one_of(st.just(F(0)), st.fractions(-30, 30, max_denominator=4)), max_size=8))
     return limit, runs, [(10**6 + i, e) for i, e in enumerate(extras)]
 
 
@@ -763,8 +752,8 @@ def gated_cores(draw):
 @given(gated_cores())
 def test_merge_preserving_admits_alike_over_runs_and_singles(drawn):
     """A core of runs and the same core cut into blocks of one give the same
-    stream, and both admit each extra where the gate's conditions, checked
-    at every position, first hold: the surely-shut bound hides no admission."""
+    stream, and both put each extra at its slot, finite limit or infinite:
+    passing runs whole up to the next slot hides no extra."""
     limit, runs, extras = drawn
     blocks, src = [], 1
     for value, count in runs:
@@ -779,7 +768,7 @@ def test_merge_preserving_admits_alike_over_runs_and_singles(drawn):
         for b in (blocks, singles)
     ]
     core = [(src, value, tag) for tag, value, _one, src, _step in singles]
-    assert streams[0] == streams[1] == gate_reference(core, extras, limit)
+    assert streams[0] == streams[1] == slot_reference(core, extras)
 
 
 @st.composite

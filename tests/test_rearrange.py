@@ -110,10 +110,20 @@ def test_bounded_target_one_third_frozen_prefix_and_average():
 
 def test_bounded_target_hits_the_endpoints():
     # Every element must still appear, so the opposite level shows up with
-    # vanishing density; these exact prefixes have six stray elements each.
+    # vanishing density; these exact prefixes have eleven stray elements
+    # each, at the slots (l+1)**3 = 8, 27, ..., 1728.
     spec = parse_spec("interleave(const(0), const(1))")
-    assert avg_at(construct_target(spec, F(0)), 2000) == F(3, 1000)
-    assert avg_at(construct_target(spec, F(1)), 2000) == F(997, 1000)
+    assert avg_at(construct_target(spec, F(0)), 2000) == F(11, 2000)
+    assert avg_at(construct_target(spec, F(1)), 2000) == F(1989, 2000)
+
+
+def test_bounded_target_at_the_top_places_zero_extras_at_cubic_slots():
+    # the deferred part is all zeros, so the l-th enters at (l+1)**3: at
+    # most 26 by position 20,000, not one per position
+    r = construct_target(parse_spec("interleave(const(0), const(1))"), F(1))
+    tags = [tag for _src, _value, tag in islice(r.tagged_stream(), 20_000)]
+    assert tags.count("extra") <= 26
+    assert avg_at(r, 20_000) > F(99, 100)
 
 
 def test_bounded_target_rejects_targets_outside_the_hull():
@@ -312,26 +322,30 @@ def test_target_above_frozen_placements():
     ]
     by_n = {e.n: e for e in entries}
     assert [by_n[n].average for n in (1, 5, 9, 15, 21, 29, 37)] == [
-        F(3), F(7, 5), F(13, 9), F(19, 15), F(26, 21), F(36, 29), F(45, 37)
+        F(3), F(7, 5), F(13, 9), F(19, 15), F(26, 21), F(34, 29), F(43, 37)
     ]
 
 
 def test_target_above_weaves_back_the_small_survivors():
-    entries = list(iter_trace(frozen_above(), 40))
-    gated = [(e.n, e.source_index, e.value) for e in entries if F(0) < e.value < F(3)]
-    assert gated == [(8, 2, F(1)), (26, 4, F(2))]
+    # the deferred values 1 and 2 have slots 2**3 * 1 = 8 and 3**3 * 2 = 54,
+    # both fill positions
+    entries = list(iter_trace(frozen_above(), 60))
+    deferred = [(e.n, e.source_index, e.value) for e in entries if F(0) < e.value < F(3)]
+    assert deferred == [(8, 2, F(1)), (54, 4, F(2))]
 
 
-def test_target_above_fills_each_gap_as_one_run_once_the_gate_is_empty():
+def test_target_above_fills_each_gap_as_runs_split_only_at_slots():
     blocks = list(islice(frozen_above().blocks(), 60))
-    first_run = next(i for i, b in enumerate(blocks) if b[2] > 1)
-    # the last deferred element (2, at source 4) enters before the first run
-    assert ("extra", F(2), 1, 4, 0) in blocks[:first_run]
-    for i, (tag, value, count, src, step) in enumerate(blocks[first_run:], first_run):
-        assert tag in ("fill", "place")
+    pos, extras = 0, []
+    for i, (tag, value, count, src, step) in enumerate(blocks[:-1]):
+        pos += count
         if tag == "fill":  # the zero strand holds the odd sources
             assert (value, step, src % 2) == (0, 2, 1)
-            assert blocks[i + 1][0] == "place"
+            # a fill run ends at a placement or at a deferred value's slot
+            assert blocks[i + 1][0] in ("place", "extra")
+        elif tag == "extra":
+            extras.append((pos, src, value))
+    assert extras == [(8, 2, F(1)), (54, 4, F(2))]
     expanded = [
         (src + step * j, value, tag)
         for tag, value, count, src, step in blocks
@@ -340,7 +354,7 @@ def test_target_above_fills_each_gap_as_one_run_once_the_gate_is_empty():
     assert list(islice(frozen_above().tagged_stream(), len(expanded))) == expanded
 
 
-CLIMB_COVERAGE = ((10, None, 61), (100, None, 20835), (1000, None, 20833372))
+CLIMB_COVERAGE = ((10, None, 108), (100, None, 20835), (1000, None, 20833372))
 
 
 @pytest.mark.parametrize("text, target", [
@@ -349,13 +363,40 @@ CLIMB_COVERAGE = ((10, None, 61), (100, None, 20835), (1000, None, 20833372))
 ])
 def test_climb_over_a_square_strand_is_audited_within_two_seconds(text, target):
     # probe 1000 needs the 500th square, placed near position 2*10^7; the
-    # audit reads each fill gap between placements as one run
+    # audit reads each fill gap between placements as runs, split only at
+    # the slots of the three deferred values 1, 2 and 4
     start = time.perf_counter()
     r = construct_target(parse_spec(text), F(target))
     report = check_permutation(r, 1000, probes=(10, 100, 1000))
     elapsed = time.perf_counter() - start
     assert report == PermutationReport(True, 1000, CLIMB_COVERAGE)
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("text, target, coverage", [
+    pytest.param("interleave(const(0), interleave(const(1), const(1/2)))", F(0),
+                 ((10, None, 67), (100, None, 17601), (1000, None, 15813501)),
+                 id="bounded_low_end"),
+    pytest.param("interleave(interleave(const(0), const(1)), pow(2))", F(3),
+                 ((10, None, 111), (100, None, 17576), (1000, None, 15813251)),
+                 id="climb_middle"),
+    pytest.param("interleave(const(-1), interleave(const(2), const(1/2)))", F(-1),
+                 ((10, None, 132), (100, None, 35183), (1000, None, 31626817)),
+                 id="bounded_minus_one"),
+    pytest.param("interleave(const(0), linear())", F(0),
+                 ((10, None, 1080), (100, None, 6632550), (1000, None, 62875750500)),
+                 id="at_limit"),
+])
+def test_routes_with_extras_at_slots_are_audited_within_one_second(text, target, coverage):
+    # the core's runs pass whole between two slots, so the audit reaches the
+    # slot of the extra that covers probe 1000 (about 250**3 for a quarter
+    # of the sources; about 501**3 * 500 for linear()'s 500th term) in runs
+    start = time.perf_counter()
+    r = construct_target(parse_spec(text), target)
+    report = check_permutation(r, 1000, probes=(10, 100, 1000))
+    elapsed = time.perf_counter() - start
+    assert report == PermutationReport(True, 1000, coverage)
+    assert elapsed < 1.0
 
 
 def test_mirrored_climb_passes_blocks_through_with_negated_values():
@@ -388,8 +429,9 @@ def test_merge_preserving_admits_extras_at_frozen_ranks():
     core = identity_rearrangement(parse_spec("const(1)"), ExtendedReal(F(1)))
     extras = [(10**6, F(5)), (10**6 + 1, F(-3))]
     r = merge_preserving(core, extras)
-    got = [(e.n, e.source_index, e.value) for e in iter_trace(r, 60) if e.value != 1]
-    assert got == [(31, 10**6, F(5)), (50, 10**6 + 1, F(-3))]
+    # slots 2**3 * 5 = 40 and max(41, 3**3 * 3) = 81
+    got = [(e.n, e.source_index, e.value) for e in iter_trace(r, 100) if e.value != 1]
+    assert got == [(40, 10**6, F(5)), (81, 10**6 + 1, F(-3))]
     assert abs(avg_at(r, 5000) - 1) < F(1, 100)
 
 
@@ -455,7 +497,7 @@ def test_construct_target_two_sided_route_through_an_explicit_prefix():
     r = construct_target(spec, F(0))
     entries = list(iter_trace(r, 3000))
     assert [(e.source_index, e.value) for e in entries[:8]] == [
-        (4, 1), (1, -1), (8, 1), (3, -1), (12, 2), (5, -2), (2, 1), (16, 2)]
+        (4, 1), (1, -1), (8, 1), (3, -1), (12, 2), (5, -2), (16, 2), (2, 1)]
     assert len({e.source_index for e in entries}) == 3000
     assert all(spec.term(e.source_index) == e.value for e in entries)
     assert abs(entries[-1].average) < F(1, 100)
@@ -520,7 +562,7 @@ def test_construct_target_refuses_finite_targets_of_a_single_infinity():
 @pytest.mark.parametrize("target", [F(1), F(0), F(-1, 2), F(3, 2)])
 def test_construct_target_downward_with_middle_strands_of_several_limits(target):
     # the middle strands const(0) and const(1) fold into one part with no
-    # single limit; negated for the downward route, it feeds the gate
+    # single limit; negated for the downward route, it enters at slots
     spec = parse_spec(
         "interleave(interleave(const(0), const(1)), interleave(const(2), neglinear()))"
     )

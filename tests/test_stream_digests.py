@@ -1,15 +1,18 @@
 """Pinned stream output: SHA-256 of the first tagged emissions.
 
 The first 20,000 of one fixed input per bench ``weave`` route, the mirrored
-climb, a climb whose runs pass the insertion gate of a middle strand, the
+climb, a climb whose runs are split at the slots of a middle strand, the
 four-strand realizer, six routes over rational constants, a rest strand
-and a folded side without constant runs, and a bounded route with two
-middle strands of different limits; and the first 100,000
-of the four-strand realizer for one prescribed set per bench ``realize``
-shape (each of the low and high pieces a point or an interval).  Each
-stream's ``blocks()`` must also expand to its ``tagged_stream()``, and the
-oscillator and the bounded route cover their first 20,000 emissions with a
-pinned number of blocks.
+and a folded side without constant runs, a bounded route with two middle
+strands of different limits, and three routes whose extras enter at the
+slots slot_l = max(slot_{l-1} + 1, (l+1)**3 * ceil(max(1, |e_l|))): the
+bounded route at an end of its hull, with and without a middle strand, and
+the route at the limit point; and the first 100,000 of the four-strand
+realizer for one prescribed set per bench ``realize`` shape (each of the
+low and high pieces a point or an interval).  Each stream's ``blocks()``
+must also expand to its ``tagged_stream()``, and the oscillator, the
+bounded route and the routes with extras cover their first 20,000
+emissions with a pinned number of blocks.
 """
 
 import hashlib
@@ -43,6 +46,11 @@ STREAMS = {
     "oscillator": _route("interleave(const(-1), const(2))", None),
     "mirrored_climb": _route("interleave(const(-2), neg(pow(2)))", F(-4)),
     "climb_middle": _route("interleave(interleave(const(0), const(1)), pow(2))", F(3)),
+    # extras at slots: the core's runs pass whole between two of them
+    "bounded_end": _route("interleave(const(0), const(1))", F(0)),
+    "bounded_middle_end": _route(
+        "interleave(const(-1), interleave(const(2), const(1/2)))", F(-1)),
+    "at_limit": _route("interleave(const(0), linear())", F(0)),
     "four_strand_realizer": four_strand_realizer,
     # rational constants, as the bench draws them; a rest strand; a folded
     # side with no constant runs, which steps one emission at a time
@@ -63,17 +71,23 @@ DIGESTS = {
     "bounded_middle":
         "a9fe263d125586b4427577300b11ff580d9c1ed021af75bf87347a4da71c01b5",
     "climb_linear":
-        "9599a086805f70c85dcee6fb6790d575444b70424f6ece6b3e1f514075ba0c0a",
+        "04c9821f99ee80b69cfaef468a4fe34c2267eaff3555f942aa079716b054eb04",
     "climb_pow2":
-        "67075ebe62a74c4ee6f55c42ab4d0b77b23abad75d9a1ac675cc72c8a9267bec",
+        "5d20d733e9efd697d77f4d907831c7c397ea7129fe3c707348b4db3aedf232ae",
     "two_sided":
         "b5b70569dc11afcdf4b645d0bcf086d4be1fa5601fe2edf1211e637b4d4c791b",
     "oscillator":
         "cdf7c3017b4562dc2654c144e5377f33fcfeab60f4acf46897eb26e66ab2eb1f",
     "mirrored_climb":
-        "7c085f060f94fa07df411852ce3c3f65df27a5a8b71dd823ef37ff3e74446609",
+        "46cad5b1d2f93f4c1f781efc35c1f838b182f3478f314a2c3a600495f2ccaaf3",
     "climb_middle":
-        "2e2b6c8516318d6b175894ca83cfbc2b3e1d815ff169c396d828f34b1ec39738",
+        "3a7121cfd43623c3e9f5b4970c872accb6f39e9023c7a38a2a6d91219ca1d190",
+    "bounded_end":
+        "ea13620afcc49396ea7a3ea5cbfa987d93d4ab7f160b7a645ed6a601f3e6c30f",
+    "bounded_middle_end":
+        "afbc4100cbd1e559c31b5eea6915dbf419a684b88bc9623db973f5e82f59d6c3",
+    "at_limit":
+        "43366cc0a4a36fca9e3002b05d56f6ff2255b40a25c438b97c1dcbcc116c79be",
     "four_strand_realizer":
         "8b52ff32698dc5819122682704ab59ce9c443dd96b7ff70291641c653e507289",
     "bounded_rational":
@@ -146,7 +160,14 @@ def test_realizer_digest_and_block_expansion(shape):
 
 
 # constant strands emit runs: a return to per-emission steering fails here
-BLOCK_COUNTS = {"oscillator": 27, "bounded": 17_778}
+BLOCK_COUNTS = {
+    "oscillator": 27,
+    "bounded": 17_778,
+    "climb_middle": 162,
+    "bounded_end": 66,
+    "bounded_middle_end": 105,
+    "at_limit": 36,
+}
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_COUNTS))
