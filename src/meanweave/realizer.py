@@ -13,8 +13,12 @@ The stream alternates three regimes:
 
 * steering: inside the current tube (t - 1/k, t + 1/k) the average is held
   by choosing sides (values near b raise it, values near a lower it), while
-  the globally oldest unemitted source element is spliced in whenever the
-  exact post-splice average stays safely inside the tube;
+  a splice candidate is spliced in whenever the exact post-splice average
+  stays safely inside the tube.  The candidate is the element of least
+  source index on offer: each part offers the first element it set aside
+  (``PartCursor.oldest``), or else its head, and a steering side offers its
+  head as well.  Over a part whose ``WovenMap`` is not increasing, that
+  element need not be the part's oldest unemitted one;
 * jump: after dwelling long enough, one large element of the divergent
   strand for the current direction is emitted at an exactly chosen position
   P, making the average leave the band around [a, b];
@@ -22,16 +26,15 @@ The stream alternates three regimes:
   and the excursion is recorded as an honest wide schedule window.
 
 Like every stream, this one is a sequence of blocks: steering by a constant
-strand (in a tube, before a jump or in a descent) is one run, except a step
-whose splice candidate is the steering strand's own head; every other
-emission is a block of one.
+strand (in a tube, before a jump or in a descent) is one run
+(``PartCursor.take``), except a step whose splice candidate is the steering
+strand's own head; every other emission is a block of one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -230,22 +233,14 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
         # tube intersected with the steering band
         return max(tgt - w, band_lo), min(tgt + w, band_hi)
 
-    # a steering strand with constant runs (PartStream.run_step) steers in
-    # blocks: its value is this constant
-    b_const = b_part.spec.value if b_part.run_step() is not None else None
-    c_const = c_part.spec.value if c_part.run_step() is not None else None
-
     def blocks():
         targets = _stage_targets(pieces)
         b_cur = PartCursor(b_part)
         c_cur = PartCursor(c_part)
         d_cur = PartCursor(d_part)
         e_cur = PartCursor(e_part)
-        extra_curs = [PartCursor(p) for p in extras]
-        b_backlog: deque = deque()
-        c_backlog: deque = deque()
-        d_pend: deque = deque()
-        e_pend: deque = deque()
+        # every part offers its oldest element to the splice
+        curs = (b_cur, c_cur, d_cur, e_cur, *(PartCursor(p) for p in extras))
 
         avg = RunningAverage()
         stage = 0  # completed tube entries
@@ -265,7 +260,7 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
         jump_item: Optional[Tuple[int, Fraction]] = None
         up_minus_down = 0  # fairness: both infinities must keep accumulating
 
-        def emit(src, value, tag, count=1, step=0):
+        def emit(tag, value, count, src, step):
             """Add ``count`` emissions of one value and return their block.
 
             Along a run the average moves monotonically toward the value, so
@@ -292,19 +287,15 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
             m = w / 8
             s_lo, s_hi = t_lo + m, t_hi - m
 
-        def in_band_head(side_cur):
-            """Divert early far-from-limit values; return an in-band head."""
-            if side_cur is b_cur:
-                backlog, limit_value = b_backlog, a
-            else:
-                backlog, limit_value = c_backlog, b_val
+        def in_band_head(side_cur, limit_value):
+            """Set early far-from-limit values aside; return an in-band head."""
             while True:
                 head = side_cur.head
                 if head is None:
                     raise AssertionError("steering strand exhausted")
                 if abs(head[1] - limit_value) < 1:
                     return head
-                backlog.append(side_cur.advance())
+                side_cur.set_aside()
 
         def enters(v, x=None):
             """First k at which that average lies in (s_lo, s_hi), or None: it
@@ -317,23 +308,23 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
             k = max(k_lo, k_hi)
             return k if lo0 + k * lo1 > 0 and hi0 + k * hi1 < 0 else None
 
-        def steer(limit=None, settle_from=None, cand=None, cand_take=None):
+        def steer(limit=None, settle_from=None, cand=None):
             """Steer toward the current target: one emission, or one run.
 
             A constant side keeps every step the per-step rule gives it:
             fewer than ``limit``, while the side holds, until the average
             lies in (s_lo, s_hi) at a step >= ``settle_from`` (descent), and
             until the post-splice average of the tube's oldest candidate
-            ``cand`` (src, value), taken from ``cand_take``, does.
+            ``cand`` (src, value) does, unless ``cand`` is the side's head.
             """
             n = avg.n
             if n == 0:
                 side = c_cur if target >= midpoint else b_cur
             else:
                 side = c_cur if avg.cmp(target) <= 0 else b_cur
-            v = c_const if side is c_cur else b_const
+            v = side.constant
             run = 1
-            if v is not None and n > 0 and cand_take is not side:
+            if v is not None and n > 0 and cand is not side.head:
                 # the side holds while the average stays <= target (c)
                 t0, t1 = avg.toward(v, target)
                 if t0 > 0:  # or > target (b)
@@ -346,23 +337,23 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                     bounds.append(enters(v, cand[1]))
                 run = min(k for k in bounds if k is not None)
             if run > 1:
-                return emit(side.take_run(run), v, "steer", run, side.step)
-            src, value = in_band_head(side)
+                return emit(*next(side.take(run, "steer")))
+            src, value = in_band_head(side, b_val if side is c_cur else a)
             side.advance()
-            return emit(src, value, "steer")
+            return emit("steer", value, 1, src, 0)
 
         def oldest_candidate():
-            """((src, value), queue or cursor) of the oldest unemitted element."""
-            best = best_take = None
-            for take in (b_cur, c_cur, d_pend or d_cur, e_pend or e_cur,
-                         b_backlog, c_backlog, *extra_curs):
-                if isinstance(take, deque):
-                    head = take[0] if take else None
-                else:
-                    head = take.head
+            """((src, value), cursor) of the oldest element on offer: every
+            part offers its ``oldest()``, and a steering side its head too."""
+            best = best_cur = None
+            for cur in curs:
+                head = cur.oldest()
                 if head is not None and (best is None or head[0] < best[0]):
-                    best, best_take = head, take
-            return best, best_take
+                    best, best_cur = head, cur
+            for cur in (b_cur, c_cur):
+                if cur.head[0] < best[0]:
+                    best, best_cur = cur.head, cur
+            return best, best_cur
 
         def select_jump(direction: int):
             """First divergent element admitting an exact landing position P."""
@@ -373,7 +364,7 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                 math.ceil(9 * k_bound / h),
                 math.ceil(18 * span1 / h),
             )
-            cur, pend = (e_cur, e_pend) if direction > 0 else (d_cur, d_pend)
+            cur = e_cur if direction > 0 else d_cur
             while True:
                 head = cur.head
                 if head is None:
@@ -386,7 +377,7 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                     )
                     if span1 * p_low < magnitude:
                         return cur.advance(), p_low
-                pend.append(cur.advance())
+                cur.set_aside()
 
         def record_window(kind: str, next_from: int, lo: Fraction, hi: Fraction,
                           tgt: Optional[Fraction]):
@@ -418,15 +409,15 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                     jump_item, jump_at = select_jump(1 if want_up else -1)
                     state = "prejump"
                     continue
-                cand, cand_take = oldest_candidate()
-                if cand is not None and avg.post_within(cand[1], s_lo, s_hi):
-                    if isinstance(cand_take, deque):
-                        src, value = cand_take.popleft()
+                cand, cand_cur = oldest_candidate()
+                if avg.post_within(cand[1], s_lo, s_hi):
+                    if cand is cand_cur.head:
+                        src, value = cand_cur.advance()
                     else:
-                        src, value = cand_take.advance()
-                    yield emit(src, value, "splice")
+                        src, value = cand_cur.take_oldest()
+                    yield emit("splice", value, 1, src, 0)
                     continue
-                yield steer(dwell_end - n, cand=cand, cand_take=cand_take)
+                yield steer(dwell_end - n, cand=cand)
 
             elif state == "prejump":
                 if n + 1 < jump_at:
@@ -437,7 +428,7 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                 # the tube window ends just before the jump position
                 record_window("tube", n + 1, t_lo, t_hi, target)
                 retarget(pending_target, Fraction(1, stage + 1))
-                yield emit(src, value, "jump")
+                yield emit("jump", value, 1, src, 0)
                 state = "descent"
 
             else:  # descent / initial approach

@@ -19,10 +19,11 @@ replays the same emissions).
 Each constructor builds its stream from blocks ``(tag, value, count,
 first_src, step)`` (``Rearrangement.of_blocks``): ``count`` emissions of one
 value from the sources ``first_src + step*j``.  Runs (count > 1) come only
-from a part that is one ``Constant`` strand over an ``AffineMap``: the
-weighted merge emits each stretch between two lead positions as one run,
-the oscillator the rest of each swing (its length from ``first_positive``,
-as in the realizer), a core that plays one part in its own order runs of
+from a part that is one ``Constant`` strand over an ``AffineMap``, and
+``PartCursor.take`` alone decides them.  It serves the weighted merge,
+which emits each stretch between two lead positions as one run, the
+oscillator the rest of each swing (its length from ``first_positive``, as
+in the realizer), a core that plays one part in its own order runs of
 doubling length, and the climb (``target_above_limsup``) each fill gap up
 to the next slot; ``mirror_rearrangement`` passes runs through, and
 ``merge_preserving`` splits them only at slots.  Every run steps the
@@ -237,13 +238,9 @@ def _core_stream(part: PartStream, source, coverage_bound, name) -> Rearrangemen
     other part as blocks of one."""
 
     def blocks():
-        if part.run_step() is None:
-            for src, value in part.emissions():
-                yield "core", value, 1, src, 0
-            return
         cur, k = PartCursor(part), 1
         while True:
-            yield "core", cur.head[1], k, cur.take_run(k), cur.step
+            yield from cur.take(k, "core")
             k *= 2
 
     return Rearrangement.of_blocks(source, blocks, coverage_bound, name, part.limit)
@@ -332,8 +329,7 @@ def weighted_merge(
     ``rest`` holds further (part, weight) pairs; a and b share what their
     weights leave as alpha : 1-alpha.  So part i holds weight w_i > 0, the
     weights sum to 1 (``meta["weights"]`` lists each (limit, w_i)), and the
-    average tends to sum w_i * limit_i.  With alpha 0 or 1 and no rest, one
-    of a and b alone carries the limit and the other is deferred.
+    average tends to sum w_i * limit_i.  A weight of 0 or less is refused.
 
     The part of largest weight (the last of equals) fills; the others, of
     weight w_L together, lead.  Lead emission c+1 sits at position
@@ -350,19 +346,9 @@ def weighted_merge(
     ``IndexMap.rank_bound`` of the sources up to n.
     """
     alpha = as_fraction(alpha)
-    if alpha < 0 or alpha > 1:
-        raise WeightOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
     parts = [a_stream, b_stream] + [part for part, _w in rest]
     if not all(part.limit is not None and part.limit.is_finite for part in parts):
         raise UndeclaredLimit("weighted merge needs finite declared limits")
-
-    if alpha in (0, 1) and not rest:
-        # one stream alone carries the limit; the other is deferred
-        kept, deferred = (a_stream, b_stream) if alpha else (b_stream, a_stream)
-        core = part_core(kept, kept.spec)
-        core.name = f"weighted_merge[alpha={alpha}]"
-        return merge_preserving(core, deferred)
-
     share = 1 - sum(as_fraction(w) for _part, w in rest)
     weights = [share * alpha, share * (1 - alpha)] + [as_fraction(w) for _part, w in rest]
     if min(weights) <= 0:
@@ -396,13 +382,11 @@ def weighted_merge(
             c += 1
             head = -(-c * den // lead_w)  # > pos, as lead_w < den
             gap = head - pos - 1
-            if gap > 1 and filler.step is not None:
-                value = filler.head[1]
-                yield fill_tag, value, gap, filler.take_run(gap), filler.step
+            if gap == 1:  # the common gap, without a generator
+                src, value = filler.advance()
+                yield fill_tag, value, 1, src, 0
             else:
-                for _ in range(gap):
-                    src, value = filler.advance()
-                    yield fill_tag, value, 1, src, 0
+                yield from filler.take(gap, fill_tag)
             pos = head
 
     scale = -(-den // min(ws))  # ceil(1 / w_min)
@@ -453,13 +437,13 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
             src, value = cur.advance()
             avg.add(value)
             yield tag, value, 1, src, 0
-            if cur.step is not None:
-                v = cur.head[1]
+            v = cur.constant
+            if v is not None:
                 c0, c1 = avg.toward(v, bound)
                 k = first_positive(-sign * c0, -sign * c1)
                 if k:
                     avg.add_run(v, k)
-                    yield tag, v, k, cur.take_run(k), cur.step
+                    yield from cur.take(k, tag)
                 return
             while sign * avg.cmp(bound) >= 0:
                 src, value = cur.advance()
@@ -553,8 +537,6 @@ def target_above_limsup(
     instead of dipping by the full (target-b) x_n/s_n below it.  Successive
     slots differ by more than (x_{n-1} + x_n) / (2(target-b)) - 1 > 1, so
     they strictly increase, and the first slot is at least 1.
-    meta["placements"](count) replays the stream and returns the
-    (slot, source_index, value) of the first count "place" emissions.
     A constant bounded strand fills each gap between two placements as runs,
     split only at the deferred values' slots.
     """
@@ -603,30 +585,14 @@ def target_above_limsup(
                     pos += 1
                     yield "extra", nxt[2], 1, nxt[1], 0
                     nxt = next(due, None)
-                elif fill.step is not None:
-                    # the rest of the gap, up to the next due slot, is one run
+                else:
+                    # the rest of the gap, up to the next due slot
                     gap = slot - 1 - pos if nxt is None else min(slot, nxt[0]) - 1 - pos
                     pos += gap
-                    yield "fill", fill.head[1], gap, fill.take_run(gap), fill.step
-                else:
-                    src, value = fill.advance()
-                    pos += 1
-                    yield "fill", value, 1, src, 0
+                    yield from fill.take(gap, "fill")
             pos += 1
             yield "place", survivor[1], 1, survivor[0], 0
             survivor = next(surv_it)
-
-    def meta_placements(count: int):
-        """(slot, source_index, value) of the first count placements."""
-        placed = []
-        pos = 0
-        for tag, value, k, src, _step in blocks():
-            if len(placed) == count:
-                break
-            pos += k
-            if tag == "place":
-                placed.append((pos, src, value))
-        return placed
 
     return Rearrangement.of_blocks(
         source=None,
@@ -634,7 +600,6 @@ def target_above_limsup(
         coverage_bound=None,
         name=f"target_above_limsup[{target}]",
         limit_in_average=limit,
-        meta={"placements": meta_placements},
     )
 
 
@@ -779,8 +744,10 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
     and the extreme strands take 1-delta at the alpha solving
     (t - delta*m_bar)/(1-delta) = alpha*lo + (1-alpha)*hi: the weights are
     positive, sum to 1 and average the limits to t exactly.  At t = lo or
-    hi the middle strands need vanishing density, so they enter at the
-    slots of the slot schedule (``merge_preserving``).  A spec divergent on
+    hi the part with that limit plays in its own order, and the other
+    extreme part, then the middle strands, need vanishing density, so they
+    enter at the slots of the slot schedule (``merge_preserving``), as at
+    t = limit below.  A spec divergent on
     both sides alternates greedily; a spec with one divergent side places
     the divergent elements at vanishing density (position ~
     value/(target - limit)), mirrored when the divergence is downward; its
@@ -804,10 +771,13 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
         r.name = "bounded_target[degenerate]"
     elif bounded:
         a, b = lo.value, hi.value
-        if dec.d is None or t in (a, b):
-            r = weighted_merge(dec.b, dec.c, (b - t) / (b - a))
+        if t in (a, b):
+            kept, other = (dec.b, dec.c) if t == a else (dec.c, dec.b)
+            r = merge_preserving(part_core(kept, spec), other)
             if dec.d is not None:
                 r = merge_preserving(r, dec.d)
+        elif dec.d is None:
+            r = weighted_merge(dec.b, dec.c, (b - t) / (b - a))
         else:
             middle = [s for s in limited_strands(spec) if s.limit not in (lo, hi)]
             mean = sum(s.limit.value for s in middle) / len(middle)

@@ -15,6 +15,7 @@ balance and DSL modules dispatch to those methods.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -839,18 +840,6 @@ class PartStream:
         limit = None if self.limit is None else -self.limit
         return PartStream(negated_spec(self.spec), self.witness, limit)
 
-    def run_step(self) -> Optional[int]:
-        """The source step of this part's constant runs; None when it has none.
-
-        A part that is one ``Constant`` strand over an ``AffineMap`` emits
-        one value from sources offset, offset + slope, ...; so any stretch
-        of it is a single block (``rearrange.Rearrangement``).
-        """
-        w = self.witness
-        if isinstance(self.spec, Constant) and isinstance(w, AffineMap):
-            return w.slope
-        return None
-
     @staticmethod
     def whole(spec: SequenceSpec) -> "PartStream":
         limit = profile(spec).point()
@@ -860,32 +849,55 @@ class PartStream:
 
 
 class PartCursor:
-    """Peekable (source_index, value) stream of a part (empty for None).
+    """Peekable (source_index, value) stream of a part (empty for None); the
+    one place that decides how a part's elements leave it.
 
-    ``step`` is the part's ``run_step()``; when it is not None,
-    ``take_run(count)`` takes the next ``count`` elements at once and
-    returns the source index of the first.
+    ``take(count, tag)`` yields the blocks of the next ``count`` elements
+    (``rearrange.Rearrangement``): one run when the part is one ``Constant``
+    strand over an ``AffineMap``, whose value is then ``constant``, else
+    ``count`` blocks of one.  ``set_aside()`` passes over the head without
+    emitting it; ``oldest()`` reads the first element set aside, or the head
+    when none is, and ``take_oldest()`` takes that element.
     """
 
-    __slots__ = ("_it", "head", "step")
+    __slots__ = ("_it", "head", "constant", "_step", "_aside")
 
     def __init__(self, part: Optional[PartStream]):
         self._it = part.emissions() if part is not None else iter(())
-        self.step = None if part is None else part.run_step()
         self.head = next(self._it, None)
+        self.constant = self._step = None
+        if part is not None and isinstance(part.spec, Constant):
+            if isinstance(part.witness, AffineMap):
+                self.constant, self._step = part.spec.value, part.witness.slope
+        self._aside = collections.deque()
 
     def advance(self) -> Optional[Tuple[int, Fraction]]:
         item = self.head
         self.head = next(self._it, None)
         return item
 
-    def take_run(self, count: int) -> int:
-        src, value = self.head
-        step = self.step
-        after = src + step * count
-        self._it = zip(itertools.count(after + step, step), itertools.repeat(value))
-        self.head = after, value
-        return src
+    def take(self, count: int, tag: str):
+        """Lazy blocks ``(tag, value, count, first_src, step)`` of the next
+        ``count`` elements."""
+        if self.constant is None:
+            for _ in range(count):
+                src, value = self.advance()
+                yield tag, value, 1, src, 0
+        elif count:
+            (src, value), step = self.head, self._step
+            after = src + step * count
+            self._it = zip(itertools.count(after + step, step), itertools.repeat(value))
+            self.head = after, value
+            yield tag, value, count, src, step
+
+    def set_aside(self):
+        self._aside.append(self.advance())
+
+    def oldest(self) -> Optional[Tuple[int, Fraction]]:
+        return self._aside[0] if self._aside else self.head
+
+    def take_oldest(self) -> Tuple[int, Fraction]:
+        return self._aside.popleft() if self._aside else self.advance()
 
 
 @dataclass(frozen=True, eq=False)

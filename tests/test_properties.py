@@ -38,6 +38,7 @@ from meanweave.rearrange import (
     merge_preserving,
 )
 from meanweave.seqspec import (
+    IDENTITY_MAP,
     Affine,
     AffineMap,
     Constant,
@@ -46,6 +47,8 @@ from meanweave.seqspec import (
     Interleave,
     Linear,
     Negate,
+    PartCursor,
+    PartStream,
     PointwiseSquare,
     PowerOfIndex,
     RunLength,
@@ -53,6 +56,7 @@ from meanweave.seqspec import (
     decompose,
     negated_spec,
     push_pointwise,
+    strands,
 )
 
 F = Fraction
@@ -539,9 +543,15 @@ def test_placement_slots_follow_the_survivor_sums(text, target):
 
     dec = decompose(parse_spec(text))
     r = target_above_limsup(dec.b, dec.c, target)
-    # meta["placements"] reads the "place" emissions off a replay of the
-    # stream, so this checks the output ranks actually emitted.
-    placements = r.meta["placements"](12)
+    # the output positions of the first 12 "place" blocks, as emitted
+    placements = []
+    pos = 0
+    for tag, value, count, src, _step in r.blocks():
+        pos += count
+        if tag == "place":
+            placements.append((pos, src, value))
+            if len(placements) == 12:
+                break
     # Independent recomputation: sort the divergent strand's first terms
     # (the smallest values needed here all lie among them); survivors are
     # the values above max(1, 2*target); the n-th survivor x_n sits at slot
@@ -557,6 +567,65 @@ def test_placement_slots_follow_the_survivor_sums(text, target):
         s += v
         expected.append((math.floor((s - v / 2) / target), v))
     assert [(slot, value) for slot, _src, value in placements] == expected
+
+
+# ---------------------------------------------------------------------------
+# A part cursor reads like a list of the part's emissions
+
+
+def _cursor_parts(tree, value):
+    """``tree`` whole, then each strand of ``interleave(const(value), tree)``
+    and the parts of its decomposition: so a constant strand over an affine
+    map is always among them."""
+    spec = Interleave(Constant(value), tree)
+    parts = [PartStream(tree, IDENTITY_MAP, None)]
+    parts += [PartStream(leaf, w, None) for leaf, w in strands(spec)]
+    try:
+        dec = decompose(spec)
+    except MeanweaveError:
+        return parts
+    return parts + [p for p in (dec.b, dec.c, dec.d) if p is not None]
+
+
+cursor_ops = st.lists(st.one_of(
+    st.tuples(st.just("take"), st.integers(0, 12)),
+    st.just(("set_aside", 0)),
+    st.just(("take_oldest", 0)),
+), max_size=20)
+
+
+@settings(max_examples=150, **COMMON)
+@given(spec_trees, rationals, st.data(), cursor_ops)
+def test_part_cursor_emits_what_a_list_reference_gives(tree, value, data, ops):
+    part = data.draw(st.sampled_from(_cursor_parts(tree, value)))
+    runs = isinstance(part.spec, Constant) and isinstance(part.witness, AffineMap)
+    ref = list(islice(part.emissions(), 12 * len(ops) + 1))
+    head, aside = 0, []
+    cur = PartCursor(part)
+    assert cur.constant == (part.spec.value if runs else None)
+    for op, k in ops:
+        assert cur.head == ref[head]
+        assert cur.oldest() == (aside[0] if aside else ref[head])
+        if op == "take":
+            blocks = list(cur.take(k, "t"))
+            assert [b[2] for b in blocks] == (([k] if k else []) if runs else [1] * k)
+            got = [(src + step * j, value)
+                   for tag, value, count, src, step in blocks for j in range(count)]
+            assert all(b[0] == "t" for b in blocks)
+            assert got == ref[head:head + k]
+            head += k
+        elif op == "set_aside":
+            cur.set_aside()
+            aside.append(ref[head])
+            head += 1
+        elif aside:
+            assert cur.take_oldest() == aside.pop(0)
+        else:
+            assert cur.take_oldest() == ref[head]
+            head += 1
+    # blocks come lazily: a huge count yields its first block at once
+    tag, value, count, src, _step = next(cur.take(10**12, "t"))
+    assert (src, value, count) == (*ref[head], 10**12 if runs else 1)
 
 
 # ---------------------------------------------------------------------------

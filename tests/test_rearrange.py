@@ -191,19 +191,23 @@ def test_weighted_merge_rejects_weights_outside_the_unit_interval():
 
 
 @pytest.mark.parametrize(
-    "alpha, sources, value",
+    "target, sources",
     [
-        pytest.param(F(0), [2, 4, 6, 8], F(1), id="alpha0"),
-        pytest.param(F(1), [1, 3, 5, 7], F(0), id="alpha1"),
+        pytest.param(F(1), [2, 4, 6, 8], id="at_limsup"),
+        pytest.param(F(0), [1, 3, 5, 7], id="at_liminf"),
     ],
 )
-def test_weighted_merge_endpoint_weights_defer_the_other_stream(alpha, sources, value):
+def test_bounded_route_at_an_end_defers_the_other_part(target, sources):
+    from meanweave.errors import WeightOutOfRange
+
+    r = construct_target(parse_spec("interleave(const(0), const(1))"), target)
+    # the part at the target plays in its own order; the other one is deferred
+    head = list(islice(r.tagged_stream(), 4))
+    assert head == [(src, target, "core") for src in sources]
+    assert abs(avg_at(r, 3000) - target) < F(1, 100)
     zeros, ones = parts("interleave(const(0), const(1))")
-    r = weighted_merge(zeros, ones, alpha)
-    assert r.name == f"merge_preserving(weighted_merge[alpha={alpha}])"
-    head = [(e.source_index, e.value) for e in iter_trace(r, 4)]
-    assert head == [(src, value) for src in sources]
-    assert abs(avg_at(r, 3000) - value) < F(1, 100)
+    with pytest.raises(WeightOutOfRange):
+        weighted_merge(zeros, ones, 1 - target)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +505,8 @@ def test_construct_target_two_sided_route_through_an_explicit_prefix():
     assert len({e.source_index for e in entries}) == 3000
     assert all(spec.term(e.source_index) == e.value for e in entries)
     assert abs(entries[-1].average) < F(1, 100)
+    # past n = 10,000 the swing stays inside the tube (largest 0.00623)
+    assert check_tube(iter_trace(r, 20000), 0, F(1, 100), from_index=10001)
     # handed over whole, the positive side is walked through the same
     # pushed tree: the high elements come from runlen(2) on its even ranks
     negative = PartStream.whole(parse_spec("neg(runlen(2))"))

@@ -2,14 +2,16 @@
 
 The first 20,000 of one fixed input per bench ``weave`` route, the mirrored
 climb, a climb whose runs are split at the slots of a middle strand, the
-four-strand realizer, six routes over rational constants, a rest strand
+four-strand realizer, a realizer whose folded steering sides set early far
+values aside, six routes over rational constants, a rest strand
 and a folded side without constant runs, a bounded route with two middle
 strands of different limits, and three routes whose extras enter at the
 slots slot_l = max(slot_{l-1} + 1, (l+1)**3 * ceil(max(1, |e_l|))): the
 bounded route at an end of its hull, with and without a middle strand, and
 the route at the limit point; and the first 100,000 of the four-strand
 realizer for one prescribed set per bench ``realize`` shape (each of the
-low and high pieces a point or an interval).  Each stream's ``blocks()``
+low and high pieces a point or an interval) and of a realizer whose
+divergent parts are each folded from two strands.  Each stream's ``blocks()``
 must also expand to its ``tagged_stream()``, and the oscillator, the
 bounded route and the routes with extras cover their first 20,000
 emissions with a pinned number of blocks.
@@ -23,6 +25,7 @@ import pytest
 
 from meanweave.dsl import parse_spec
 from meanweave.rearrange import construct_target, oscillator
+from meanweave.realizer import realizer_from_spec
 from test_realizer import four_strand_realizer
 
 F = Fraction
@@ -63,6 +66,14 @@ STREAMS = {
     "oscillator_rest": _route("interleave(interleave(const(0), const(3)), const(1))", None),
     "bounded_folded": _route("interleave(interleave(const(0), const(0)), const(1))", F(1, 3)),
     "oscillator_folded": _route("interleave(interleave(const(0), const(0)), const(1))", None),
+    # steering sides folded from strands at different depths, with early
+    # values far from their limits: each side's head and the first value it
+    # set aside are both on offer to the splice
+    "realizer_far_steering": lambda: realizer_from_spec(parse_spec(
+        "interleave(interleave(prefix(5, 5, const(0)), interleave(neg(square(linear())),"
+        " interleave(prefix(-4, 7, -9, const(0)), const(0)))),"
+        " interleave(interleave(prefix(3, -3, const(1)), square(linear())),"
+        " interleave(const(1), prefix(6, 6, 6, 6, const(1)))))"), [F(1, 4), F(3, 4)]),
 }
 
 DIGESTS = {
@@ -104,14 +115,26 @@ DIGESTS = {
         "8332c4b2e24021e15951572423dae1775336bd415060b67af70f62a2279e8296",
     "oscillator_folded":
         "412e3b0f42a22eb67ebaceec16a5352ff8d03ab7de626e799862901b8f40128e",
+    "realizer_far_steering":
+        "96b22384965692022ed1562c57ab458f3857092d56a166be3bd2afe68fe5a9aa",
 }
 
 
-REALIZER_ZSETS = {
-    "point_point": [F(1, 8), F(7, 8)],
-    "interval_point": [(F(1, 10), F(2, 15)), F(6, 7)],
-    "point_interval": [F(1, 6), (F(4, 5), F(5, 6))],
-    "interval_interval": [(F(1, 12), F(1, 8)), (F(7, 8), F(11, 12))],
+# each divergent part folded from two strands, so what a jump passes over
+# is not in the part's source order
+FOLDED_DIVERGENT = (
+    "interleave(interleave(interleave(const(0), neg(pow(3))), neg(square(linear()))),"
+    " interleave(const(1), interleave(pow(3), square(linear()))))"
+)
+
+REALIZERS = {
+    "point_point": lambda: four_strand_realizer([F(1, 8), F(7, 8)]),
+    "interval_point": lambda: four_strand_realizer([(F(1, 10), F(2, 15)), F(6, 7)]),
+    "point_interval": lambda: four_strand_realizer([F(1, 6), (F(4, 5), F(5, 6))]),
+    "interval_interval": lambda: four_strand_realizer(
+        [(F(1, 12), F(1, 8)), (F(7, 8), F(11, 12))]),
+    "folded_divergent": lambda: realizer_from_spec(
+        parse_spec(FOLDED_DIVERGENT), [F(1, 4), F(3, 4)]),
 }
 
 REALIZER_DIGESTS = {
@@ -123,6 +146,8 @@ REALIZER_DIGESTS = {
         "c868d287df312bcaeff08760321c181797f91b84c987b8396eb3a383a0ed6c58",
     "interval_interval":
         "725907e046b8e1668dbfa87758125ff1d342f03c497cd69036d67f78d0f54bbc",
+    "folded_divergent":
+        "22288d96a79f4344244a714ee8164348a596e42cf309e0e2d24c9576791bc2ef",
 }
 
 
@@ -150,13 +175,9 @@ def test_stream_digest_and_block_expansion(name):
     _check(STREAMS[name](), COUNT, DIGESTS[name])
 
 
-@pytest.mark.parametrize("shape", sorted(REALIZER_ZSETS))
+@pytest.mark.parametrize("shape", sorted(REALIZERS))
 def test_realizer_digest_and_block_expansion(shape):
-    _check(
-        four_strand_realizer(REALIZER_ZSETS[shape]),
-        REALIZER_COUNT,
-        REALIZER_DIGESTS[shape],
-    )
+    _check(REALIZERS[shape](), REALIZER_COUNT, REALIZER_DIGESTS[shape])
 
 
 # constant strands emit runs: a return to per-emission steering fails here
