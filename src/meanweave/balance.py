@@ -20,7 +20,7 @@ from itertools import islice
 from typing import List, Optional
 
 from .errors import NonPositiveTerm, NotDivergent, UnknownProfile
-from .extreal import POS_INF
+from .extreal import POS_INF, widen
 from .seqspec import BalanceKind, Condition, DensityReport, SequenceSpec, profile
 
 
@@ -99,22 +99,32 @@ def _require_divergent_positive(spec: SequenceSpec):
 
 
 def _numeric_evidence(spec: SequenceSpec, horizon: int) -> NumericEvidence:
+    """The tail-window ratios over an unreduced integer-pair sum num/den:
+    the term over den is v, so its ratio to the earlier sum is v/num, and
+    ratios compare by cross-multiplication.  Only the two reported ratios
+    become Fractions."""
     window_start = max(2, horizon - horizon // 10)
-    running = Fraction(0)
-    max_ratio = None
-    last_ratio = None
+    num, den = 0, 1
+    best = last = None  # (v, num): the ratio v/num with num > 0
     for i, term in enumerate(islice(spec.iter_terms(), horizon), start=1):
-        if i >= window_start and running > 0:
-            r = term / running
-            last_ratio = r
-            if max_ratio is None or r > max_ratio:
-                max_ratio = r
-        running += term
+        vd = term.denominator
+        if den == vd:
+            v = term.numerator
+        else:
+            if den % vd:
+                num, den = widen(num, den, vd)
+            v = term.numerator * (den // vd)
+        if i >= window_start and num > 0:
+            last = v, num
+            if best is None or v * best[1] > best[0] * num:
+                best = last
+        num += v
+    max_ratio = None if best is None else Fraction(*best)
     return NumericEvidence(
         horizon=horizon,
         window_start=window_start,
         max_ratio=max_ratio,
-        last_ratio=last_ratio,
+        last_ratio=None if last is None else Fraction(*last),
         ratio_small=max_ratio is not None and max_ratio < EVIDENCE_THRESHOLD,
     )
 

@@ -94,6 +94,7 @@ def _cmd_verify(args) -> int:
         eps = Fraction(args.tube[1])
         if eps <= 0:
             raise ValueError("eps must be positive")
+    spec = None if args.spec is None else parse_spec(args.spec)
     with open(args.trace, newline="") as fh:
         t = read_trace_csv(fh)
     if not t:
@@ -108,6 +109,11 @@ def _cmd_verify(args) -> int:
             f"from={args.from_index}: {'PASS' if tube_ok else 'FAIL'}"
         )
         ok = ok and tube_ok
+    if spec is not None:
+        values_ok = all(e.source_index >= 1 and e.value == spec.term(e.source_index)
+                        for e in t)
+        print(f"values of {args.spec}: {'PASS' if values_ok else 'FAIL'}")
+        ok = ok and values_ok
     rows = {}
     for e in t:
         if e.source_index in rows:
@@ -185,6 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require averages inside (target-eps, target+eps)")
     p.add_argument("--from", dest="from_index", type=int, default=1,
                    help="first position the tube constrains")
+    p.add_argument("--spec",
+                   help="require each row's value to be the spec's term at its source index")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force achievable k-subset averages")

@@ -3,13 +3,15 @@
 The library never touches floats on the exact path; finite values are
 ``fractions.Fraction`` and the infinities are two interned sentinels.
 ``ExtendedReal`` is totally ordered and hashable, so it can key dicts and
-sort interval endpoints.
+sort interval endpoints.  ``widen`` is the step shared by every running sum
+kept as an unreduced integer pair.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -129,3 +131,13 @@ POS_INF = ExtendedReal(_sign=+1)
 def as_fraction(x: Rational) -> Fraction:
     """Cheap normalizer used throughout the package."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def widen(num: int, den: int, vd: int) -> Tuple[int, int]:
+    """``num/den`` over a multiple of ``vd``; a pair past 2**128 is reduced
+    first.  The trace walker, ``RunningAverage`` and balance evidence widen
+    their sums by it."""
+    if den > 1 << 128:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    return num * vd, den * vd

@@ -23,8 +23,8 @@ from itertools import combinations, count, islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
-from .extreal import ExtendedReal, as_fraction
-from .rearrange import Rearrangement, widen
+from .extreal import ExtendedReal, as_fraction, widen
+from .rearrange import Rearrangement
 
 __all__ = [
     "TraceEntry",
@@ -128,7 +128,7 @@ def _walk(r: Rearrangement, n: Optional[int]):
     """The first n positions (all when n is None) as blocks ``(n0, count,
     value, first_src, step, num, v, den)``: positions n0+1..n0+count, the sum
     num/den before them, each adding the integer v over den.  The one loop
-    that keeps the exact running sum; den widens by ``rearrange.widen``."""
+    that keeps the exact running sum; den widens by ``extreal.widen``."""
     num, den, k = 0, 1, 0
     for _tag, value, size, src, step in r.blocks():
         vd = value.denominator

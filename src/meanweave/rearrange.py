@@ -55,7 +55,7 @@ from .errors import (
     UndeclaredLimit,
     WeightOutOfRange,
 )
-from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
+from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction, widen
 from .seqspec import (
     IDENTITY_MAP,
     IndexMap,
@@ -149,14 +149,6 @@ class RunningAverage:
         bn, bd = bound.numerator, bound.denominator
         return ((num * bd - bn * m * den) * v.denominator,
                 (v.numerator * bd - bn * v.denominator) * den)
-
-
-def widen(num: int, den: int, vd: int) -> Tuple[int, int]:
-    """``num/den`` over a multiple of ``vd``; a pair past 2**128 is reduced first."""
-    if den > 1 << 128:
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-    return num * vd, den * vd
 
 
 def first_positive(c0: int, c1: int) -> Optional[int]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -517,6 +518,17 @@ class ExplicitPrefix(SequenceSpec):
         return self.tail._body
 
 
+def _map_runs(f, terms: Iterator[Fraction]) -> Iterator[Fraction]:
+    """f over terms, called once per run of one object: a base that yields
+    the same Fraction again (run-length blocks, constants) gets the value
+    already mapped.  Equal but distinct objects are mapped afresh."""
+    last = out = None
+    for v in terms:
+        if v is not last:
+            last, out = v, f(v)
+        yield out
+
+
 @dataclass(frozen=True)
 class Affine(SequenceSpec):
     """scale * base_term + shift, pointwise."""
@@ -534,8 +546,14 @@ class Affine(SequenceSpec):
         return self.scale * self.base.term(n) + self.shift
 
     def iter_terms(self) -> Iterator[Fraction]:
-        for v in self.base.iter_terms():
-            yield self.scale * v + self.shift
+        # scale = a/b, shift = c/d, v = p/q: scale*v + shift = (ad*p + cb*q)/(bd*q)
+        ad = self.scale.numerator * self.shift.denominator
+        cb = self.shift.numerator * self.scale.denominator
+        bd = self.scale.denominator * self.shift.denominator
+        return _map_runs(
+            lambda v: Fraction(ad * v.numerator + cb * v.denominator, bd * v.denominator),
+            self.base.iter_terms(),
+        )
 
     def _over(self, base: SequenceSpec) -> "Affine":
         return Affine(base, self.scale, self.shift)
@@ -573,8 +591,7 @@ class PointwiseSquare(SequenceSpec):
         return v * v
 
     def iter_terms(self) -> Iterator[Fraction]:
-        for v in self.base.iter_terms():
-            yield v * v
+        return _map_runs(lambda v: v * v, self.base.iter_terms())
 
     def _over(self, base: SequenceSpec) -> "PointwiseSquare":
         return PointwiseSquare(base)
@@ -616,8 +633,7 @@ class Negate(SequenceSpec):
         return -self.base.term(n)
 
     def iter_terms(self) -> Iterator[Fraction]:
-        for v in self.base.iter_terms():
-            yield -v
+        return _map_runs(operator.neg, self.base.iter_terms())
 
     def _over(self, base: SequenceSpec) -> "Negate":
         return Negate(base)

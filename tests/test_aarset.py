@@ -122,3 +122,28 @@ def test_no_module_imports_a_private_name_from_another():
                     if alias.name.startswith("_")
                 ]
     assert leaks == []
+
+
+def test_lower_layers_import_nothing_from_the_constructions_or_the_cli():
+    # extreal holds the integer-pair helper (widen) that balance, the
+    # running average and the trace walker share; the layers below the
+    # constructions must be able to reach it without a cycle.
+    import ast
+    import pathlib
+
+    import meanweave
+
+    package = pathlib.Path(meanweave.__file__).parent
+    upper = {"rearrange", "harness", "realizer", "cli"}
+    found = []
+    for name in ("extreal", "seqspec", "balance"):
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):  # in `from . import x`, x is a module
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{name}: {m}" for m in modules
+                      if m.rpartition(".")[2] in upper]
+    assert found == []

@@ -83,6 +83,28 @@ def test_balanced_numeric_evidence_before_any_ratio():
     )
 
 
+# SHA-256 of the whole stdout of ``balanced SPEC --mode numeric --n 10000``,
+# recorded while evidence still summed Fractions term by term; the pair sum
+# and the wrappers' run shortcut must print the same bytes.
+PINNED_EVIDENCE = {
+    "pow(2)": "c277acabc1073c142924dd8db1f2d744fc0c6aecc13314368341cf3c0c1bbc00",
+    "runlen(4)": "e68b2b25ca9d3cae3c03171280d1fa5afb511e066edccafcdf148d76b0491c8e",
+    "affine(pow(1), 5, 3)":
+        "2d7ade86d13fcc9960cb80c143e68a060feb8c9f68c17936289cb0374a3e9e4b",
+    "square(runlen(2))": "f6dca72576a5abf4cd8dbe2be1b2a8c59b575728b9d6d4606680f47955c37bfd",
+    "geom(2)": "971ebd53cc5dc2904b5d5de4264c3a0d0c75692a47a6a0ae1a75cb5242da5180",
+    "affine(linear(), 1, -5)":
+        "e0ea92cc03d5f32c7a0b10789f40058427d66741332e9544d25eded4f3a35b4c",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_EVIDENCE))
+def test_balanced_numeric_output_matches_pinned_digest(spec):
+    code, out, err = run("balanced", spec, "--mode", "numeric", "--n", "10000")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_EVIDENCE[spec]
+
+
 def test_balanced_numeric_horizon_below_two_is_a_usage_error():
     code, out, err = run("balanced", "linear()", "--mode", "numeric", "--n", "1")
     assert (code, out) == (2, "")
@@ -156,6 +178,27 @@ def test_verify_checks_identities_and_tube(tmp_path):
     code, out, _ = run("verify", trace_path, "--tube", "1/3", "1/10000", "--from", "150")
     assert code == 1
     assert out == "identities: PASS\ntube target=1/3 eps=1/10000 from=150: FAIL\n"
+
+
+def test_verify_spec_checks_each_value_against_its_source_term(tmp_path):
+    spec = "interleave(const(0), const(1))"
+    base = tmp_path / "run"
+    run("construct", "--target", "1/3", "--n", "200", "--out", str(base), spec)
+    code, out, _ = run("verify", str(base) + ".trace.csv", "--spec", spec)
+    assert (code, out) == (0, f"identities: PASS\nvalues of {spec}: PASS\n")
+
+    # source 1 is a 0 of this spec; the sums agree with the stated 7
+    path = tmp_path / "wrong.trace.csv"
+    path.write_text(
+        "n,source_index,value,partial_sum,average_decimal,average_exact\n"
+        "1,2,1/1,1/1,1,1/1\n"
+        "2,1,7/1,8/1,4,4/1\n"
+    )
+    assert run("verify", str(path)) == (0, "identities: PASS\n", "")
+    code, out, _ = run("verify", str(path), "--spec", spec)
+    assert (code, out) == (1, f"identities: PASS\nvalues of {spec}: FAIL\n")
+    code, out, err = run("verify", str(path), "--spec", "foo(1)")
+    assert (code, out) == (2, "") and err.startswith("ERROR ParseError: ")
 
 
 def test_verify_refuses_a_malformed_tube_before_any_output(tmp_path):

@@ -5,11 +5,11 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from meanweave.aarset import AARSet, Interval
-from meanweave.balance import ratio_series
+from meanweave.balance import balanced_verdict, ratio_series
 from meanweave.classifier import classify, classify_spec
 from meanweave.dsl import parse_spec, render
 from meanweave.errors import (
@@ -278,6 +278,55 @@ def test_ratio_is_invariant_under_positive_scaling(text, k, n):
     scaled = ratio_series(Affine(parse_spec(text), k, F(0)), n)
     for a, b in zip(base, scaled):
         assert a.r_n == b.r_n and a.A_n == b.A_n
+
+
+def _fraction_evidence(spec, horizon):
+    """The tail-window ratios over a Fraction running sum, term by term from
+    ``spec.term``: the loop numeric evidence ran before its integer pair."""
+    window_start = max(2, horizon - horizon // 10)
+    running = F(0)
+    max_ratio = None
+    last_ratio = None
+    for i in range(1, horizon + 1):
+        term = spec.term(i)
+        if i >= window_start and running > 0:
+            r = term / running
+            last_ratio = r
+            if max_ratio is None or r > max_ratio:
+                max_ratio = r
+        running += term
+    small = max_ratio is not None and max_ratio < F(1, 1000)
+    return window_start, max_ratio, last_ratio, small
+
+
+evidence_bases = st.one_of(
+    st.integers(1, 3).map(PowerOfIndex),
+    st.just(Linear()),
+    st.integers(1, 4).map(RunLength),
+    st.sampled_from([F(2), F(3), F(3, 2), F(7, 5)]).map(Geometric),
+)
+
+
+# Fractional scales and shifts make the pair sum widen (past 2**128 under
+# geom(3/2) and geom(7/5), where it reduces by a gcd); shifts down to -60
+# keep the earlier sum at or below 0 into the window of long horizons.
+@settings(max_examples=120, **COMMON)
+@given(
+    evidence_bases,
+    st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7),
+    st.fractions(min_value=-60, max_value=10, max_denominator=6),
+    st.integers(2, 400),
+)
+@example(Linear(), F(1, 3), F(-40), 260)  # earlier sum <= 0 (0 at 240) until 241
+@example(RunLength(2), F(2, 3), F(-1, 2), 9)  # window_start == horizon
+@example(Geometric(F(3, 2)), F(5, 7), F(-7, 6), 400)
+def test_numeric_evidence_matches_a_fraction_reference(base, scale, shift, horizon):
+    spec = Affine(base, scale, shift)
+    ev = balanced_verdict(spec, mode="numeric", horizon=horizon).evidence
+    assert ev.horizon == horizon
+    assert (ev.window_start, ev.max_ratio, ev.last_ratio, ev.ratio_small) == (
+        _fraction_evidence(spec, horizon)
+    )
 
 
 @settings(max_examples=20, **COMMON)

@@ -1,5 +1,6 @@
 """Sequence descriptors: term evaluation, profiles, decomposition, negation."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -9,11 +10,15 @@ from meanweave.dsl import parse_spec, render
 from meanweave.errors import MalformedDescriptor, TermTooLarge
 from meanweave.extreal import NEG_INF, POS_INF
 from meanweave.seqspec import (
+    Affine,
     AffineMap,
     Constant,
+    ExplicitPrefix,
     Geometric,
     Linear,
+    Negate,
     NegLinear,
+    PointwiseSquare,
     PowerOfIndex,
     RunLength,
     SequenceSpec,
@@ -96,8 +101,41 @@ def test_iter_terms_agrees_with_eval_term():
     assert list(islice(spec.iter_terms(), 12)) == terms(spec, 12)
 
 
+@dataclass(frozen=True)
+class FreshRuns(SequenceSpec):
+    """runlen(4)'s terms, each one a new Fraction object: equal values in a
+    run are distinct objects, so a wrapper must map every one of them."""
+
+    def term(self, n):
+        return RunLength(4).term(n)
+
+    def iter_terms(self):
+        return (F(v.numerator, v.denominator) for v in RunLength(4).iter_terms())
+
+
+HALF = F(1, 2)
+WRAPPED_BASES = [
+    RunLength(2),
+    RunLength(4),
+    Constant(F(2, 3)),
+    # one object twice, then two equal objects, then runs
+    ExplicitPrefix((HALF, HALF, F(-3), F(-3)), RunLength(2)),
+    FreshRuns(),
+]
+WRAPPERS = [
+    Negate,
+    PointwiseSquare,
+    lambda b: Affine(b, F(3, 4), F(-5, 2)),
+    lambda b: Affine(b, 0, F(1, 3)),
+    lambda b: Affine(b, F(-2, 3), 7),
+]
+
+
 @pytest.mark.parametrize(
-    "spec", [Constant(F(-2, 3)), Linear(), PowerOfIndex(3), NegLinear()], ids=repr
+    "spec",
+    [Constant(F(-2, 3)), Linear(), PowerOfIndex(3), NegLinear()]
+    + [wrap(base) for wrap in WRAPPERS for base in WRAPPED_BASES],
+    ids=repr,
 )
 def test_own_iter_terms_agree_with_term(spec):
     assert type(spec).iter_terms is not SequenceSpec.iter_terms
