@@ -99,21 +99,20 @@ def _require_divergent_positive(spec: SequenceSpec):
 
 
 def _numeric_evidence(spec: SequenceSpec, horizon: int) -> NumericEvidence:
-    """The tail-window ratios over an unreduced integer-pair sum num/den:
-    the term over den is v, so its ratio to the earlier sum is v/num, and
-    ratios compare by cross-multiplication.  Only the two reported ratios
-    become Fractions."""
+    """The tail-window ratios over the spec's term pairs and an unreduced
+    integer-pair sum num/den: the term over den is v, so its ratio to the
+    earlier sum is v/num, and ratios compare by cross-multiplication.  Only
+    the two reported ratios become Fractions."""
     window_start = max(2, horizon - horizon // 10)
     num, den = 0, 1
     best = last = None  # (v, num): the ratio v/num with num > 0
-    for i, term in enumerate(islice(spec.iter_terms(), horizon), start=1):
-        vd = term.denominator
+    for i, (vn, vd) in enumerate(islice(spec.iter_pairs(), horizon), start=1):
         if den == vd:
-            v = term.numerator
+            v = vn
         else:
             if den % vd:
                 num, den = widen(num, den, vd)
-            v = term.numerator * (den // vd)
+            v = vn * (den // vd)
         if i >= window_start and num > 0:
             last = v, num
             if best is None or v * best[1] > best[0] * num:

@@ -377,7 +377,7 @@ def weighted_merge(
             if gap == 1:  # the common gap, without a generator
                 src, value = filler.advance()
                 yield fill_tag, value, 1, src, 0
-            else:
+            elif gap:  # adjacent lead positions leave no gap
                 yield from filler.take(gap, fill_tag)
             pos = head
 
@@ -544,6 +544,7 @@ def target_above_limsup(
             f"divergent strand is not balanced ({verdict.kind.value}: {verdict.reason})"
         )
     v = 1 / (target - b_lim)
+    vn, vd = v.numerator, v.denominator
     bar = max(Fraction(1), 2 * (target - b_lim))
     limit = ExtendedReal(target)
 
@@ -565,11 +566,16 @@ def target_above_limsup(
         nxt = next(due, None)
         fill = PartCursor(b_part)
         pos = 0
-        s = Fraction(0)
+        sn, sd = 0, 1  # the survivors' sum, an unreduced pair
         survivor = first_survivor
         while True:
-            s += survivor[1]
-            slot = math.floor(v * (s - survivor[1] / 2))
+            # slot = floor(v * (s - x/2)) with v = vn/vd, s = sn/sd, x = xn/sd
+            x = survivor[1]
+            if sd % x.denominator:
+                sn, sd = widen(sn, sd, x.denominator)
+            xn = x.numerator * (sd // x.denominator)
+            sn += xn
+            slot = vn * (2 * sn - xn) // (2 * vd * sd)
             while pos + 1 < slot:
                 if nxt is not None and nxt[0] <= pos + 1:
                     # a deferred element takes the first fill position at

@@ -11,6 +11,12 @@ Each family class keeps its own rules: its profile, negation, balance and
 density verdicts, how far its terms are unsorted, and its DSL spelling.  The
 module functions (``profile``, ``negated_spec``, ``strands``...) and the
 balance and DSL modules dispatch to those methods.
+
+Each family also generates its terms, once, as integer pairs
+``(num, den)`` (``iter_pairs``): no gcd per term.  ``iter_terms`` is the
+one Fraction view of those pairs, built once per run of one pair object;
+only families that re-yield objects they already hold (constants,
+interleaves, explicit prefixes) keep their own.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -80,12 +85,17 @@ class SequenceSpec:
     def term(self, n: int) -> Fraction:
         raise NotImplementedError
 
+    def iter_pairs(self) -> Iterator[Tuple[int, int]]:
+        """Terms from index 1 as integer pairs ``(num, den)`` with den > 0,
+        not necessarily reduced; a run of equal terms may repeat one pair
+        object.  Each family does its term arithmetic here."""
+        raise NotImplementedError
+
     def iter_terms(self) -> Iterator[Fraction]:
-        """Terms from index 1; overridden where incremental state helps."""
-        n = 1
-        while True:
-            yield self.term(n)
-            n += 1
+        """Terms from index 1: the Fraction view of ``iter_pairs``, one
+        Fraction per run of one pair object (``Fraction(num)`` when den is
+        1).  Overridden only where a family re-yields objects it holds."""
+        return _map_runs(_as_fraction, self.iter_pairs())
 
     def _check_index(self, n: int):
         if not isinstance(n, int) or n < 1:
@@ -139,6 +149,9 @@ class Constant(SequenceSpec):
     def term(self, n: int) -> Fraction:
         self._check_index(n)
         return self.value
+
+    def iter_pairs(self):
+        return itertools.repeat((self.value.numerator, self.value.denominator))
 
     def iter_terms(self) -> Iterator[Fraction]:
         return itertools.repeat(self.value)
@@ -198,9 +211,9 @@ class PowerOfIndex(_Polynomial):
         self._check_index(n)
         return Fraction(n**self.exponent)
 
-    def iter_terms(self) -> Iterator[Fraction]:
+    def iter_pairs(self):
         powers = map(pow, itertools.count(1), itertools.repeat(self.exponent))
-        return map(Fraction, powers)
+        return zip(powers, itertools.repeat(1))
 
     @classmethod
     def _from_dsl(cls, args):
@@ -226,11 +239,12 @@ class Geometric(_Increasing):
         self._check_index(n)
         return self.ratio**n
 
-    def iter_terms(self) -> Iterator[Fraction]:
-        value = self.ratio
+    def iter_pairs(self):
+        p, q = self.ratio.numerator, self.ratio.denominator
+        num, den = p, q
         while True:
-            yield value
-            value *= self.ratio
+            yield num, den
+            num, den = num * p, den * q
 
     def _balance(self):
         return (
@@ -258,8 +272,8 @@ class Linear(_Polynomial):
         self._check_index(n)
         return Fraction(n)
 
-    def iter_terms(self) -> Iterator[Fraction]:
-        return map(Fraction, itertools.count(1))
+    def iter_pairs(self):
+        return zip(itertools.count(1), itertools.repeat(1))
 
     def _negated(self):
         return NegLinear()
@@ -273,8 +287,8 @@ class NegLinear(SequenceSpec):
         self._check_index(n)
         return Fraction(-n)
 
-    def iter_terms(self) -> Iterator[Fraction]:
-        return map(Fraction, itertools.count(-1, -1))
+    def iter_pairs(self):
+        return zip(itertools.count(-1, -1), itertools.repeat(1))
 
     def _profile(self):
         return AARSet.of(NEG_INF)
@@ -339,15 +353,15 @@ class RunLength(_Increasing):
                 f"unknown run-length rule {self.rule!r}"
             ) from None
 
-    def _block(self, b: int) -> Tuple[Fraction, int]:
-        """Value and multiplicity of the b-th block (b >= 1)."""
+    def _block(self, b: int) -> Tuple[int, int]:
+        """Integer value and multiplicity of the b-th block (b >= 1)."""
         if self.rule is RunRule.DOUBLING:
-            return Fraction(2 ** (b - 1)), b
+            return 2 ** (b - 1), b
         if self.rule is RunRule.STAIRS:
-            return Fraction(b), b + 1
+            return b, b + 1
         if self.rule is RunRule.FACTORIAL:
-            return Fraction(math.factorial(b)), (b + 1) ** 2
-        return Fraction(b), 2 * b - 1  # CEIL_SQRT
+            return math.factorial(b), (b + 1) ** 2
+        return b, 2 * b - 1  # CEIL_SQRT
 
     def term(self, n: int) -> Fraction:
         self._check_index(n)
@@ -374,13 +388,10 @@ class RunLength(_Increasing):
             v -= 1
         return Fraction(math.factorial(v))
 
-    def iter_terms(self) -> Iterator[Fraction]:
-        b = 1
-        while True:
+    def iter_pairs(self):
+        for b in itertools.count(1):
             value, mult = self._block(b)
-            for _ in range(mult):
-                yield value
-            b += 1
+            yield from itertools.repeat((value, 1), mult)
 
     @classmethod
     def _from_dsl(cls, args):
@@ -428,8 +439,8 @@ class SumJump(_Increasing):
     def _extend_to(self, n: int):
         vals, sums = self._values, self._sums
         if not vals:
-            vals.append(Fraction(1))
-            sums.append(Fraction(1))
+            vals.append(1)
+            sums.append(1)
         while len(vals) < n:
             i = len(vals) + 1  # 1-based index of the next term
             if i & (i - 1) == 0:  # power of two
@@ -442,14 +453,12 @@ class SumJump(_Increasing):
     def term(self, n: int) -> Fraction:
         self._check_index(n)
         self._extend_to(n)
-        return self._values[n - 1]
+        return Fraction(self._values[n - 1])
 
-    def iter_terms(self) -> Iterator[Fraction]:
-        n = 1
-        while True:
+    def iter_pairs(self):
+        for n in itertools.count(1):
             self._extend_to(n)
-            yield self._values[n - 1]
-            n += 1
+            yield self._values[n - 1], 1
 
     def _balance(self):
         reason = "each jump term exceeds the whole prefix sum"
@@ -482,9 +491,12 @@ class ExplicitPrefix(SequenceSpec):
             return self.values[n - 1]
         return self.tail.term(n - len(self.values))
 
+    def iter_pairs(self):
+        head = ((v.numerator, v.denominator) for v in self.values)
+        return itertools.chain(head, self.tail.iter_pairs())
+
     def iter_terms(self) -> Iterator[Fraction]:
-        yield from self.values
-        yield from self.tail.iter_terms()
+        return itertools.chain(self.values, self.tail.iter_terms())
 
     @classmethod
     def _from_dsl(cls, args):
@@ -518,15 +530,21 @@ class ExplicitPrefix(SequenceSpec):
         return self.tail._body
 
 
-def _map_runs(f, terms: Iterator[Fraction]) -> Iterator[Fraction]:
-    """f over terms, called once per run of one object: a base that yields
-    the same Fraction again (run-length blocks, constants) gets the value
-    already mapped.  Equal but distinct objects are mapped afresh."""
+def _map_runs(f, pairs: Iterator) -> Iterator:
+    """f over a stream of term pairs, called once per run of one pair
+    object: a base that yields the same pair again (run-length blocks,
+    constants) gets the value already mapped.  Equal but distinct objects
+    are mapped afresh."""
     last = out = None
-    for v in terms:
+    for v in pairs:
         if v is not last:
             last, out = v, f(v)
         yield out
+
+
+def _as_fraction(pair: Tuple[int, int]) -> Fraction:
+    num, den = pair
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -545,14 +563,13 @@ class Affine(SequenceSpec):
     def term(self, n: int) -> Fraction:
         return self.scale * self.base.term(n) + self.shift
 
-    def iter_terms(self) -> Iterator[Fraction]:
+    def iter_pairs(self):
         # scale = a/b, shift = c/d, v = p/q: scale*v + shift = (ad*p + cb*q)/(bd*q)
         ad = self.scale.numerator * self.shift.denominator
         cb = self.shift.numerator * self.scale.denominator
         bd = self.scale.denominator * self.shift.denominator
         return _map_runs(
-            lambda v: Fraction(ad * v.numerator + cb * v.denominator, bd * v.denominator),
-            self.base.iter_terms(),
+            lambda pq: (ad * pq[0] + cb * pq[1], bd * pq[1]), self.base.iter_pairs()
         )
 
     def _over(self, base: SequenceSpec) -> "Affine":
@@ -590,8 +607,8 @@ class PointwiseSquare(SequenceSpec):
         v = self.base.term(n)
         return v * v
 
-    def iter_terms(self) -> Iterator[Fraction]:
-        return _map_runs(lambda v: v * v, self.base.iter_terms())
+    def iter_pairs(self):
+        return _map_runs(lambda pq: (pq[0] * pq[0], pq[1] * pq[1]), self.base.iter_pairs())
 
     def _over(self, base: SequenceSpec) -> "PointwiseSquare":
         return PointwiseSquare(base)
@@ -632,8 +649,8 @@ class Negate(SequenceSpec):
     def term(self, n: int) -> Fraction:
         return -self.base.term(n)
 
-    def iter_terms(self) -> Iterator[Fraction]:
-        return _map_runs(operator.neg, self.base.iter_terms())
+    def iter_pairs(self):
+        return _map_runs(lambda pq: (-pq[0], pq[1]), self.base.iter_pairs())
 
     def _over(self, base: SequenceSpec) -> "Negate":
         return Negate(base)
@@ -662,11 +679,15 @@ class Interleave(SequenceSpec):
             return self.first.term((n + 1) // 2)
         return self.second.term(n // 2)
 
+    def iter_pairs(self):
+        return itertools.chain.from_iterable(
+            zip(self.first.iter_pairs(), self.second.iter_pairs())
+        )
+
     def iter_terms(self) -> Iterator[Fraction]:
-        a, b = self.first.iter_terms(), self.second.iter_terms()
-        while True:
-            yield next(a)
-            yield next(b)
+        return itertools.chain.from_iterable(
+            zip(self.first.iter_terms(), self.second.iter_terms())
+        )
 
     def _profile(self):
         return union(profile(self.first), profile(self.second))
@@ -708,9 +729,9 @@ class PointwiseSum(SequenceSpec):
     def term(self, n: int) -> Fraction:
         return self.first.term(n) + self.second.term(n)
 
-    def iter_terms(self) -> Iterator[Fraction]:
-        for u, v in zip(self.first.iter_terms(), self.second.iter_terms()):
-            yield u + v
+    def iter_pairs(self):
+        for (a, b), (c, d) in zip(self.first.iter_pairs(), self.second.iter_pairs()):
+            yield a * d + c * b, b * d
 
     def _profile(self):
         u = profile(self.first).point()

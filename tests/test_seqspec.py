@@ -6,6 +6,7 @@ from itertools import islice
 
 import pytest
 
+from meanweave import seqspec
 from meanweave.dsl import parse_spec, render
 from meanweave.errors import MalformedDescriptor, TermTooLarge
 from meanweave.extreal import NEG_INF, POS_INF
@@ -103,14 +104,14 @@ def test_iter_terms_agrees_with_eval_term():
 
 @dataclass(frozen=True)
 class FreshRuns(SequenceSpec):
-    """runlen(4)'s terms, each one a new Fraction object: equal values in a
-    run are distinct objects, so a wrapper must map every one of them."""
+    """runlen(4)'s terms, each pair a new tuple: equal values in a run are
+    distinct objects, so a wrapper must map every one of them."""
 
     def term(self, n):
         return RunLength(4).term(n)
 
-    def iter_terms(self):
-        return (F(v.numerator, v.denominator) for v in RunLength(4).iter_terms())
+    def iter_pairs(self):
+        return ((num, den) for num, den in RunLength(4).iter_pairs())
 
 
 HALF = F(1, 2)
@@ -138,8 +139,30 @@ WRAPPERS = [
     ids=repr,
 )
 def test_own_iter_terms_agree_with_term(spec):
-    assert type(spec).iter_terms is not SequenceSpec.iter_terms
-    assert list(islice(spec.iter_terms(), 1000)) == [spec.term(n) for n in range(1, 1001)]
+    assert type(spec).iter_pairs is not SequenceSpec.iter_pairs
+    expected = [spec.term(n) for n in range(1, 1001)]
+    assert list(islice(spec.iter_terms(), 1000)) == expected
+    pairs = list(islice(spec.iter_pairs(), 1000))
+    assert all(den > 0 for _num, den in pairs)
+    assert [F(num, den) for num, den in pairs] == expected
+
+
+def test_iter_terms_keep_one_object_per_run():
+    woven = parse_spec("interleave(const(-1), interleave(const(2), const(1/2)))")
+    held = {id(c.value) for c in (woven.first, woven.second.first, woven.second.second)}
+    assert {id(v) for v in islice(woven.iter_terms(), 3000)} == held
+    for text in ("neg(runlen(4))", "affine(runlen(2), 3/4, -5/2)"):
+        values = list(islice(parse_spec(text).iter_terms(), 3000))
+        # block values differ, so one object per block is one per value
+        assert len({id(v) for v in values}) == len(set(values)), text
+    # the Fraction view is built in one place; families that override it
+    # re-yield objects they hold
+    own = {
+        name
+        for name, cls in vars(seqspec).items()
+        if isinstance(cls, type) and issubclass(cls, SequenceSpec) and "iter_terms" in vars(cls)
+    }
+    assert own == {"SequenceSpec", "Constant", "Interleave", "ExplicitPrefix"}
 
 
 # ---------------------------------------------------------------------------
