@@ -103,11 +103,17 @@ def _cmd_verify(args) -> int:
     ok = verify_trace_identities(t)
     print(f"identities: {'PASS' if ok else 'FAIL'}")
     if args.tube is not None:
-        tube_ok = check_tube(t, target, eps, from_index=args.from_index)
+        top = max(e.n for e in t)
+        # a tube that tests no row proves nothing, so it fails
+        tube_ok = (top >= args.from_index
+                   and check_tube(t, target, eps, from_index=args.from_index))
         print(
             f"tube target={target.render()} eps={eps} "
             f"from={args.from_index}: {'PASS' if tube_ok else 'FAIL'}"
         )
+        if top < args.from_index:
+            print(f"no row lies at or after --from {args.from_index}: "
+                  f"the largest n is {top}")
         ok = ok and tube_ok
     if spec is not None:
         values_ok = all(e.source_index >= 1 and e.value == spec.term(e.source_index)
@@ -190,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tube", nargs=2, metavar=("TARGET", "EPS"),
                    help="require averages inside (target-eps, target+eps)")
     p.add_argument("--from", dest="from_index", type=int, default=1,
-                   help="first position the tube constrains")
+                   help="first position the tube constrains "
+                        "(the tube fails when no row lies at or after it)")
     p.add_argument("--spec",
                    help="require each row's value to be the spec's term at its source index")
     p.set_defaults(func=_cmd_verify)

@@ -1,8 +1,8 @@
 """Exact-arithmetic verification: traces, permutation audits, tube checks.
 
 Everything here is exact: averages are rationals compared by integer
-cross-multiplication, and the envelope oracle enumerates subsets.  Floats
-appear only in the decimal column of CSV output, which is display-only.
+cross-multiplication, and the envelope oracle enumerates subsets.  The
+decimal column of CSV output is display-only and is never read back.
 
 One walker reads a stream's blocks and keeps the exact running sum as an
 unreduced integer pair.  ``iter_trace`` returns a re-iterable trace that
@@ -11,6 +11,10 @@ as Fractions only when read.  ``check_tube`` and ``check_schedule`` share one
 window test, which reads such a trace as runs and tests each stretch of a run
 inside a window at its two ends; other entries are runs of one.  The audit
 ``check_permutation`` reads the blocks itself and streams once.
+
+The CSV boundary is on integer pairs as well: the writer formats each exact
+column from a pair reduced by one gcd, and an entry read from CSV holds its
+sum and stated average as pairs and builds their Fractions only when read.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
+from math import gcd
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
@@ -50,10 +55,11 @@ class TraceEntry:
     """One trace position: ``(n, source_index, value, partial_sum, average)``.
 
     The sum is held as an integer pair ``_num/_den`` (not necessarily
-    reduced).  ``_avg`` is the explicit average of a hand-built or CSV-read
-    entry, which may disagree with its sum; for a live entry it stays None
-    until ``average`` is read.  Equality, hashing, indexing and iteration
-    follow the 5-tuple of values.
+    reduced, ``_den > 0``).  ``_avg`` is the stated average of a hand-built
+    entry (a Fraction) or a CSV-read one (an integer pair ``(p, q)``, q > 0,
+    until ``average`` is read), which may disagree with its sum; for a live
+    entry it stays None until ``average`` is read.  Equality, hashing,
+    indexing and iteration follow the 5-tuple of values.
     """
 
     __slots__ = ("n", "source_index", "value", "_num", "_den", "_sum", "_avg")
@@ -79,6 +85,8 @@ class TraceEntry:
         a = self._avg
         if a is None:
             a = self._avg = Fraction(self._num, self._den * self.n)
+        elif a.__class__ is tuple:
+            a = self._avg = Fraction(*a)
         return a
 
     def _average_pair(self) -> Tuple[int, int]:
@@ -86,6 +94,8 @@ class TraceEntry:
         a = self._avg
         if a is None:
             return self._num, self._den * self.n
+        if a.__class__ is tuple:
+            return a
         return a.numerator, a.denominator
 
     def __iter__(self):
@@ -433,47 +443,60 @@ CSV_HEADER = [
 _DECIMAL_CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
 
 
+def _decimal_text(p: int, q: int) -> str:
+    return str(_DECIMAL_CTX.divide(decimal.Decimal(p), decimal.Decimal(q)))
+
+
 def decimal_str(q: Fraction) -> str:
     """12 significant digits, round-half-even — display only."""
-    return str(
-        _DECIMAL_CTX.divide(
-            decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)
-        )
-    )
+    return _decimal_text(q.numerator, q.denominator)
 
 
-def _exact_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _parse_exact(text: str) -> Fraction:
-    return Fraction(text)
+def _pair(text: str) -> Tuple[int, int]:
+    """``p/q`` or integer text as an integer pair ``(p, q)``, q > 0, not
+    reduced.  Any other spelling goes through ``Fraction(text)``, so the same
+    texts parse, and fail with the same error, as there."""
+    p, slash, q = text.partition("/")
+    if p.removeprefix("-").isdecimal() and (q.isdecimal() or not slash):
+        q = int(q) if slash else 1
+        if q:
+            return int(p), q
+    x = Fraction(text)
+    return x.numerator, x.denominator
 
 
 def write_trace_csv(t, stream) -> None:
-    """Write a trace in the canonical CSV layout (exact fields as p/q)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    """Write a trace in the canonical CSV layout (exact fields as reduced
+    p/q, each from an integer pair by one gcd)."""
+    write = stream.write
+    write(",".join(CSV_HEADER) + "\n")
+    value = vtext = None
     for e in t:
-        writer.writerow(
-            [
-                e.n,
-                e.source_index,
-                _exact_str(e.value),
-                _exact_str(e.partial_sum),
-                decimal_str(e.average),
-                _exact_str(e.average),
-            ]
-        )
+        if e.value is not value:  # a run repeats one value object
+            value = e.value
+            vtext = f"{value.numerator}/{value.denominator}"
+        num, den = e._num, e._den
+        g = gcd(num, den)
+        p, q = e._average_pair()
+        h = gcd(p, q)
+        p //= h
+        q //= h
+        write(f"{e.n},{e.source_index},{vtext},{num // g}/{den // g},"
+              f"{_decimal_text(p, q)},{p}/{q}\n")
 
 
 def read_trace_csv(stream) -> List[TraceEntry]:
-    """The entries of a trace CSV; raises ValueError on a malformed row."""
+    """The entries of a trace CSV; raises ValueError on a malformed row.
+
+    Each entry holds its sum and stated average as integer pairs and builds
+    their Fractions only when read; the value column builds one Fraction per
+    distinct text.  The decimal column is not read."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header != CSV_HEADER:
         raise ValueError("not a trace file: unexpected header")
     entries = []
+    values = {}
     for row in reader:
         if not row:
             continue
@@ -483,14 +506,13 @@ def read_trace_csv(stream) -> List[TraceEntry]:
                 f"expected {len(CSV_HEADER)}"
             )
         try:
-            entry = TraceEntry(
-                int(row[0]),
-                int(row[1]),
-                _parse_exact(row[2]),
-                _parse_exact(row[3]),
-                _parse_exact(row[5]),
-            )
+            n, src = int(row[0]), int(row[1])
+            value = values.get(row[2])
+            if value is None:
+                value = values[row[2]] = Fraction(*_pair(row[2]))
+            e = _live_entry(n, src, value, *_pair(row[3]))
+            e._avg = _pair(row[5])  # the stated average, kept apart from the sum
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from exc
-        entries.append(entry)
+        entries.append(e)
     return entries

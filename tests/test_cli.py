@@ -180,6 +180,23 @@ def test_verify_checks_identities_and_tube(tmp_path):
     assert out == "identities: PASS\ntube target=1/3 eps=1/10000 from=150: FAIL\n"
 
 
+def test_verify_fails_a_tube_that_tests_no_row(tmp_path):
+    base = tmp_path / "run"
+    run("construct", "--target", "1/3", "--n", "200", "--out", str(base),
+        "interleave(const(0), const(1))")
+    trace_path = str(base) + ".trace.csv"
+
+    code, out, _ = run("verify", trace_path, "--tube", "1/3", "1/10", "--from", "200")
+    assert (code, out) == (0, "identities: PASS\ntube target=1/3 eps=1/10 from=200: PASS\n")
+
+    code, out, _ = run("verify", trace_path, "--tube", "1/3", "1/10", "--from", "201")
+    assert code == 1
+    assert out == (
+        "identities: PASS\ntube target=1/3 eps=1/10 from=201: FAIL\n"
+        "no row lies at or after --from 201: the largest n is 200\n"
+    )
+
+
 def test_verify_spec_checks_each_value_against_its_source_term(tmp_path):
     spec = "interleave(const(0), const(1))"
     base = tmp_path / "run"

@@ -459,6 +459,38 @@ def test_csv_reader_names_the_line_of_a_malformed_row():
         read_trace_csv(io.StringIO(header + "1,1,0/1,0/1,0,0/1\n2,2,1,1,1,1,1\n"))
 
 
+PARSE_TEXTS = ["3", "-3/4", "+1/2", " 1/2", "1/2 ", "1_000/3", "1.5", "1e3", "-0",
+               "2/4", "1/0", "1/-2", "--1/2", "1/", "/2", "x", "", "\u0663/4",
+               "\u00b2/4"]  # an Arabic-Indic three; a superscript two is no decimal digit
+
+
+@pytest.mark.parametrize("column", [2, 3, 5], ids=["value", "partial_sum", "average"])
+@pytest.mark.parametrize("text", PARSE_TEXTS)
+def test_csv_reader_parses_exact_fields_as_fraction_does(text, column):
+    row = ["1", "1", "1/1", "1/1", "1", "1/1"]
+    row[column] = text
+    csv_text = ",".join(CSV_HEADER) + "\n" + ",".join(row) + "\n"
+    try:
+        q = F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ValueError) as raised:
+            read_trace_csv(io.StringIO(csv_text))
+        assert str(raised.value) == f"line 2: {exc}"
+        return
+    fields = [1, 1, F(1), F(1), F(1)]
+    fields[{2: 2, 3: 3, 5: 4}[column]] = q
+    assert read_trace_csv(io.StringIO(csv_text)) == [TraceEntry(*fields)]
+
+
+def test_csv_reader_shares_one_value_object_per_distinct_text():
+    r = identity_rearrangement(parse_spec("interleave(const(0), const(1))"))
+    buf = io.StringIO()
+    write_trace_csv(iter_trace(r, 10_000), buf)
+    back = read_trace_csv(io.StringIO(buf.getvalue()))
+    assert len(back) == 10_000
+    assert len({id(e.value) for e in back}) == 2
+
+
 def test_decimal_rendering_frozen_examples():
     assert decimal_str(F(2, 3)) == "0.666666666667"
     assert decimal_str(F(1, 3)) == "0.333333333333"

@@ -1,5 +1,6 @@
 """Property-based invariants across the library (hypothesis-driven)."""
 
+import io
 import math
 from fractions import Fraction
 from itertools import islice
@@ -24,10 +25,13 @@ from meanweave.harness import (
     check_permutation,
     check_schedule,
     check_tube,
+    decimal_str,
     downward_jump_bound_holds,
     envelope_oracle,
     iter_trace,
+    read_trace_csv,
     verify_trace_identities,
+    write_trace_csv,
 )
 from meanweave.realizer import ScheduleEntry
 from meanweave.rearrange import (
@@ -400,6 +404,48 @@ def test_live_trace_entries_match_a_naive_fraction_reference(drawn):
         )
     assert verify_trace_identities(entries)
     assert verify_trace_identities(iter_trace(r))
+
+
+# negatives and denominators up to 10**12; a drawn count repeats one value
+# object, as a run of a block stream does
+wide_runs = st.lists(
+    st.tuples(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12),
+              st.integers(1, 3)),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=60, **COMMON)
+@given(wide_runs, st.data())
+def test_csv_round_trip_is_byte_identical_and_keeps_the_identities(runs, data):
+    stream = [(i, v) for i, v in enumerate(
+        (v for v, k in runs for _ in range(k)), 1)]
+    r = Rearrangement(parse_spec("const(0)"),
+                      lambda: ((s, v, "core") for s, v in stream), lambda n: n, "fixed")
+    first = io.StringIO()
+    write_trace_csv(iter_trace(r), first)
+    back = read_trace_csv(io.StringIO(first.getvalue()))
+    second = io.StringIO()
+    write_trace_csv(back, second)
+    assert second.getvalue() == first.getvalue()
+    live = list(iter_trace(r))
+    assert back == live
+    exact = lambda q: f"{q.numerator}/{q.denominator}"  # noqa: E731
+    assert first.getvalue().splitlines()[1:] == [
+        f"{e.n},{e.source_index},{exact(e.value)},{exact(e.partial_sum)},"
+        f"{decimal_str(e.average)},{exact(e.average)}" for e in live
+    ]
+    assert verify_trace_identities(back)
+
+    # move one stated average by 1/q: the pairs read back must fail
+    lines = first.getvalue().splitlines()
+    i = data.draw(st.integers(1, len(lines) - 1))
+    row = lines[i].split(",")
+    p, q = map(int, row[5].split("/"))
+    row[5] = f"{p + data.draw(st.sampled_from([-1, 1]))}/{q}"
+    lines[i] = ",".join(row)
+    moved = read_trace_csv(io.StringIO("\n".join(lines) + "\n"))
+    assert not verify_trace_identities(moved)
 
 
 @settings(max_examples=60, **COMMON)
