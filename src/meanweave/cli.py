@@ -4,6 +4,9 @@ Every run is deterministic: identical command lines produce byte-identical
 artifacts.  Failures print one machine-readable line
 ``ERROR <code>: <detail>`` to stderr and exit with status 2; verification
 mismatches exit with status 1.
+
+Each subcommand imports only the layers it runs: ``verify`` loads the
+harness, not the constructions behind it.
 """
 
 from __future__ import annotations
@@ -12,25 +15,32 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-from .aarset import AARSet
-from .balance import balanced_verdict
-from .classifier import classify_spec
-from .dsl import parse_spec
 from .errors import MeanweaveError
-from .extreal import ExtendedReal
-from .harness import (
-    check_tube,
-    envelope_oracle,
-    iter_trace,
-    read_trace_csv,
-    verify_trace_identities,
-    write_trace_csv,
-)
-from .realizer import realizer_from_spec
-from .rearrange import construct_target, oscillator
 
 DEFAULT_HORIZON = 100_000
+
+# home module -> the layer functions the subcommands call there.  The names
+# stay readable here (the benchmark's per-layer trace wraps them by these
+# names), but importing cli loads none of their modules.
+_LAYER_FUNCTIONS = {
+    "dsl": ("parse_spec",),
+    "balance": ("balanced_verdict",),
+    "classifier": ("classify_spec",),
+    "rearrange": ("construct_target", "oscillator"),
+    "realizer": ("realizer_from_spec",),
+    "harness": ("iter_trace", "check_tube", "verify_trace_identities",
+                "write_trace_csv", "read_trace_csv"),
+}
+_HOME = {name: home for home, names in _LAYER_FUNCTIONS.items() for name in names}
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__package__}.{home}"), name)
 
 
 def _error_line(code: str, detail: str) -> None:
@@ -38,12 +48,18 @@ def _error_line(code: str, detail: str) -> None:
 
 
 def _cmd_classify(args) -> int:
+    from .classifier import classify_spec
+    from .dsl import parse_spec
+
     result = classify_spec(parse_spec(args.spec))
     print(result.serialize() if args.exact else result.render())
     return 0
 
 
 def _cmd_balanced(args) -> int:
+    from .balance import balanced_verdict
+    from .dsl import parse_spec
+
     v = balanced_verdict(parse_spec(args.spec), mode=args.mode, horizon=args.n)
     print(f"{v.kind.name}: {v.reason}")
     if v.limsup_estimate is not None:
@@ -59,12 +75,18 @@ def _cmd_balanced(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .aarset import AARSet
+    from .dsl import parse_spec
+    from .harness import iter_trace, write_trace_csv
+    from .rearrange import construct_target, oscillator
+
     spec = parse_spec(args.spec)
     if args.target is not None:
         r = construct_target(spec, Fraction(args.target))
     elif args.oscillate:
         r = oscillator(spec)
     else:
+        from .realizer import realizer_from_spec
         r = realizer_from_spec(spec, AARSet.parse(args.realize))
     perm_path = args.out + ".perm.txt"
     csv_path = args.out + ".trace.csv"
@@ -89,12 +111,18 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .extreal import ExtendedReal
+    from .harness import check_tube, read_trace_csv, verify_trace_identities
+
     if args.tube is not None:  # a malformed tube is refused before any output
         target = ExtendedReal.parse(args.tube[0])
         eps = Fraction(args.tube[1])
         if eps <= 0:
             raise ValueError("eps must be positive")
-    spec = None if args.spec is None else parse_spec(args.spec)
+    spec = None
+    if args.spec is not None:
+        from .dsl import parse_spec
+        spec = parse_spec(args.spec)
     with open(args.trace, newline="") as fh:
         t = read_trace_csv(fh)
     if not t:
@@ -131,6 +159,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .harness import envelope_oracle
+
     values = [Fraction(v.strip()) for v in args.values.split(",")]
     report = envelope_oracle(values, args.k)
     if report.achievable is not None:

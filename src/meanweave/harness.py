@@ -25,11 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import gcd
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
 from .extreal import ExtendedReal, as_fraction, widen
-from .rearrange import Rearrangement
+
+if TYPE_CHECKING:  # annotations only: verifying a trace loads no construction
+    from .rearrange import Rearrangement
 
 __all__ = [
     "TraceEntry",

@@ -16,7 +16,8 @@ Each family also generates its terms, once, as integer pairs
 ``(num, den)`` (``iter_pairs``): no gcd per term.  ``iter_terms`` is the
 one Fraction view of those pairs, built once per run of one pair object;
 only families that re-yield objects they already hold (constants,
-interleaves, explicit prefixes) keep their own.
+interleaves, explicit prefixes) keep their own, and a geometric spec with
+a fractional ratio, whose terms are cheaper as products than as pairs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -245,6 +247,13 @@ class Geometric(_Increasing):
         while True:
             yield num, den
             num, den = num * p, den * q
+
+    def iter_terms(self) -> Iterator[Fraction]:
+        if self.ratio.denominator == 1:
+            return super().iter_terms()  # Fraction(p^n) takes no gcd
+        # p^n/q^n is in lowest terms: times p/q it reduces against p and q
+        # alone, where Fraction(p^n, q^n) takes a gcd of n-digit integers
+        return itertools.accumulate(itertools.repeat(self.ratio), operator.mul)
 
     def _balance(self):
         return (
