@@ -12,28 +12,27 @@ of an unbounded interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
-from .extreal import NEG_INF, POS_INF, ExtendedReal
+from .extreal import NEG_INF, POS_INF, ExtendedReal, Record, set_field
 
 PointLike = Union[int, Fraction, ExtendedReal]
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval [lo, hi] over the extended reals.
 
     Degenerate intervals (lo == hi) represent single points, including the
     point sets {-inf} and {+inf}.
     """
 
-    lo: ExtendedReal
-    hi: ExtendedReal
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: ExtendedReal, hi: ExtendedReal):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        if lo > hi:
             raise ValueError(f"interval endpoints out of order: {self}")
 
     @staticmethod

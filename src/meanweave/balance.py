@@ -14,32 +14,33 @@ never upgrade a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import List, Optional
 
 from .errors import NonPositiveTerm, NotDivergent, UnknownProfile
-from .extreal import POS_INF, widen
+from .extreal import POS_INF, Record, set_field, widen
 from .seqspec import BalanceKind, Condition, DensityReport, SequenceSpec, profile
 
 
-@dataclass(frozen=True)
-class RatioEntry:
+class RatioEntry(Record):
     """Exact diagnostics at one index.
 
     Field names follow the module contract: ``s_prev`` is the sum of the
     terms before n, ``r_n`` the term divided by that sum, ``A_n`` its
     reciprocal (the balance index), and ``r_incl`` the term divided by the
-    sum including itself.
+    sum including itself.  All but n are Fractions.
     """
 
-    n: int
-    term: Fraction
-    s_prev: Fraction
-    r_n: Fraction
-    A_n: Fraction
-    r_incl: Fraction
+    _fields = ("n", "term", "s_prev", "r_n", "A_n", "r_incl")
+
+    def __init__(self, n: int, term, s_prev, r_n, A_n, r_incl):
+        set_field(self, "n", n)
+        set_field(self, "term", term)
+        set_field(self, "s_prev", s_prev)
+        set_field(self, "r_n", r_n)
+        set_field(self, "A_n", A_n)
+        set_field(self, "r_incl", r_incl)
 
 
 def ratio_series(spec: SequenceSpec, n: int) -> List[RatioEntry]:
@@ -67,23 +68,27 @@ def ratio_series(spec: SequenceSpec, n: int) -> List[RatioEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class NumericEvidence:
+class NumericEvidence(Record):
     """Tail-window ratio statistics; advisory only."""
 
-    horizon: int
-    window_start: int
-    max_ratio: Optional[Fraction]  # None: no positive earlier sum in the window
-    last_ratio: Optional[Fraction]
-    ratio_small: bool  # max tail ratio below the 1e-3 evidence threshold
+    _fields = ("horizon", "window_start", "max_ratio", "last_ratio", "ratio_small")
+
+    def __init__(self, horizon, window_start, max_ratio, last_ratio, ratio_small):
+        set_field(self, "horizon", horizon)
+        set_field(self, "window_start", window_start)
+        set_field(self, "max_ratio", max_ratio)  # None: no positive earlier sum in window
+        set_field(self, "last_ratio", last_ratio)
+        set_field(self, "ratio_small", ratio_small)  # max tail ratio below 1e-3 threshold
 
 
-@dataclass(frozen=True)
-class BalanceVerdict:
-    kind: BalanceKind
-    reason: str
-    limsup_estimate: Optional[Fraction] = None
-    evidence: Optional[NumericEvidence] = None
+class BalanceVerdict(Record):
+    _fields = ("kind", "reason", "limsup_estimate", "evidence")
+
+    def __init__(self, kind: BalanceKind, reason, limsup_estimate=None, evidence=None):
+        set_field(self, "kind", kind)
+        set_field(self, "reason", reason)
+        set_field(self, "limsup_estimate", limsup_estimate)
+        set_field(self, "evidence", evidence)
 
 
 EVIDENCE_THRESHOLD = Fraction(1, 1000)

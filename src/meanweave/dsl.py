@@ -9,7 +9,6 @@ round-trip specs losslessly.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 from fractions import Fraction
 from typing import List, Tuple, Union
 
@@ -159,7 +158,7 @@ _TOKEN = re.compile(r".\+?")
 _TOKENS = {"q": ("rational", _rat), "s": ("spec", render),
            "q+": ("rational...", lambda values: ", ".join([_rat(v) for v in values]))}
 _ARGS = {
-    f: tuple(zip([a.name for a in fields(f) if a.compare and not a.kw_only],
+    f: tuple(zip(f._fields[1:],  # after declared_profile
                  [_TOKENS[t][1] for t in _TOKEN.findall(f.dsl_shape)], strict=True))
     for f in _FAMILIES
 }

@@ -4,12 +4,13 @@ The library never touches floats on the exact path; finite values are
 ``fractions.Fraction`` and the infinities are two interned sentinels.
 ``ExtendedReal`` is totally ordered and hashable, so it can key dicts and
 sort interval endpoints.  ``widen`` is the step shared by every running sum
-kept as an unreduced integer pair.
+kept as an unreduced integer pair, and ``Record`` the base of every record.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -141,3 +142,46 @@ def widen(num: int, den: int, vd: int) -> Tuple[int, int]:
         g = math.gcd(num, den)
         num, den = num // g, den // g
     return num * vd, den * vd
+
+
+set_field = object.__setattr__  # a record's __init__ sets its fields with it
+
+
+class Record:
+    """Base of the package's immutable values, written out, not generated:
+    a subclass names its fields in ``_fields``, and its ``__init__`` sets
+    exactly those with ``set_field``.  A record equals a record of its class
+    with an equal ``__dict__`` (compared in C), hashes like the tuple of its
+    fields (``_key``, read in C), shows them by keyword and refuses
+    assignment and deletion."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        names = cls._fields
+        get = operator.attrgetter(*names) if names else None
+        # attrgetter returns a single field bare, not as a 1-tuple
+        cls._key = get if len(names) > 1 else staticmethod(lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # pickle and copy restore past __setattr__
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                set_field(self, name, value)

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import csv
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
-from .extreal import ExtendedReal, as_fraction, widen
+from .extreal import ExtendedReal, Record, as_fraction, set_field, widen
 
 if TYPE_CHECKING:  # annotations only: verifying a trace loads no construction
     from .rearrange import Rearrangement
@@ -199,11 +198,13 @@ def trace(r: Rearrangement, n: int) -> List[TraceEntry]:
 # Permutation audit
 
 
-@dataclass(frozen=True)
-class PermutationReport:
-    ok: bool
-    distinct_checked: int
-    coverage: Tuple[Tuple[int, Optional[int], int], ...]  # (probe, bound, satisfied_at)
+class PermutationReport(Record):
+    _fields = ("ok", "distinct_checked", "coverage")
+
+    def __init__(self, ok: bool, distinct_checked: int, coverage: Tuple[tuple, ...]):
+        set_field(self, "ok", ok)
+        set_field(self, "distinct_checked", distinct_checked)
+        set_field(self, "coverage", coverage)  # (probe, bound, satisfied_at)s
 
 
 def check_permutation(
@@ -347,11 +348,13 @@ def _check_windows(t, windows) -> bool:
 # Brute-force envelope oracle
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
-    min_avg: Fraction
-    max_avg: Fraction
-    achievable: Optional[Tuple[Fraction, ...]]  # sorted, only for <= 12 values
+class EnvelopeReport(Record):
+    _fields = ("min_avg", "max_avg", "achievable")
+
+    def __init__(self, min_avg: Fraction, max_avg: Fraction, achievable: Optional[tuple]):
+        set_field(self, "min_avg", min_avg)
+        set_field(self, "max_avg", max_avg)
+        set_field(self, "achievable", achievable)  # sorted, only for <= 12 values
 
 
 ORACLE_ENUMERATION_CAP = 12

@@ -1,13 +1,14 @@
-"""Realize a prescribed accumulation set of running averages.
+"""Steer running averages through ever narrower tubes around a prescribed set.
 
 ``realizer_from_spec`` groups a spec's strands by limit into four parts —
 values near a finite level a, values near a finite level b > a, values
 diverging to -inf and values diverging to +inf — and builds a
 rearrangement whose running average visits shrinking tubes
 around a dense schedule of targets drawn from a prescribed closed set
-Z inside [a, b], and spikes through arbitrarily large positive and negative
-values between visits.  The accumulation points of the average are then
-exactly Z together with -inf and +inf.
+Z inside [a, b], jumping past the band around [a, b] between visits.  The
+checks (``check_schedule``, criterion 07, stream digests) test the windows,
+visits, permutation and stream, not that Z and ±inf are all the accumulation
+points: criterion 07's jumps do not grow (ROADMAP item 1, open).
 
 The stream alternates three regimes:
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -45,7 +45,7 @@ from .errors import (
     MissingInfinity,
     ZOutsideRange,
 )
-from .extreal import NEG_INF, POS_INF, as_fraction
+from .extreal import NEG_INF, POS_INF, Record, as_fraction, set_field
 from .rearrange import Rearrangement, RunningAverage, first_positive
 from .seqspec import (
     PartCursor,
@@ -67,16 +67,18 @@ __all__ = [
 # Tube schedule
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(Record):
     """One verification window: averages in [from_index, next from) lie in (lo, hi)."""
 
-    lo: Fraction
-    hi: Fraction
-    from_index: int
-    kind: str  # "transit" or "tube"
-    stage: int
-    target: Optional[Fraction] = None
+    _fields = ("lo", "hi", "from_index", "kind", "stage", "target")
+
+    def __init__(self, lo, hi, from_index: int, kind: str, stage: int, target=None):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "from_index", from_index)
+        set_field(self, "kind", kind)  # "transit" or "tube"
+        set_field(self, "stage", stage)
+        set_field(self, "target", target)
 
 
 class TubeSchedule:
@@ -188,7 +190,7 @@ def _stage_targets(pieces) -> Iterator[Fraction]:
 
 
 def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
-    """Rearrange a spec so its averages accumulate exactly at Z ∪ {-inf, +inf}.
+    """Rearrange a spec so its averages visit ever narrower tubes around Z.
 
     The spec's strands are grouped by limit.  Every strand must converge
     (else UnknownProfile), and the strand limits must include two distinct

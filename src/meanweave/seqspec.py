@@ -26,14 +26,13 @@ import collections
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from .aarset import AARSet, union
 from .errors import MalformedDescriptor, TermTooLarge, UndeclaredLimit, UnknownProfile
-from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction
+from .extreal import NEG_INF, POS_INF, ExtendedReal, Record, as_fraction, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -52,21 +51,22 @@ class Condition(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    condition: Condition
-    reason: str
-    # Interleave-branch path ("first"/"second" steps) selecting a strand
-    # along which |term|/n -> 0; () means the whole sequence qualifies.
-    path: Optional[Tuple[str, ...]] = None
+class DensityReport(Record):
+    _fields = ("condition", "reason", "path")
+
+    def __init__(self, condition: Condition, reason: str, path: Optional[tuple] = None):
+        set_field(self, "condition", condition)
+        set_field(self, "reason", reason)
+        # Interleave-branch path ("first"/"second" steps) selecting a strand
+        # along which |term|/n -> 0; () means the whole sequence qualifies.
+        set_field(self, "path", path)
 
 
 # ---------------------------------------------------------------------------
 # Sequence descriptors
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Record):
     """Base class; concrete generators subclass this.
 
     ``declared_profile`` lets callers assert an accumulation set the
@@ -78,11 +78,12 @@ class SequenceSpec:
     ``s`` a spec, with ``+`` for one or more.
     """
 
-    declared_profile: Optional[AARSet] = field(
-        default=None, kw_only=True
-    )
-
+    _fields = ("declared_profile",)  # first of every spec's fields, keyword-only
+    declared_profile: Optional[AARSet] = None  # for a subclass that sets no fields
     dsl_name, dsl_shape = None, ""
+
+    def __init__(self, *, declared_profile=None):
+        set_field(self, "declared_profile", declared_profile)
 
     def term(self, n: int) -> Fraction:
         raise NotImplementedError
@@ -140,13 +141,13 @@ class SequenceSpec:
         return self
 
 
-@dataclass(frozen=True)
 class Constant(SequenceSpec):
-    value: Fraction
+    _fields = ("declared_profile", "value")
     dsl_name, dsl_shape = "const", "q"
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
+    def __init__(self, value: Fraction, *, declared_profile=None):
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "value", as_fraction(value))
 
     def term(self, n: int) -> Fraction:
         self._check_index(n)
@@ -196,18 +197,19 @@ class _Polynomial(_Increasing):
         return DensityReport(Condition.FAILS, "|term|/n grows polynomially")
 
 
-@dataclass(frozen=True)
 class PowerOfIndex(_Polynomial):
     """n^k for a fixed positive integer exponent k."""
 
-    exponent: int
+    _fields = ("declared_profile", "exponent")
     dsl_name, dsl_shape = "pow", "q"
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 1:
+    def __init__(self, exponent: int, *, declared_profile=None):
+        if not isinstance(exponent, int) or exponent < 1:
             raise MalformedDescriptor(
-                f"power exponent must be a positive integer, got {self.exponent!r}"
+                f"power exponent must be a positive integer, got {exponent!r}"
             )
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "exponent", exponent)
 
     def term(self, n: int) -> Fraction:
         self._check_index(n)
@@ -224,18 +226,18 @@ class PowerOfIndex(_Polynomial):
         return cls(int(args[0]))
 
 
-@dataclass(frozen=True)
 class Geometric(_Increasing):
     """ratio^n with rational ratio > 1."""
 
-    ratio: Fraction
+    _fields = ("declared_profile", "ratio")
     dsl_name, dsl_shape = "geom", "q"
 
-    def __post_init__(self):
-        r = as_fraction(self.ratio)
+    def __init__(self, ratio: Fraction, *, declared_profile=None):
+        r = as_fraction(ratio)
         if r <= 1:
             raise MalformedDescriptor(f"geometric ratio must exceed 1, got {r}")
-        object.__setattr__(self, "ratio", r)
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "ratio", r)
 
     def term(self, n: int) -> Fraction:
         self._check_index(n)
@@ -272,7 +274,6 @@ class Geometric(_Increasing):
         return DensityReport(Condition.FAILS, reason)
 
 
-@dataclass(frozen=True)
 class Linear(_Polynomial):
     exponent = 1
     dsl_name, dsl_shape = "linear", ""
@@ -288,7 +289,6 @@ class Linear(_Polynomial):
         return NegLinear()
 
 
-@dataclass(frozen=True)
 class NegLinear(SequenceSpec):
     dsl_name, dsl_shape = "neglinear", ""
 
@@ -349,18 +349,17 @@ def _icbrt(x: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
 class RunLength(_Increasing):
-    rule: RunRule
+    _fields = ("declared_profile", "rule")
     dsl_name, dsl_shape = "runlen", "q"
 
-    def __post_init__(self):
+    def __init__(self, rule: RunRule, *, declared_profile=None):
         try:
-            object.__setattr__(self, "rule", RunRule(self.rule))
+            rule = RunRule(rule)
         except ValueError:
-            raise MalformedDescriptor(
-                f"unknown run-length rule {self.rule!r}"
-            ) from None
+            raise MalformedDescriptor(f"unknown run-length rule {rule!r}") from None
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "rule", rule)
 
     def _block(self, b: int) -> Tuple[int, int]:
         """Integer value and multiplicity of the b-th block (b >= 1)."""
@@ -432,7 +431,6 @@ class RunLength(_Increasing):
         return DensityReport(Condition.FAILS, "block values outgrow the index")
 
 
-@dataclass(frozen=True)
 class SumJump(_Increasing):
     """Step-by-one growth that jumps past its own prefix sum.
 
@@ -441,9 +439,13 @@ class SumJump(_Increasing):
     increasing, but the term/prefix-sum ratio exceeds 1 infinitely often.
     """
 
-    _values: list = field(default_factory=list, compare=False, repr=False)
-    _sums: list = field(default_factory=list, compare=False, repr=False)
+    __slots__ = ("_values", "_sums")  # the terms and prefix sums so far: a cache
     dsl_name, dsl_shape = "sumjump", ""
+
+    def __init__(self, *, declared_profile=None):
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "_values", [])
+        set_field(self, "_sums", [])
 
     def _extend_to(self, n: int):
         vals, sums = self._values, self._sums
@@ -481,18 +483,17 @@ class SumJump(_Increasing):
         return DensityReport(Condition.FAILS, "jump terms dominate the index")
 
 
-@dataclass(frozen=True)
 class ExplicitPrefix(SequenceSpec):
     """Finitely many explicit values followed by a tail spec (re-indexed)."""
 
-    values: Tuple[Fraction, ...]
-    tail: SequenceSpec
+    _fields = ("declared_profile", "values", "tail")
     dsl_name, dsl_shape = "prefix", "q+s"
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(as_fraction(v) for v in self.values)
-        )
+    def __init__(self, values, tail: SequenceSpec, *, declared_profile=None):
+        values = tuple(as_fraction(v) for v in values)
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "values", values)
+        set_field(self, "tail", tail)
 
     def term(self, n: int) -> Fraction:
         self._check_index(n)
@@ -556,18 +557,17 @@ def _as_fraction(pair: Tuple[int, int]) -> Fraction:
     return Fraction(num) if den == 1 else Fraction(num, den)
 
 
-@dataclass(frozen=True)
 class Affine(SequenceSpec):
     """scale * base_term + shift, pointwise."""
 
-    base: SequenceSpec
-    scale: Fraction
-    shift: Fraction
+    _fields = ("declared_profile", "base", "scale", "shift")
     dsl_name, dsl_shape = "affine", "sqq"
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", as_fraction(self.scale))
-        object.__setattr__(self, "shift", as_fraction(self.shift))
+    def __init__(self, base: SequenceSpec, scale, shift, *, declared_profile=None):
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "base", base)
+        set_field(self, "scale", as_fraction(scale))
+        set_field(self, "shift", as_fraction(shift))
 
     def term(self, n: int) -> Fraction:
         return self.scale * self.base.term(n) + self.shift
@@ -607,10 +607,13 @@ class Affine(SequenceSpec):
         return self.base._sort_head() if self.scale > 0 else None
 
 
-@dataclass(frozen=True)
 class PointwiseSquare(SequenceSpec):
-    base: SequenceSpec
+    _fields = ("declared_profile", "base")
     dsl_name, dsl_shape = "square", "s"
+
+    def __init__(self, base: SequenceSpec, *, declared_profile=None):
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "base", base)
 
     def term(self, n: int) -> Fraction:
         v = self.base.term(n)
@@ -650,10 +653,13 @@ class PointwiseSquare(SequenceSpec):
         return head + sum(1 for _ in itertools.takewhile(lambda v: v < 0, past))
 
 
-@dataclass(frozen=True)
 class Negate(SequenceSpec):
-    base: SequenceSpec
+    _fields = ("declared_profile", "base")
     dsl_name, dsl_shape = "neg", "s"
+
+    def __init__(self, base: SequenceSpec, *, declared_profile=None):
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "base", base)
 
     def term(self, n: int) -> Fraction:
         return -self.base.term(n)
@@ -674,13 +680,16 @@ class Negate(SequenceSpec):
         return self.base._density()
 
 
-@dataclass(frozen=True)
 class Interleave(SequenceSpec):
     """Strict alternation: term 2n-1 comes from ``first``, term 2n from ``second``."""
 
-    first: SequenceSpec
-    second: SequenceSpec
+    _fields = ("declared_profile", "first", "second")
     dsl_name, dsl_shape = "interleave", "ss"
+
+    def __init__(self, first, second, *, declared_profile=None):
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
     def term(self, n: int) -> Fraction:
         self._check_index(n)
@@ -727,13 +736,16 @@ class Interleave(SequenceSpec):
         return DensityReport(Condition.UNKNOWN, "strand verdicts incomplete")
 
 
-@dataclass(frozen=True)
 class PointwiseSum(SequenceSpec):
     """Index-aligned sum of two specs."""
 
-    first: SequenceSpec
-    second: SequenceSpec
+    _fields = ("declared_profile", "first", "second")
     dsl_name, dsl_shape = "sum", "ss"
+
+    def __init__(self, first, second, *, declared_profile=None):
+        set_field(self, "declared_profile", declared_profile)
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
     def term(self, n: int) -> Fraction:
         return self.first.term(n) + self.second.term(n)
@@ -797,7 +809,7 @@ def profile(spec: SequenceSpec) -> AARSet:
 # Decomposition into convergent parts
 
 
-class IndexMap:
+class IndexMap(Record):
     """Map from a strand's k-th element (k >= 1) back to its source index.
 
     ``AffineMap`` is affine and ``WovenMap`` alternates between two maps.
@@ -808,6 +820,13 @@ class IndexMap:
     """
 
     __slots__ = ()
+
+    def __eq__(self, other):  # a slotted map has no __dict__ to compare
+        if type(other) is type(self):
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    __hash__ = Record.__hash__
 
     def __call__(self, k: int) -> int:
         if k < 1:
@@ -820,12 +839,14 @@ class IndexMap:
         return WovenMap(self, other)
 
 
-@dataclass(frozen=True, slots=True)
 class AffineMap(IndexMap):
     """Element ``q + 1`` maps to ``slope*q + offset``."""
 
-    slope: int
-    offset: int
+    __slots__ = _fields = ("slope", "offset")
+
+    def __init__(self, slope: int, offset: int):
+        set_field(self, "slope", slope)
+        set_field(self, "offset", offset)
 
     def _at(self, k: int) -> int:
         return self.slope * (k - 1) + self.offset
@@ -844,13 +865,15 @@ class AffineMap(IndexMap):
         return n
 
 
-@dataclass(frozen=True, slots=True)
 class WovenMap(IndexMap):
     """Odd elements read ``first`` and even ones ``second``: element k maps
     to first((k + 1)/2) or second(k/2)."""
 
-    first: IndexMap
-    second: IndexMap
+    __slots__ = _fields = ("first", "second")
+
+    def __init__(self, first: IndexMap, second: IndexMap):
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
     def _at(self, k: int) -> int:
         return self.first((k + 1) // 2) if k % 2 else self.second(k // 2)
@@ -868,15 +891,18 @@ class WovenMap(IndexMap):
 IDENTITY_MAP = AffineMap(1, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class PartStream:
+class PartStream(Record):
     """Strands of a source folded into one part: its spec, the ``IndexMap``
     of its elements back to source indices, and the limit the strands share
-    (None when they have several)."""
+    (None when they have several).  Parts compare by identity."""
 
-    spec: SequenceSpec
-    witness: IndexMap
-    limit: Optional[ExtendedReal]
+    _fields = ("spec", "witness", "limit")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, spec: SequenceSpec, witness: IndexMap, limit):
+        set_field(self, "spec", spec)
+        set_field(self, "witness", witness)
+        set_field(self, "limit", limit)
 
     def emissions(self) -> Iterator[Tuple[int, Fraction]]:
         """Lazy (source_index, value) stream, in part order."""
@@ -946,19 +972,22 @@ class PartCursor:
         return self._aside.popleft() if self._aside else self.advance()
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(Record):
     """Split of a source spec into parts folded from its strands.
 
     ``b`` converges (in the extended reals) to the source's liminf and ``c``
     to its limsup (None when they are equal); ``d`` folds the remaining
     strands (None when there are none).  The parts' witnesses partition the
-    source index set.
+    source index set.  Decompositions compare by identity.
     """
 
-    b: PartStream
-    c: Optional[PartStream]
-    d: Optional[PartStream]
+    _fields = ("b", "c", "d")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, b: PartStream, c: Optional[PartStream], d: Optional[PartStream]):
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
 
     def emissions(self, part: str) -> Iterator[Tuple[int, Fraction]]:
         """Lazy (source_index, value) stream of part 'b', 'c' or 'd'."""

@@ -124,6 +124,27 @@ def test_no_module_imports_a_private_name_from_another():
     assert leaks == []
 
 
+def test_no_module_imports_dataclasses():
+    # The records are written out on extreal.Record: dataclasses (and the
+    # inspect module it loads) cost every process start-up for nothing.
+    import ast
+    import pathlib
+
+    import meanweave
+
+    found = []
+    for path in sorted(pathlib.Path(meanweave.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {m}" for m in modules if m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def test_lower_layers_import_nothing_from_the_constructions_or_the_cli():
     # extreal holds the integer-pair helper (widen) that balance, the
     # running average and the trace walker share; the layers below the

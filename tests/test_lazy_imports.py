@@ -23,9 +23,11 @@ from meanweave.cli import main
 SRC = Path(meanweave.__file__).resolve().parents[1]
 
 # Runs meanweave.cli.main on argv (none: only `import meanweave`) and prints
-# the meanweave modules loaded afterwards.
+# the meanweave modules loaded afterwards, and dataclasses and inspect if
+# loaded: the records are written out, so no process needs either.
 PROBE = """
 import io, json, sys
+GENERATORS = ("dataclasses", "inspect")
 from contextlib import redirect_stdout
 argv = json.loads(sys.argv[1])
 if argv is None:
@@ -37,7 +39,8 @@ else:
             main(argv)
         except SystemExit:
             pass
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "meanweave")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "meanweave" or m in GENERATORS)))
 """
 
 REALIZE_SPEC = (
@@ -56,7 +59,9 @@ def fresh_python(code, *args):
 
 
 def loaded_by(argv):
-    return {m.removeprefix("meanweave.") for m in fresh_python(PROBE, json.dumps(argv))}
+    loaded = {m.removeprefix("meanweave.") for m in fresh_python(PROBE, json.dumps(argv))}
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+    return loaded
 
 
 @pytest.fixture(scope="module")
