@@ -217,7 +217,7 @@ def _canonicalize(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
     merged: list[Interval] = []
     # Sorted by lower end, a piece merges with the last one exactly when
     # they share a point: when it starts at or before the last one ends.
-    for iv in sorted(intervals, key=lambda iv: iv.lo._key()):
+    for iv in sorted(intervals, key=lambda iv: iv.lo):
         if merged and iv.lo <= merged[-1].hi:
             if iv.hi > merged[-1].hi:
                 merged[-1] = Interval(merged[-1].lo, iv.hi)

@@ -58,37 +58,42 @@ class ExtendedReal:
             raise ValueError("infinite ExtendedReal has no rational value")
         return self._value
 
-    def _key(self):
-        # Totally ordered tuple: sign major, finite value minor.
-        if self._sign != 0:
-            return (self._sign, _ZERO)
-        return (0, self._value)
+    def _cmp(self, other):
+        """An int with the sign of self - other (signs compare as ints,
+        finite values by one integer cross-multiplication), or None for an
+        operand that is not an int, a Fraction or an ExtendedReal."""
+        if other.__class__ is not ExtendedReal:
+            if not isinstance(other, (int, Fraction)):
+                return None
+            other = ExtendedReal(other)
+        s, t = self._sign, other._sign
+        if s or t:
+            return s - t
+        a, b = self._value, other._value
+        return a.numerator * b.denominator - b.numerator * a.denominator
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ExtendedReal(other)
-        if not isinstance(other, ExtendedReal):
-            return NotImplemented
-        return self._key() == other._key()
+        c = self._cmp(other)
+        return NotImplemented if c is None else c == 0
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ExtendedReal(other)
-        return self._key() < other._key()
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ExtendedReal(other)
-        return self._key() <= other._key()
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other) -> bool:
-        return not self.__le__(other)
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other) -> bool:
-        return not self.__lt__(other)
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self._sign, _ZERO) if self._sign else (0, self._value))
 
     def __neg__(self) -> "ExtendedReal":
         if self._sign != 0:

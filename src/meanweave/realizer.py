@@ -10,21 +10,24 @@ checks (``check_schedule``, criterion 07, stream digests) test the windows,
 visits, permutation and stream, not that Z and ±inf are all the accumulation
 points: criterion 07's jumps do not grow (ROADMAP item 1, open).
 
-The stream alternates three regimes:
+Stage k runs three phases in order, toward its target t and its tube
+(t - 1/k, t + 1/k):
 
-* steering: inside the current tube (t - 1/k, t + 1/k) the average is held
-  by choosing sides (values near b raise it, values near a lower it), while
-  a splice candidate is spliced in whenever the exact post-splice average
-  stays safely inside the tube.  The candidate is the element of least
-  source index on offer: each part offers the first element it set aside
-  (``PartCursor.oldest``), or else its head, and a steering side offers its
-  head as well.  Over a part whose ``WovenMap`` is not increasing, that
-  element need not be the part's oldest unemitted one;
-* jump: after dwelling long enough, one large element of the divergent
-  strand for the current direction is emitted at an exactly chosen position
-  P, making the average leave the band around [a, b];
-* descent: steering resumes until the average re-enters the next tube,
-  and the excursion is recorded as an honest wide schedule window.
+* descent: the average is steered by choosing sides (values near b raise
+  it, values near a lower it) until it settles well inside the tube, late
+  enough for in-band steps to be small; the transit window, around the
+  averages taken since the previous jump, is recorded there;
+* dwell: the average is held by steering, while a splice candidate is
+  spliced in whenever the exact post-splice average stays safely inside the
+  tube.  The candidate is the element of least source index on offer: each
+  part offers the first element it set aside (``PartCursor.oldest``), or
+  else its head, and a steering side offers its head as well.  Over a part
+  whose ``WovenMap`` is not increasing, that element need not be the part's
+  oldest unemitted one;
+* jump: one large element of the divergent strand for the chosen direction
+  is emitted at an exactly chosen position P, making the average leave the
+  band around [a, b]; the tube window, which ends just before P, is
+  recorded before the jump is emitted.
 
 Like every stream, this one is a sequence of blocks: steering by a constant
 strand (in a tube, before a jump or in a descent) is one run
@@ -37,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .aarset import AARSet, Interval
 from .errors import (
@@ -231,10 +234,6 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
     band_hi = b_val + 1
     midpoint = (a + b_val) / 2
 
-    def tube_bounds(tgt: Fraction, w: Fraction) -> Tuple[Fraction, Fraction]:
-        # tube intersected with the steering band
-        return max(tgt - w, band_lo), min(tgt + w, band_hi)
-
     def blocks():
         targets = _stage_targets(pieces)
         b_cur = PartCursor(b_part)
@@ -247,47 +246,16 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
         avg = RunningAverage()
         stage = 0  # completed tube entries
         target = next(targets)
-        pending_target: Optional[Fraction] = None
-        t_lo, t_hi = tube_bounds(target, Fraction(1))
-        s_lo, s_hi = t_lo + Fraction(1, 8), t_hi - Fraction(1, 8)
-        entry_index = 0  # schedule entries recorded
-        window_start = 1
-        # observed average range of the open window, as raw num/den pairs
-        wmin: Optional[Tuple[int, int]] = None
-        wmax: Optional[Tuple[int, int]] = None
-
-        state = "descent"  # descending/steering toward the next tube
-        dwell_end = 0
-        jump_at = 0
-        jump_item: Optional[Tuple[int, Fraction]] = None
+        transit_from = 1  # where the open transit window starts
         up_minus_down = 0  # fairness: both infinities must keep accumulating
 
         def emit(tag, value, count, src, step):
-            """Add ``count`` emissions of one value and return their block.
-
-            Along a run the average moves monotonically toward the value, so
-            the window's observed range only needs the run's last average.
-            """
-            nonlocal wmin, wmax
+            """Add ``count`` emissions of one value and return their block."""
             if count == 1:
                 avg.add(value)
             else:
                 avg.add_run(value, count)
-            cn, cd = avg.num, avg.den * avg.n
-            if wmin is None:
-                wmin = wmax = (cn, cd)
-            elif cn * wmin[1] < wmin[0] * cd:
-                wmin = (cn, cd)
-            elif cn * wmax[1] > wmax[0] * cd:
-                wmax = (cn, cd)
             return tag, value, count, src, step
-
-        def retarget(tgt: Fraction, w: Fraction):
-            nonlocal target, t_lo, t_hi, s_lo, s_hi
-            target = tgt
-            t_lo, t_hi = tube_bounds(tgt, w)
-            m = w / 8
-            s_lo, s_hi = t_lo + m, t_hi - m
 
         def in_band_head(side_cur, limit_value):
             """Set early far-from-limit values aside; return an in-band head."""
@@ -381,36 +349,39 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                         return cur.advance(), p_low
                 cur.set_aside()
 
-        def record_window(kind: str, next_from: int, lo: Fraction, hi: Fraction,
-                          tgt: Optional[Fraction]):
-            nonlocal entry_index, window_start, wmin, wmax
-            schedule.record(
-                entry_index,
-                ScheduleEntry(lo, hi, window_start, kind, stage, tgt),
-            )
-            entry_index += 1
-            window_start = next_from
-            wmin = None
-            wmax = None
-
         while True:
-            n = avg.n
-            if state == "tube":
-                if n >= dwell_end:
-                    # choose the jump direction so the excursion re-enters the
-                    # next tube cheaply (descents by low values reach high
-                    # tubes fast and vice versa), but never let either
-                    # infinity starve
-                    pending_target = next(targets)
-                    want_up = pending_target >= midpoint
-                    if want_up and up_minus_down >= 3:
-                        want_up = False
-                    elif not want_up and up_minus_down <= -3:
-                        want_up = True
-                    up_minus_down += 1 if want_up else -1
-                    jump_item, jump_at = select_jump(1 if want_up else -1)
-                    state = "prejump"
-                    continue
+            width = Fraction(1, stage + 1)
+            # the stage's tube, intersected with the steering band
+            t_lo, t_hi = max(target - width, band_lo), min(target + width, band_hi)
+            s_lo, s_hi = t_lo + width / 8, t_hi - width / 8
+
+            # descent: steer until the average settles in (s_lo, s_hi); the
+            # transit window holds the averages taken on the way, as raw
+            # num/den pairs (along a run the average moves monotonically
+            # toward the value, so only a block's last average counts)
+            settle = n_min(stage + 1)
+            lo = hi = None
+            while True:
+                n = avg.n
+                if n:
+                    cn, cd = avg.num, avg.den * n
+                    if lo is None:
+                        lo = hi = cn, cd
+                    elif cn * lo[1] < lo[0] * cd:
+                        lo = cn, cd
+                    elif cn * hi[1] > hi[0] * cd:
+                        hi = cn, cd
+                if n >= settle and avg.within(s_lo, s_hi):
+                    break
+                yield steer(settle_from=settle - n)
+            stage += 1
+            schedule.record(2 * stage - 2, ScheduleEntry(
+                Fraction(*lo) - 1, Fraction(*hi) + 1, transit_from, "transit", stage, None))
+            tube_from = n + 1
+
+            # dwell: splice the oldest candidate wherever the tube allows it
+            dwell_end = max(n + max(8, n >> 4), n_min(stage + 1))
+            while (n := avg.n) < dwell_end:
                 cand, cand_cur = oldest_candidate()
                 if avg.post_within(cand[1], s_lo, s_hi):
                     if cand is cand_cur.head:
@@ -418,33 +389,28 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                     else:
                         src, value = cand_cur.take_oldest()
                     yield emit("splice", value, 1, src, 0)
-                    continue
-                yield steer(dwell_end - n, cand=cand)
+                else:
+                    yield steer(dwell_end - n, cand=cand)
 
-            elif state == "prejump":
-                if n + 1 < jump_at:
-                    yield steer(jump_at - 1 - n)
-                    continue
-                src, value = jump_item
-                jump_item = None
-                # the tube window ends just before the jump position
-                record_window("tube", n + 1, t_lo, t_hi, target)
-                retarget(pending_target, Fraction(1, stage + 1))
-                yield emit("jump", value, 1, src, 0)
-                state = "descent"
-
-            else:  # descent / initial approach
-                settle = n_min(stage + 1)
-                if n >= settle and n > 0 and avg.within(s_lo, s_hi):
-                    stage += 1
-                    record_window(
-                        "transit", n + 1,
-                        Fraction(*wmin) - 1, Fraction(*wmax) + 1, None,
-                    )
-                    dwell_end = max(n + max(8, n >> 4), n_min(stage + 1))
-                    state = "tube"
-                    continue
-                yield steer(settle_from=settle - n)
+            # jump: choose the direction so the excursion re-enters the next
+            # tube cheaply (descents by low values reach high tubes fast and
+            # vice versa), but never let either infinity starve
+            next_target = next(targets)
+            want_up = next_target >= midpoint
+            if want_up and up_minus_down >= 3:
+                want_up = False
+            elif not want_up and up_minus_down <= -3:
+                want_up = True
+            up_minus_down += 1 if want_up else -1
+            (src, value), jump_at = select_jump(1 if want_up else -1)
+            while (n := avg.n) + 1 < jump_at:
+                yield steer(jump_at - 1 - n)
+            # the tube window ends just before the jump position
+            schedule.record(2 * stage - 1, ScheduleEntry(
+                t_lo, t_hi, tube_from, "tube", stage, target))
+            transit_from = n + 1
+            target = next_target
+            yield emit("jump", value, 1, src, 0)
 
     return Rearrangement.of_blocks(
         source=spec,

@@ -31,6 +31,19 @@ def test_of_rejects_empty():
         AARSet.of()
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (ExtendedReal(1), ExtendedReal(0)),
+    (ExtendedReal(Fraction(1, 3)), ExtendedReal(Fraction(1, 4))),
+    (POS_INF, ExtendedReal(0)),
+    (ExtendedReal(0), NEG_INF),
+    (POS_INF, NEG_INF),
+])
+def test_interval_refuses_endpoints_out_of_order(lo, hi):
+    with pytest.raises(ValueError, match="interval endpoints out of order"):
+        Interval(lo, hi)
+    assert Interval(hi, hi).is_point and not Interval(hi, lo).is_point
+
+
 def test_whole_line():
     w = AARSet.whole_line()
     assert w.render() == "[-inf, +inf]"

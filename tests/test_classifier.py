@@ -136,6 +136,19 @@ def test_missing_evidence_is_an_error_not_a_guess():
         classify(points(0, pos=True), c_balance=BalanceKind.UNKNOWN)
 
 
+@pytest.mark.parametrize("prof, verdicts, missing", [
+    (points(neg=True, pos=True), {"c_density": H}, ("b_density",)),
+    (points(neg=True, pos=True), {}, ("b_density", "c_density")),
+    (points(0, neg=True), {}, ("b_balance",)),
+    (points(0, neg=True, pos=True), {"c_balance": B}, ("b_balance",)),
+    (points(0, neg=True, pos=True), {}, ("b_balance", "c_balance")),
+])
+def test_missing_evidence_names_each_missing_verdict(prof, verdicts, missing):
+    with pytest.raises(InsufficientEvidence) as caught:
+        classify(prof, **verdicts)
+    assert caught.value.missing == missing
+
+
 def test_membership_helper_matches_set_contains():
     aar = classify(points(0, pos=True), c_balance=NB)
     assert aar.contains(F(0)) and aar.contains(POS_INF)

@@ -282,6 +282,18 @@ def test_verify_fails_a_trace_missing_a_row(tmp_path):
     assert (code, out) == (1, "identities: FAIL\n")
 
 
+def test_verify_fails_a_value_that_disagrees_with_the_sum(tmp_path):
+    # each average is its sum over n; only the recurrence sees the value 5
+    path = tmp_path / "value.trace.csv"
+    path.write_text(
+        "n,source_index,value,partial_sum,average_decimal,average_exact\n"
+        "1,1,1/1,1/1,1,1/1\n"
+        "2,2,5/1,2/1,1,1/1\n"
+    )
+    code, out, _ = run("verify", str(path))
+    assert (code, out) == (1, "identities: FAIL\n")
+
+
 @pytest.mark.parametrize("row, detail", [
     ("2,x,1/1,1/1,0.5,1/2", "invalid literal for int() with base 10: 'x'"),
     ("2,2,1/0,1/1,0.5,1/2", "Fraction(1, 0)"),

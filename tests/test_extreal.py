@@ -1,5 +1,6 @@
 """Extended-real values: ordering, arithmetic negation, text round trips."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,16 @@ def test_equality_and_flags():
     assert x.is_finite and not x.is_neg_inf and not x.is_pos_inf
     assert POS_INF.is_pos_inf and not POS_INF.is_finite
     assert NEG_INF.is_neg_inf and not NEG_INF.is_finite
+
+
+@pytest.mark.parametrize("x", [ExtendedReal(0), ExtendedReal(Fraction(1, 2)), POS_INF])
+def test_a_float_is_refused_by_the_order_and_never_equal(x):
+    for order in ("__lt__", "__le__", "__gt__", "__ge__"):
+        with pytest.raises(TypeError):
+            getattr(operator, order)(x, 0.5)
+        with pytest.raises(TypeError):
+            getattr(operator, order)(0.5, x)
+    assert x != 0.5 and x != float(0) and not x == "0"
 
 
 def test_negation_flips_sign_and_swaps_infinities():

@@ -408,6 +408,13 @@ def test_identities_catch_a_corrupted_entry():
     assert not verify_trace_identities(worse)
 
 
+@pytest.mark.parametrize("average", [F(1), None])
+def test_identities_catch_a_value_that_disagrees_with_the_sum(average):
+    # every average is its sum over n, but the sum rose by 1, not by the value 5
+    t = [TraceEntry(1, 1, F(1), F(1), F(1)), TraceEntry(2, 2, F(5), F(2), average)]
+    assert not verify_trace_identities(t)
+
+
 def test_downward_jump_bound_on_positive_streams():
     # Averages 3, 2, 5/3, ... cross the level 2 slowly: each drop from
     # above 2 is at most (2 - 1)/(n - 1) when every value exceeds 1.

@@ -478,6 +478,46 @@ def test_small_prefix_averages_lie_in_the_oracle_set(values, data):
 
 
 # ---------------------------------------------------------------------------
+# Extended-real order
+
+
+extended_reals = st.one_of(
+    st.sampled_from([NEG_INF, POS_INF]),
+    st.fractions(max_denominator=10**6).map(ExtendedReal),
+)
+
+
+def _sign_value(x):
+    """The (sign, value) key of the extended-real order, read off the public
+    flags: -inf below every rational, +inf above."""
+    if not isinstance(x, ExtendedReal):
+        return 0, Fraction(x)
+    if x.is_finite:
+        return 0, x.value
+    return (1 if x.is_pos_inf else -1), 0
+
+
+@settings(max_examples=300, **COMMON)
+@given(extended_reals, st.one_of(
+    extended_reals,
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6),
+))
+@example(ExtendedReal(3), 3)
+@example(ExtendedReal(Fraction(-1, 3)), Fraction(-2, 6))
+@example(POS_INF, POS_INF)
+@example(NEG_INF, ExtendedReal(0))
+def test_extended_reals_order_by_sign_then_value(x, y):
+    kx, ky = _sign_value(x), _sign_value(y)
+    assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
+    assert (x == y, x != y) == (kx == ky, kx != ky)
+    # an int or a Fraction on the left is reflected onto the ExtendedReal
+    assert (y < x, y <= x, y > x, y >= x) == (ky < kx, ky <= kx, ky > kx, ky >= kx)
+    if kx == ky and isinstance(y, ExtendedReal):
+        assert hash(x) == hash(y)
+
+
+# ---------------------------------------------------------------------------
 # Attainable-set canonical form
 
 
@@ -630,7 +670,9 @@ def test_classifier_output_is_canonical_and_honest(prof, bb, cb, bd, cd):
     # the explicit prefix sits under a wrapper: 30, 1, 2, 3, ... sorts to
     # 1, 2, ..., 29, 30, 30, 31, ...
     "interleave(const(0), affine(prefix(30, linear()), 1, 0))",
-], ids=["plain", "wrapped_prefix"])
+    # fractional survivors: the survivor sum widens its denominator
+    "interleave(const(0), affine(linear(), 2/3, 1/5))",
+], ids=["plain", "wrapped_prefix", "fractional"])
 @settings(max_examples=12, **COMMON)
 @given(st.fractions(min_value=F(1, 2), max_value=4, max_denominator=6))
 def test_placement_slots_follow_the_survivor_sums(text, target):

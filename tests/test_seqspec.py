@@ -20,6 +20,7 @@ from meanweave.seqspec import (
     Negate,
     NegLinear,
     PointwiseSquare,
+    PointwiseSum,
     PowerOfIndex,
     RunLength,
     SequenceSpec,
@@ -136,7 +137,10 @@ WRAPPERS = [
     "spec",
     [Constant(F(-2, 3)), Linear(), PowerOfIndex(3), NegLinear()]
     + [Geometric(F(2)), Geometric(F(3, 2)), Geometric(F(7, 5))]
-    + [wrap(base) for wrap in WRAPPERS for base in WRAPPED_BASES],
+    + [wrap(base) for wrap in WRAPPERS for base in WRAPPED_BASES]
+    + [PointwiseSum(Linear(), Constant(F(-2, 3))),
+       PointwiseSum(Geometric(F(3, 2)), Affine(RunLength(4), F(1, 5), F(-1, 7))),
+       PointwiseSum(FreshRuns(), Negate(RunLength(4)))],
     ids=repr,
 )
 def test_own_iter_terms_agree_with_term(spec):

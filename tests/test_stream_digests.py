@@ -10,11 +10,13 @@ slots slot_l = max(slot_{l-1} + 1, (l+1)**3 * ceil(max(1, |e_l|))): the
 bounded route at an end of its hull, with and without a middle strand, and
 the route at the limit point; and the first 100,000 of the four-strand
 realizer for one prescribed set per bench ``realize`` shape (each of the
-low and high pieces a point or an interval) and of a realizer whose
-divergent parts are each folded from two strands.  Each stream's ``blocks()``
+low and high pieces a point or an interval), for a single point below and
+one above the midpoint, and of a realizer whose divergent parts are each
+folded from two strands.  Each stream's ``blocks()``
 must also expand to its ``tagged_stream()``, and the oscillator, the
 bounded route and the routes with extras cover their first 20,000
-emissions with a pinned number of blocks.
+emissions with a pinned number of blocks.  Every realizer pins, beside its
+stream, every schedule window recorded by the end of its pinned emissions.
 """
 
 import hashlib
@@ -200,3 +202,76 @@ def test_constant_strands_cover_the_pinned_emissions_in_runs(name):
         if covered >= COUNT:
             break
     assert blocks == BLOCK_COUNTS[name]
+
+
+# Z on one side of the midpoint: every jump wants the same direction, and
+# every fourth is forced the other way so that neither infinity starves
+ONE_SIDED = {
+    "low_point": lambda: four_strand_realizer([F(1, 8)]),
+    "high_point": lambda: four_strand_realizer([F(7, 8)]),
+}
+
+ONE_SIDED_DIGESTS = {
+    "low_point":
+        "a6dfb1200e0d0bf962deb5880173ccc3a4d01f9c924e4cc51ec0ed69f9b9bbba",
+    "high_point":
+        "e2b4d0aa06e5877a0a7b36eb9fa5577995323ccb305bbbf3b3dc1750f93a8b40",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ONE_SIDED))
+def test_one_sided_realizer_digest_and_block_expansion(shape):
+    _check(ONE_SIDED[shape](), REALIZER_COUNT, ONE_SIDED_DIGESTS[shape])
+
+
+@pytest.mark.parametrize("shape, signs", [
+    ("low_point", [-1, -1, -1, 1, -1, 1]),
+    ("high_point", [1, 1, 1, -1, 1, -1]),
+])
+def test_one_sided_realizer_jumps_both_ways(shape, signs):
+    jumps = [value for tag, value, *_ in islice(ONE_SIDED[shape]().blocks(), 20_000)
+             if tag == "jump"]
+    assert [1 if v > 0 else -1 for v in jumps[:6]] == signs
+
+
+# every schedule entry recorded once the pinned emissions are streamed
+REALIZER_STREAMS = {
+    **{name: (STREAMS[name], COUNT) for name in ("four_strand_realizer", "realizer_far_steering")},
+    **{shape: (make, REALIZER_COUNT) for shape, make in {**REALIZERS, **ONE_SIDED}.items()},
+}
+
+SCHEDULE_DIGESTS = {
+    "folded_divergent":
+        "ce877cc83ec3198450684b0177bdb2273c8c9926b087af0ca7c764ed5bce92fa",
+    "four_strand_realizer":
+        "ad4fecee22a83097445279176f4cf5c59665ebcb281510bd96a81983210b7591",
+    "high_point":
+        "755a43842937ad72539cc1572ab352bd3f5a9b83cd4f4d0f21d505be5426c42e",
+    "interval_interval":
+        "9921c6716ebc413481c09d166333ab5a5d7e2f36a9b22dea7408004ee7920a25",
+    "interval_point":
+        "8bebb8bf7cc2f3ec47b8abd6bf4af1e52a139f5e5783694e70af8111299bc5f1",
+    "low_point":
+        "c0d18a4d68d0c3655688013caec9a8e32b6712093f8cb2dd8c265dc35a3c4346",
+    "point_interval":
+        "62be7c9761d220bb659d875b268880f24e27e5c2c075f9517fd28cafe1da08c9",
+    "point_point":
+        "e908b0929f1341946af9d08d15e2a379854b9dde52b972c922b0525a55f9077b",
+    "realizer_far_steering":
+        "b4c187e0ed77a048fc52aca26085aeb010e19990059702bef1675528944ddb4a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REALIZER_STREAMS))
+def test_realizer_schedule_digest(name):
+    make, count = REALIZER_STREAMS[name]
+    r = make()
+    covered = 0
+    for block in r.blocks():
+        covered += block[2]
+        if covered >= count:
+            break
+    h = hashlib.sha256()
+    for e in r.meta["schedule"]:
+        h.update(f"{e.kind} {e.stage} {e.lo} {e.hi} {e.from_index} {e.target}\n".encode())
+    assert h.hexdigest() == SCHEDULE_DIGESTS[name]
