@@ -31,7 +31,7 @@ class ExtendedReal:
     def __init__(self, value: Rational = 0, _sign: int = 0):
         # _sign: -1 for -inf, +1 for +inf, 0 for finite.
         self._sign = _sign
-        self._value = Fraction(value) if _sign == 0 else None
+        self._value = as_fraction(value) if _sign == 0 else None
 
     @staticmethod
     def of(value: "Rational | ExtendedReal") -> "ExtendedReal":
@@ -60,16 +60,16 @@ class ExtendedReal:
 
     def _cmp(self, other):
         """An int with the sign of self - other (signs compare as ints,
-        finite values by one integer cross-multiplication), or None for an
-        operand that is not an int, a Fraction or an ExtendedReal."""
-        if other.__class__ is not ExtendedReal:
-            if not isinstance(other, (int, Fraction)):
-                return None
-            other = ExtendedReal(other)
-        s, t = self._sign, other._sign
+        finite values by one integer cross-multiplication, an int or Fraction
+        operand as it is), or None for any other operand."""
+        t, b = 0, other
+        if other.__class__ is ExtendedReal:
+            t, b = other._sign, other._value
+        elif not isinstance(other, (int, Fraction)):
+            return None
+        s, a = self._sign, self._value
         if s or t:
             return s - t
-        a, b = self._value, other._value
         return a.numerator * b.denominator - b.numerator * a.denominator
 
     def __eq__(self, other) -> bool:
@@ -136,7 +136,7 @@ POS_INF = ExtendedReal(_sign=+1)
 
 def as_fraction(x: Rational) -> Fraction:
     """Cheap normalizer used throughout the package."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if x.__class__ is Fraction else Fraction(x)
 
 
 def widen(num: int, den: int, vd: int) -> Tuple[int, int]:

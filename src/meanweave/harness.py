@@ -5,12 +5,13 @@ cross-multiplication, and the envelope oracle enumerates subsets.  The
 decimal column of CSV output is display-only and is never read back.
 
 One walker reads a stream's blocks and keeps the exact running sum as an
-unreduced integer pair.  ``iter_trace`` returns a re-iterable trace that
-expands each block into entries, which build ``partial_sum`` and ``average``
-as Fractions only when read.  ``check_tube`` and ``check_schedule`` share one
-window test, which reads such a trace as runs and tests each stretch of a run
-inside a window at its two ends; other entries are runs of one.  The audit
-``check_permutation`` reads the blocks itself and streams once.
+unreduced integer pair, adding a period block's sum once per repeat.
+``iter_trace`` returns a re-iterable trace that expands each block into
+entries, which build ``partial_sum`` and ``average`` as Fractions only when
+read.  ``check_tube`` and ``check_schedule`` share one window test, which
+reads such a trace as runs, a period block's rows at the repeats next to a
+window edge, and tests a run's stretch inside a window at its two ends; other
+entries are runs of one.  ``check_permutation`` streams unrolled blocks.
 
 The CSV boundary is on integer pairs as well: the writer formats each exact
 column from a pair reduced by one gcd, and an entry read from CSV holds its
@@ -23,7 +24,7 @@ import csv
 import decimal
 from fractions import Fraction
 from itertools import combinations, count, islice
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
@@ -135,13 +136,15 @@ def _live_entry(n, source_index, value, num, den) -> TraceEntry:
     return e
 
 
-def _walk(r: Rearrangement, n: Optional[int]):
+def _walk(r: Rearrangement, n: Optional[int], starts=None):
     """The first n positions (all when n is None) as blocks ``(n0, count,
     value, first_src, step, num, v, den)``: positions n0+1..n0+count, the sum
     num/den before them, each adding the integer v over den.  The one loop
-    that keeps the exact running sum; den widens by ``extreal.widen``."""
+    that keeps the exact running sum; den widens by ``extreal.widen``.  A
+    period block is ``(n0, count, None, rows, length, num, total, den)``, each
+    row with its v, or, given window ``starts``, its rows' runs as tested."""
     num, den, k = 0, 1, 0
-    for _tag, value, size, src, step in r.blocks():
+    for tag, value, size, src, step in r.blocks():
         vd = value.denominator
         if den == vd:
             v = value.numerator
@@ -153,12 +156,30 @@ def _walk(r: Rearrangement, n: Optional[int]):
             yield k, 1, value, src, step, num, v, den
             num += v
             k += 1
-        else:
+        elif tag is not None:
             if n is not None and k + size > n:
                 size = n - k
             yield k, size, value, src, step, num, v, den
             num += v * size
             k += size
+        else:  # a period block: size // step repeats of the rows in src
+            end = k + size if n is None else min(k + size, n)
+            if den % (d := lcm(*(row[1].denominator for row in src))):
+                num, den = widen(num, den, d)
+            rows = [(*row, row[1].numerator * (den // row[1].denominator)) for row in src]
+            v = sum(c * vi for _t, _x, c, *_, vi in rows)
+            if starts is None:  # (n0, count, None, rows, length, num, total, den)
+                yield k, end - k, None, rows, step, num, v, den
+            else:  # the rows as runs, at the repeats next to the block's ends and window starts
+                edges = [k + 1, end, *(e for s in starts if k + 1 < s <= end for e in (s - 1, s))]
+                for j in sorted({min((end - k - 1) // step, max(0, (e - k - 1) // step + o))
+                                 for e in edges for o in (-1, 0, 1)}):
+                    m, p = k + j * step, num + j * v
+                    for _t, x, c, s, st, a, vi in rows:
+                        if m < end:  # the horizon may cut the block in a repeat
+                            yield m, min(c, end - m), x, s + a * j, st, p, vi, den
+                        m, p = m + c, p + c * vi
+            num, k = num + v * (size // step), end
         if k == n:
             return
 
@@ -172,7 +193,20 @@ class _Trace:
 
     def __iter__(self) -> Iterator[TraceEntry]:
         for k, size, value, src, step, num, v, den in _walk(self.r, self.n):
-            if size == 1:
+            if value is None:  # a period block: src's rows, repeat by repeat
+                end = k + size
+                for j in range(-(-size // step)):
+                    for _t, x, c, s, st, a, vi in src:
+                        if c == 1:
+                            num, k = num + vi, k + 1
+                            yield _live_entry(k, s + a * j, x, num, den)
+                        else:
+                            for s in islice(count(s + a * j, st), min(c, end - k)):
+                                num, k = num + vi, k + 1
+                                yield _live_entry(k, s, x, num, den)
+                        if k == end:
+                            break
+            elif size == 1:
                 yield _live_entry(k + 1, src, value, num + v, den)
             else:
                 for s in islice(count(src, step), size):
@@ -232,7 +266,7 @@ def check_permutation(
     def settled(p):  # covered, or past a certified bound it has missed
         return p in satisfied or (bounds[p] is not None and rank >= bounds[p])
 
-    for _tag, _value, size, src, step in r.blocks():
+    for _tag, _value, size, src, step in r.unrolled():
         if size == 1:
             rank += 1
             if rank <= n:
@@ -316,8 +350,8 @@ def _entry_run(e: TraceEntry):
 def _check_windows(t, windows) -> bool:
     """True iff window k holds the averages at positions [from_k, from_{k+1})
     strictly inside (lo_k, hi_k), a None bound being none.  An ``iter_trace``
-    trace is read as runs: the average moves monotonically toward a run's
-    value, so a run's stretch inside one window is tested at its two ends."""
+    trace is read as runs: the average is monotone along a run and, at one
+    offset, over a period block's repeats, so each is tested at its ends."""
     windows = [(0, None, None), *windows]  # positions before the first are free
     starts = [w[0] for w in windows] + [None]
     if any(a >= b for a, b in zip(starts[1:], starts[2:-1])):
@@ -326,7 +360,7 @@ def _check_windows(t, windows) -> bool:
     bounds = [((-1, 0) if lo is None else (lo.numerator, lo.denominator),
                (1, 0) if hi is None else (hi.numerator, hi.denominator))
               for _f, lo, hi in windows]
-    runs = _walk(t.r, t.n) if isinstance(t, _Trace) else map(_entry_run, t)
+    runs = _walk(t.r, t.n, starts[1:-1]) if isinstance(t, _Trace) else map(_entry_run, t)
     k, nxt = -1, 0  # window k holds the positions before nxt
     for n0, size, _value, _src, _step, num, v, den in runs:
         j, end = n0 + 1, n0 + size

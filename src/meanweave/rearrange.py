@@ -27,7 +27,10 @@ in the realizer), a core that plays one part in its own order runs of
 doubling length, and the climb (``target_above_limsup``) each fill gap up
 to the next slot; ``mirror_rearrangement`` passes runs through, and
 ``merge_preserving`` splits them only at slots.  Every run steps the
-running sum by one integer.
+running sum by one integer.  Past its first period of den positions, a
+weighted merge of constant parts emits period blocks ``(None, total, count,
+rows, length)``: rows ``(tag, value, count, first_src, step, advance)``
+played count // length times, sources moved by advance a repeat; count > 1.
 
 Elements that must come back at vanishing density (the extras) enter at
 fixed output positions: the l-th at slot_l = max(slot_{l-1} + 1,
@@ -72,6 +75,7 @@ from .seqspec import (
 Emission = Tuple[int, Fraction]
 TaggedEmission = Tuple[int, Fraction, str]
 Block = Tuple[str, Fraction, int, int, int]  # (tag, value, count, first_src, step)
+PERIOD_BLOCKS = 4096  # the most rows a merge records for a period block
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +168,12 @@ def first_positive(c0: int, c1: int) -> Optional[int]:
 class Rearrangement:
     """Deterministic lazy rearrangement of a source sequence.
 
-    The stream is a factory of blocks ``(tag, value, count, first_src,
-    step)`` with ``step >= 0``, built by ``of_blocks``; ``blocks()`` starts
-    it afresh and ``stream()`` and ``tagged_stream()`` expand it.  The
-    keyword constructor adapts a ``factory`` of tagged emissions
-    ``(source_index, value, tag)``, each read as a block of one.  A
-    ``coverage_bound`` of None means the stream is uncertified.
+    The stream is a factory of blocks ``(tag, value, count, first_src, step)``
+    with ``step >= 0`` or period blocks, built by ``of_blocks``; ``blocks()``
+    starts it afresh, ``unrolled()`` unrolls its period blocks, and ``stream()``
+    and ``tagged_stream()`` expand it.  The keyword constructor adapts a
+    ``factory`` of tagged emissions ``(source_index, value, tag)``, each read as
+    a block of one.  A ``coverage_bound`` of None means the stream is uncertified.
     """
 
     def __init__(
@@ -206,9 +210,18 @@ class Rearrangement:
         """Fresh block iterator from the beginning."""
         return self._blocks()
 
+    def unrolled(self) -> Iterator[Block]:
+        """``blocks()`` with each period block unrolled into its rows."""
+        for block in self.blocks():
+            if block[0] is None:  # (None, total, count, rows, length)
+                for j in range(block[2] // block[4]):
+                    yield from ((t, v, n, s + a * j, st) for t, v, n, s, st, a in block[3])
+            else:
+                yield block
+
     def tagged_stream(self) -> Iterator[TaggedEmission]:
         """Fresh (source_index, value, tag) iterator from the beginning."""
-        for tag, value, count, src, step in self._blocks():
+        for tag, value, count, src, step in self.unrolled():
             if count == 1:
                 yield src, value, tag
             else:
@@ -287,7 +300,7 @@ def merge_preserving(core: Rearrangement, extras) -> Rearrangement:
         due = _slots(fresh_extras())
         nxt = next(due, None)
         pos = 0
-        for tag, value, count, src, step in core.blocks():
+        for tag, value, count, src, step in core.unrolled():
             while count:
                 while nxt is not None and nxt[0] == pos + 1:
                     pos += 1
@@ -358,28 +371,41 @@ def weighted_merge(
     chooses = len(leads) > 1  # one lead leaves nothing to choose
 
     def blocks():
-        filler, fill_tag = PartCursor(parts[fill]), tags[fill]
-        lead_its = [parts[j].emissions() for j in leads]
-        lead_tags = [tags[j] for j in leads]
+        curs = [PartCursor(part) for part in parts]
+        filler, fill_tag = curs[fill], tags[fill]
+        lead_curs, lead_tags = [curs[j] for j in leads], [tags[j] for j in leads]
+        # rows of lead emissions 2..lead_w+1 and their gaps: one period
+        period = [] if all(cur.constant is not None for cur in curs) else None
         priority = [0] * len(leads)
         i = c = 0
         pos = 1  # of the first lead emission
-        while True:
+        while period is None or c <= lead_w:
             if chooses:
                 priority = [p + w for p, w in zip(priority, lead_ws)]
                 i = priority.index(max(priority))
                 priority[i] -= lead_w
-            src, value = next(lead_its[i])
+            src, value = lead_curs[i].advance()
             yield lead_tags[i], value, 1, src, 0
             c += 1
             head = -(-c * den // lead_w)  # > pos, as lead_w < den
             gap = head - pos - 1
+            if period is not None and c > 1:  # (tag, value, count, first_src, step, advance)
+                period.append((lead_tags[i], value, 1, src, 0, ws[leads[i]] * lead_curs[i].step))
+                if gap:
+                    period.append((fill_tag, filler.constant, gap, filler.head[0],
+                                   filler.step, ws[fill] * filler.step))
+                period = period if len(period) <= PERIOD_BLOCKS else None
             if gap == 1:  # the common gap, without a generator
                 src, value = filler.advance()
                 yield fill_tag, value, 1, src, 0
             elif gap:  # adjacent lead positions leave no gap
                 yield from filler.take(gap, fill_tag)
             pos = head
+        # choices and lead positions recur; part i's sources advance ws[i] steps
+        total = sum(value * count for _t, value, count, *_ in period)
+        for repeats in (1 << j for j in itertools.count()):
+            yield None, total, repeats * den, tuple(
+                (t, v, n, s + a * repeats, st, a) for t, v, n, s, st, a in period), den
 
     scale = -(-den // min(ws))  # ceil(1 / w_min)
     limits = tuple((part.limit.value, w) for part, w in zip(parts, weights))
@@ -718,7 +744,7 @@ def mirror_rearrangement(r: Rearrangement, source: SequenceSpec) -> Rearrangemen
     Blocks pass through with their values negated."""
 
     def blocks():
-        for tag, v, count, src, step in r.blocks():
+        for tag, v, count, src, step in r.unrolled():
             yield tag, -v, count, src, step
 
     lim = None if r.limit_in_average is None else -r.limit_in_average

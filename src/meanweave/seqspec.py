@@ -926,21 +926,21 @@ class PartCursor:
 
     ``take(count, tag)`` yields the blocks of the next ``count`` elements
     (``rearrange.Rearrangement``): one run when the part is one ``Constant``
-    strand over an ``AffineMap``, whose value is then ``constant``, else
-    ``count`` blocks of one.  ``set_aside()`` passes over the head without
-    emitting it; ``oldest()`` reads the first element set aside, or the head
-    when none is, and ``take_oldest()`` takes that element.
+    strand over an ``AffineMap``, whose value and source step are then
+    ``constant`` and ``step``, else ``count`` blocks of one.  ``set_aside()``
+    passes over the head without emitting it; ``oldest()`` reads the first
+    set aside, or the head, and ``take_oldest()`` takes that element.
     """
 
-    __slots__ = ("_it", "head", "constant", "_step", "_aside")
+    __slots__ = ("_it", "head", "constant", "step", "_aside")
 
     def __init__(self, part: Optional[PartStream]):
         self._it = part.emissions() if part is not None else iter(())
         self.head = next(self._it, None)
-        self.constant = self._step = None
+        self.constant = self.step = None
         if part is not None and isinstance(part.spec, Constant):
             if isinstance(part.witness, AffineMap):
-                self.constant, self._step = part.spec.value, part.witness.slope
+                self.constant, self.step = part.spec.value, part.witness.slope
         self._aside = collections.deque()
 
     def advance(self) -> Optional[Tuple[int, Fraction]]:
@@ -956,7 +956,7 @@ class PartCursor:
                 src, value = self.advance()
                 yield tag, value, 1, src, 0
         elif count:
-            (src, value), step = self.head, self._step
+            (src, value), step = self.head, self.step
             after = src + step * count
             self._it = zip(itertools.count(after + step, step), itertools.repeat(value))
             self.head = after, value

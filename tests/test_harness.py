@@ -348,6 +348,55 @@ def test_a_window_starting_inside_a_run_splits_it(read):
     assert check_tube(read(run_trace()), F(17, 20), F(1, 10), from_index=5)
 
 
+def period_stream(rows, repeats):
+    """One period block: ``rows`` ``(tag, value, count, first_src, step,
+    advance)`` played ``repeats`` times, with nothing streamed before it."""
+    length = sum(row[2] for row in rows)
+    total = sum(row[1] * row[2] for row in rows)
+    block = (None, total, repeats * length, tuple(rows), length)
+    return Rearrangement.of_blocks(None, lambda: iter([block]), None, "period")
+
+
+def alternating():
+    """Values 3, 0, 3, 0, ... from sources 1, 2, 3, ...: the average is 3/2
+    at even n and 3k/(2k - 1) at n = 2k - 1, falling with the repeat k."""
+    return period_stream([("hi", F(3), 1, 1, 0, 2), ("lo", F(0), 1, 2, 0, 2)], 100)
+
+
+@READS
+def test_a_window_starting_inside_a_period_block_is_tested_at_its_start(read):
+    # 9/5 at n=5 lies above the tube 3/2 +- 1/4 and 12/7 at n=7 inside it:
+    # only the third repeat, where the window starts, leaves the tube, and
+    # the block's first two and last two repeats hold no failing position
+    assert not check_tube(read(iter_trace(alternating(), 200)), F(3, 2), F(1, 4), from_index=5)
+    assert check_tube(read(iter_trace(alternating(), 200)), F(3, 2), F(1, 4), from_index=7)
+    # a window starting at n=6: the row of 3s first plays inside it one
+    # repeat later, at n=7, where 12/7 lies above 3/2 + 1/5 and 15/9 does not
+    assert not check_tube(read(iter_trace(alternating(), 200)), F(3, 2), F(1, 5), from_index=6)
+    assert check_tube(read(iter_trace(alternating(), 200)), F(3, 2), F(1, 5), from_index=8)
+    assert not check_schedule(read(iter_trace(alternating(), 200)),
+                              [window(1, -1, 4), window(5, "5/4", "7/4")])
+    assert check_schedule(read(iter_trace(alternating(), 199)),
+                          [window(1, -1, 4), window(7, "5/4", "7/4")])
+    assert [e.average for e in iter_trace(alternating(), 7)] == [
+        3, F(3, 2), 2, F(3, 2), F(9, 5), F(3, 2), F(12, 7)]
+
+
+def test_a_period_block_widens_the_sum_to_its_rows_denominators():
+    # one period sums to 1, but each position adds 1/2
+    r = period_stream([("a", F(1, 2), 1, 1, 0, 2), ("b", F(1, 2), 1, 2, 0, 2)], 3)
+    assert [(e.partial_sum, e.average) for e in iter_trace(r)] == [
+        (F(n, 2), F(1, 2)) for n in range(1, 7)]
+
+
+def test_a_source_repeated_in_a_later_repeat_of_a_period_block_is_refused():
+    # sources 1 + j and 3 + j at repeat j: the third repeat plays source 3 again
+    r = period_stream([("a", F(1), 1, 1, 0, 1), ("b", F(2), 1, 3, 0, 1)], 10)
+    with pytest.raises(InjectivityViolation) as caught:
+        check_permutation(r, 20)
+    assert vars(caught.value) == {"source_index": 3, "first_rank": 2, "second_rank": 5}
+
+
 # ---------------------------------------------------------------------------
 # Envelope oracle
 

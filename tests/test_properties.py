@@ -3,10 +3,10 @@
 import io
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from meanweave.aarset import AARSet, Interval
@@ -33,6 +33,7 @@ from meanweave.harness import (
     verify_trace_identities,
     write_trace_csv,
 )
+from meanweave import rearrange
 from meanweave.realizer import ScheduleEntry
 from meanweave.rearrange import (
     Rearrangement,
@@ -1025,3 +1026,82 @@ def test_middle_strands_merge_at_positive_density(drawn):
 
     report = check_permutation(r, 1000, probes=(10, 100, 1000))
     assert all(bound is not None and at <= bound for _p, bound, at in report.coverage)
+
+
+@st.composite
+def two_strand_targets(draw):
+    """A bounded spec of two constant strands and a target strictly inside."""
+    lo, hi = sorted(draw(st.lists(rationals, min_size=2, max_size=2, unique=True)))
+    t = draw(st.fractions(lo, hi, max_denominator=24).filter(lambda x: lo < x < hi))
+    return f"interleave(const({lo}), const({hi}))", t
+
+
+# 60 examples from seed 26 to horizon 2,000; the trace's sources, values and
+# partial sums are those of the stream with no period and its running sums,
+# to the horizon and to horizons cutting each period block at its first,
+# second and a drawn position; 1-3 windows start at positions
+# inside period blocks (anywhere when there are none), each bounded by the
+# extreme averages it holds, widened by one slack drawn per schedule: 0
+# (attained, so the check must fail), 1/1000 (twice as likely) or -1/1000;
+# the tube's from index is drawn the same way and its eps is the largest
+# deviation after it, plus such a slack
+PERIOD_HORIZON = 2_000
+
+
+@seed(26)
+@settings(max_examples=60, **COMMON)
+@given(middle_targets() | two_strand_targets(), st.data())
+def test_period_blocks_check_and_audit_like_their_positions(drawn, data):
+    text, t = drawn
+    r = construct_target(parse_spec(text), t)
+    # a merge that may record no row streams block by block, as before periods
+    saved, rearrange.PERIOD_BLOCKS = rearrange.PERIOD_BLOCKS, 0
+    try:
+        reference = list(islice(construct_target(parse_spec(text), t).tagged_stream(),
+                                PERIOD_HORIZON))
+    finally:
+        rearrange.PERIOD_BLOCKS = saved
+    assert list(islice(r.tagged_stream(), PERIOD_HORIZON)) == reference
+    inside, pos = [], 0  # the positions each period block covers
+    for tag, _value, count, *_ in r.blocks():
+        if tag is None:
+            inside.append((pos + 1, min(pos + count, PERIOD_HORIZON)))
+        pos += count
+        if pos >= PERIOD_HORIZON:
+            break
+    entries = list(iter_trace(r, PERIOD_HORIZON))
+    sums = list(accumulate(value for _src, value, _tag in reference))
+    assert [(e.source_index, e.value, e.partial_sum) for e in entries] == [
+        (src, value, total) for (src, value, _tag), total in zip(reference, sums)]
+    # horizons that cut a period block at its first, second and a drawn position
+    for a, b in inside:
+        for n in {a, min(a + 1, b), data.draw(st.integers(a, b))}:
+            last = list(iter_trace(r, n))[-1]
+            assert (last.n, last.source_index, last.value, last.partial_sum) == (
+                n, reference[n - 1][0], reference[n - 1][1], sums[n - 1])
+    avgs = [e.average for e in entries]
+
+    def start():
+        a, b = data.draw(st.sampled_from(inside)) if inside else (1, PERIOD_HORIZON)
+        return data.draw(st.integers(a, b))
+
+    slack = st.sampled_from([F(0), F(1, 1000), F(1, 1000), F(-1, 1000)])
+    starts = sorted({start() for _ in range(data.draw(st.integers(1, 3)))})
+    widen = data.draw(slack)
+    schedule = [ScheduleEntry(min(avgs[a - 1:b - 1]) - widen, max(avgs[a - 1:b - 1]) + widen,
+                              a, "tube", 1)
+                for a, b in zip(starts, starts[1:] + [PERIOD_HORIZON + 1])]
+    assert check_schedule(iter_trace(r, PERIOD_HORIZON), schedule) == check_schedule(
+        entries, schedule)
+    from_index = start()
+    eps = max(abs(a - t) for a in avgs[from_index - 1:]) + data.draw(slack)
+    if eps > 0:
+        assert check_tube(iter_trace(r, PERIOD_HORIZON), t, eps, from_index) == check_tube(
+            entries, t, eps, from_index)
+
+    def singles():
+        return ((tag, value, 1, src, 0) for src, value, tag in r.tagged_stream())
+
+    unrolled = Rearrangement.of_blocks(None, singles, r.coverage_bound, "singles")
+    assert outcome(lambda: check_permutation(r, 500, (10, 100))) == outcome(
+        lambda: check_permutation(unrolled, 500, (10, 100)))

@@ -181,6 +181,25 @@ def test_weighted_merge_frozen_low_ranks_and_density():
     assert abs(avg_at(r, 3000) - F(2, 3)) < F(1, 100)
 
 
+def test_a_merge_of_constant_parts_draws_nothing_ahead_of_its_first_emission():
+    drawn = []
+
+    class Counted(PartStream):
+        """A part that notes each element drawn from it."""
+
+        def emissions(self):
+            for e in PartStream.emissions(self):
+                drawn.append(self)
+                yield e
+
+    zeros, ones = (Counted(p.spec, p.witness, p.limit)
+                   for p in parts("interleave(const(0), const(1))"))
+    # a period of 4,099 positions: recording it ahead would draw thousands
+    blocks = weighted_merge(zeros, ones, F(2051, 4099)).blocks()
+    assert next(blocks) == ("lead", F(1), 1, 2, 0)
+    assert drawn.count(zeros) <= 2 and drawn.count(ones) <= 2  # a cursor's head and its next
+
+
 def test_weighted_merge_rejects_weights_outside_the_unit_interval():
     from meanweave.errors import WeightOutOfRange
 

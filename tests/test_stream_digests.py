@@ -14,18 +14,21 @@ low and high pieces a point or an interval), for a single point below and
 one above the midpoint, and of a realizer whose divergent parts are each
 folded from two strands.  Each stream's ``blocks()``
 must also expand to its ``tagged_stream()``, and the oscillator, the
-bounded route and the routes with extras cover their first 20,000
-emissions with a pinned number of blocks.  Every realizer pins, beside its
-stream, every schedule window recorded by the end of its pinned emissions.
+bounded routes over constant parts and the routes with extras cover their
+first 20,000 emissions with a pinned number of blocks; two of them pin a
+merge at and past the most rows a period may hold.  Every realizer pins,
+beside its stream, every schedule window recorded by the end of its pinned
+emissions.
 """
 
 import hashlib
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 
 from meanweave.dsl import parse_spec
+from meanweave.harness import _walk, check_tube, iter_trace
 from meanweave.rearrange import construct_target, oscillator
 from meanweave.realizer import realizer_from_spec
 from test_realizer import four_strand_realizer
@@ -67,6 +70,10 @@ STREAMS = {
         "interleave(const(0), interleave(const(1), interleave(const(1/3), const(2/3))))", F(1, 2)),
     "oscillator_rest": _route("interleave(interleave(const(0), const(3)), const(1))", None),
     "bounded_folded": _route("interleave(interleave(const(0), const(0)), const(1))", F(1, 3)),
+    # a period of 4,096 blocks, the most a merge records, and one of 6,000,
+    # which streams block by block
+    "bounded_at_guard": _route("interleave(const(0), const(1))", F(2048, 4099)),
+    "bounded_past_guard": _route("interleave(const(0), const(1))", F(3000, 7001)),
     "oscillator_folded": _route("interleave(interleave(const(0), const(0)), const(1))", None),
     # steering sides folded from strands at different depths, with early
     # values far from their limits: each side's head and the first value it
@@ -115,6 +122,10 @@ DIGESTS = {
         "90212d754d2d2a2f44c894be13c05d443507b31629022c1227995f872b4d02f3",
     "bounded_folded":
         "8332c4b2e24021e15951572423dae1775336bd415060b67af70f62a2279e8296",
+    "bounded_at_guard":
+        "f343a53aa7c3b16ba52f7dade2716565ea5e0211acf4bb432735c88293e307f0",
+    "bounded_past_guard":
+        "9e8f7a35866bad7d3b26ea32f66b6cfc52a3bf954ca6da6fe4c799c796490a71",
     "oscillator_folded":
         "412e3b0f42a22eb67ebaceec16a5352ff8d03ab7de626e799862901b8f40128e",
     "realizer_far_steering":
@@ -160,16 +171,28 @@ def _digest(emissions) -> str:
     return h.hexdigest()
 
 
+def _expand(blocks):
+    """Emissions of ``blocks``, read here without the package's unrolling: a
+    period block ``(None, total, count, rows, length)`` plays its rows
+    ``(tag, value, size, first_src, step, advance)`` count // length times,
+    repeat j with each first source moved by j advances, and ``total`` is
+    the sum of one period."""
+    for tag, value, size, src, step in blocks:
+        if tag is not None:
+            yield from ((src + step * j, value, tag) for j in range(size))
+            continue
+        assert size % step == 0 and sum(c * v for _t, v, c, *_ in src) == value
+        assert sum(c for _t, _v, c, *_ in src) == step
+        for j in range(size // step):
+            for t, v, c, s, st, a in src:
+                yield from ((s + a * j + st * i, v, t) for i in range(c))
+
+
 def _check(r, count, digest):
     tagged = list(islice(r.tagged_stream(), count))
     assert len(tagged) == count
     assert _digest(tagged) == digest
-    expanded = []
-    for tag, value, size, src, step in r.blocks():
-        expanded.extend((src + step * j, value, tag) for j in range(size))
-        if len(expanded) >= count:
-            break
-    assert expanded[:count] == tagged
+    assert list(islice(_expand(r.blocks()), count)) == tagged
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
@@ -182,10 +205,17 @@ def test_realizer_digest_and_block_expansion(shape):
     _check(REALIZERS[shape](), REALIZER_COUNT, REALIZER_DIGESTS[shape])
 
 
-# constant strands emit runs: a return to per-emission steering fails here
+# constant strands emit runs, and a merge of constant parts period blocks
+# past its first period: a return to per-emission steering fails here
 BLOCK_COUNTS = {
     "oscillator": 27,
-    "bounded": 17_778,
+    "bounded": 22,
+    "bounded_middle": 25,
+    "bounded_rational": 148,
+    "bounded_rational_middle": 1_745,
+    "bounded_two_middle": 18,
+    "bounded_at_guard": 4_101,
+    "bounded_past_guard": 17_141,
     "climb_middle": 162,
     "bounded_end": 66,
     "bounded_middle_end": 105,
@@ -202,6 +232,35 @@ def test_constant_strands_cover_the_pinned_emissions_in_runs(name):
         if covered >= COUNT:
             break
     assert blocks == BLOCK_COUNTS[name]
+
+
+def test_the_walk_to_ten_million_takes_logarithmically_many_blocks():
+    """Period blocks double their repeats: the bounded route's first period
+    (positions 3..11) follows 2 positions in 2 blocks, and 1 + 2 + ... + 2**20
+    periods of 9 positions pass 10**7, so the walk there takes 10 blocks and
+    21 period blocks, the last cut at the horizon."""
+    walked = list(_walk(STREAMS["bounded"](), 10**7))
+    assert len(walked) == 31
+    assert [block[2] is None for block in walked] == [False] * 10 + [True] * 21
+    assert walked[-1][0] + walked[-1][1] == 10**7
+    assert check_tube(iter_trace(STREAMS["bounded"](), 10**7), F(1, 3), F(1, 1000), 10_000)
+
+
+PERIOD_ROUTES = ["bounded", "bounded_middle", "bounded_rational", "bounded_two_middle"]
+
+
+@pytest.mark.parametrize("name", PERIOD_ROUTES)
+def test_a_horizon_cutting_a_period_block_traces_its_positions(name):
+    """Every horizon to 200 positions, so every cut of the first period
+    blocks, among them one at a block's first position (12 and 21 on the
+    bounded route): each entry holds the source, value and running sum of
+    the test-local expansion."""
+    expected = list(islice(_expand(STREAMS[name]().blocks()), 200))
+    sums = list(accumulate(value for _src, value, _tag in expected))
+    r = STREAMS[name]()
+    for n in range(1, 201):
+        assert [(e.source_index, e.value, e.partial_sum) for e in iter_trace(r, n)] == [
+            (src, value, total) for (src, value, _tag), total in zip(expected[:n], sums)]
 
 
 # Z on one side of the midpoint: every jump wants the same direction, and
