@@ -111,30 +111,59 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .extreal import ExtendedReal
-    from .harness import check_tube, read_trace_csv, verify_trace_identities
+    from .harness import identities_hold, read_rows, tube_bounds
 
     if args.tube is not None:  # a malformed tube is refused before any output
-        target = ExtendedReal.parse(args.tube[0])
-        eps = Fraction(args.tube[1])
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        from .extreal import ExtendedReal
+        target, eps = ExtendedReal.parse(args.tube[0]), Fraction(args.tube[1])
+        (ln, ld), (hn, hd) = tube_bounds(target, eps)
     spec = None
     if args.spec is not None:
         from .dsl import parse_spec
         spec = parse_spec(args.spec)
+    # One pass: each check updates as a row passes on to the identities, and
+    # the lines print after it; a check not asked for, or failed, stops.
+    top = repeat = spec_error = None
+    tube_ok, values_ok = args.tube is not None, spec is not None
+    seen, far = bytearray(4096), set()  # sources met: a byte each below len(seen), else in far
+
+    def checked(rows):
+        nonlocal top, repeat, spec_error, tube_ok, values_ok
+        opened = False  # as in _check_windows, a tube window once open stays open
+        for count, row in enumerate(rows, start=1):
+            n, s, value, _num, _den, (p, q) = row
+            top = n if top is None or n > top else top
+            if tube_ok:
+                opened = opened or n >= args.from_index
+                tube_ok = n > 0 and (not opened or ln * q < p * ld and p * hd < hn * q)
+            if values_ok and spec_error is None:
+                try:
+                    values_ok = s >= 1 and value == spec.term(s)
+                except (MeanweaveError, ValueError, ZeroDivisionError) as exc:
+                    # reported by main, but after the lines that come before it
+                    spec_error = exc
+            if repeat is None:
+                if len(seen) <= s <= 4 * count:  # the map grows with the rows read
+                    seen.extend(bytes(s + 1))  # at least doubles it
+                if s in far or 0 < s < len(seen) and seen[s]:
+                    repeat = s, n
+                elif 0 < s < len(seen):
+                    seen[s] = 1
+                else:  # met past the map: looked up here even once the map covers it
+                    far.add(s)
+            yield row
+
     with open(args.trace, newline="") as fh:
-        t = read_trace_csv(fh)
-    if not t:
+        rows = checked(read_rows(fh))
+        ok = identities_hold(rows)
+        for _ in rows:  # the rows past a failed identity are read and checked all the same
+            pass
+    if top is None:
         print("trace has no rows: nothing to verify")
         return 1
-    ok = verify_trace_identities(t)
     print(f"identities: {'PASS' if ok else 'FAIL'}")
     if args.tube is not None:
-        top = max(e.n for e in t)
-        # a tube that tests no row proves nothing, so it fails
-        tube_ok = (top >= args.from_index
-                   and check_tube(t, target, eps, from_index=args.from_index))
+        tube_ok = tube_ok and top >= args.from_index  # a tube that tests no row proves nothing
         print(
             f"tube target={target.render()} eps={eps} "
             f"from={args.from_index}: {'PASS' if tube_ok else 'FAIL'}"
@@ -144,17 +173,16 @@ def _cmd_verify(args) -> int:
                   f"the largest n is {top}")
         ok = ok and tube_ok
     if spec is not None:
-        values_ok = all(e.source_index >= 1 and e.value == spec.term(e.source_index)
-                        for e in t)
+        if spec_error is not None:
+            raise spec_error
         print(f"values of {args.spec}: {'PASS' if values_ok else 'FAIL'}")
         ok = ok and values_ok
-    rows = {}
-    for e in t:
-        if e.source_index in rows:
-            first = rows[e.source_index]
-            print(f"source index {e.source_index} repeats: rows n={first} and n={e.n}")
-            return 1
-        rows[e.source_index] = e.n
+    if repeat is not None:
+        s, n = repeat
+        with open(args.trace, newline="") as fh:  # only a failing trace reads its rows twice
+            first = next(row[0] for row in read_rows(fh) if row[1] == s)
+        print(f"source index {s} repeats: rows n={first} and n={n}")
+        return 1
     return 0 if ok else 1
 
 

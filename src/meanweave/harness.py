@@ -14,8 +14,8 @@ window edge, and tests a run's stretch inside a window at its two ends; other
 entries are runs of one.  ``check_permutation`` streams unrolled blocks.
 
 The CSV boundary is on integer pairs as well: the writer formats each exact
-column from a pair reduced by one gcd, and an entry read from CSV holds its
-sum and stated average as pairs and builds their Fractions only when read.
+column from a pair reduced by one gcd, and the reader yields one row at a
+time, its sum and stated average as pairs (``read_trace_csv`` lists them).
 """
 
 from __future__ import annotations
@@ -125,14 +125,14 @@ class TraceEntry:
 _new_entry = object.__new__
 
 
-def _live_entry(n, source_index, value, num, den) -> TraceEntry:
+def _live_entry(n, source_index, value, num, den, avg=None) -> TraceEntry:
     e = _new_entry(TraceEntry)
     e.n = n
     e.source_index = source_index
     e.value = value
     e._num = num
     e._den = den
-    e._sum = e._avg = None
+    e._sum, e._avg = None, avg
     return e
 
 
@@ -318,17 +318,18 @@ def check_tube(t, target, eps, from_index: int = 1) -> bool:
     Finite targets use the open interval (target-eps, target+eps); infinite
     targets require |average| beyond M = 1/eps on the matching side.
     """
+    return _check_windows(t, [(from_index, *tube_bounds(target, eps))])
+
+
+def tube_bounds(target, eps):
+    """The tube's ``(lo, hi)`` as ``_bound_pairs``; eps must be positive."""
     target = ExtendedReal.of(target)
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if target.is_finite:
-        lo, hi = target.value - eps, target.value + eps
-    elif target.is_pos_inf:
-        lo, hi = 1 / eps, None
-    else:
-        lo, hi = None, -1 / eps
-    return _check_windows(t, [(from_index, lo, hi)])
+        return _bound_pairs(target.value - eps, target.value + eps)
+    return _bound_pairs(1 / eps, None) if target.is_pos_inf else _bound_pairs(None, -1 / eps)
 
 
 def check_schedule(t, schedule) -> bool:
@@ -338,7 +339,7 @@ def check_schedule(t, schedule) -> bool:
     extends to the end of the trace — to the open interval (lo_k, hi_k).
     Raises ValueError unless the from-indices strictly increase.
     """
-    windows = [(w.from_index, w.lo, w.hi) for w in schedule]
+    windows = [(w.from_index, *_bound_pairs(w.lo, w.hi)) for w in schedule]
     return not windows or _check_windows(t, windows)
 
 
@@ -347,27 +348,30 @@ def _entry_run(e: TraceEntry):
     return e.n - 1, 1, None, None, None, p * e.n, 0, q
 
 
+def _bound_pairs(lo, hi):
+    """``(lo, hi)`` as integer pairs; a missing (None) bound passes every test."""
+    return ((-1, 0) if lo is None else (lo.numerator, lo.denominator),
+            (1, 0) if hi is None else (hi.numerator, hi.denominator))
+
+
 def _check_windows(t, windows) -> bool:
     """True iff window k holds the averages at positions [from_k, from_{k+1})
-    strictly inside (lo_k, hi_k), a None bound being none.  An ``iter_trace``
+    strictly inside (lo_k, hi_k), given as ``_bound_pairs``.  An ``iter_trace``
     trace is read as runs: the average is monotone along a run and, at one
     offset, over a period block's repeats, so each is tested at its ends."""
-    windows = [(0, None, None), *windows]  # positions before the first are free
+    windows = [(0, *_bound_pairs(None, None)), *windows]  # positions before the first are free
     starts = [w[0] for w in windows] + [None]
     if any(a >= b for a, b in zip(starts[1:], starts[2:-1])):
         raise ValueError("window from-indices must strictly increase")
-    # a missing bound is a pair that passes every cross-multiplication below
-    bounds = [((-1, 0) if lo is None else (lo.numerator, lo.denominator),
-               (1, 0) if hi is None else (hi.numerator, hi.denominator))
-              for _f, lo, hi in windows]
     runs = _walk(t.r, t.n, starts[1:-1]) if isinstance(t, _Trace) else map(_entry_run, t)
-    k, nxt = -1, 0  # window k holds the positions before nxt
+    k, nxt = 0, starts[1]  # window k holds the positions before nxt
+    _f, (ln, ld), (hn, hd) = windows[0]
     for n0, size, _value, _src, _step, num, v, den in runs:
         j, end = n0 + 1, n0 + size
         while j <= end:
             while nxt is not None and j >= nxt:
                 k += 1
-                (ln, ld), (hn, hd) = bounds[k]
+                _f, (ln, ld), (hn, hd) = windows[k]
                 nxt = starts[k + 1]
             p, q = num + (j - n0) * v, den * j
             if not (ln * q < p * ld and p * hd < hn * q):
@@ -425,17 +429,20 @@ def verify_trace_identities(t) -> bool:
     The entries must be positions 1, 2, 3, ... in order: a missing or
     repeated row fails, since the recurrence only links adjacent positions.
     """
+    return identities_hold((e.n, e.source_index, e.value, e._num, e._den,
+                             e._average_pair()) for e in t)
+
+
+def identities_hold(rows) -> bool:
+    """``verify_trace_identities`` on rows as ``read_rows`` yields them,
+    read up to the first that fails."""
     prev = None
-    for expected_n, entry in enumerate(t, start=1):
-        n = entry.n
-        if n != expected_n:
-            return False
-        p, q = entry._average_pair()
-        if entry._avg is not None and p * n * entry._den != entry._num * q:
+    for expected_n, (n, _src, value, num, den, (p, q)) in enumerate(rows, start=1):
+        if n != expected_n or p * n * den != num * q:
             return False
         if prev is not None:
             pp, pq = prev
-            vn, vd = entry.value.numerator, entry.value.denominator
+            vn, vd = value.numerator, value.denominator
             if n * p * pq * vd != q * ((n - 1) * pp * vd + vn * pq):
                 return False
         prev = p, q
@@ -525,16 +532,21 @@ def write_trace_csv(t, stream) -> None:
 
 
 def read_trace_csv(stream) -> List[TraceEntry]:
-    """The entries of a trace CSV; raises ValueError on a malformed row.
+    """The entries of a trace CSV, as ``read_rows`` reads them: each keeps
+    its sum and its stated average (apart from the sum) as integer pairs."""
+    return [_live_entry(*row) for row in read_rows(stream)]
 
-    Each entry holds its sum and stated average as integer pairs and builds
-    their Fractions only when read; the value column builds one Fraction per
-    distinct text.  The decimal column is not read."""
+
+def read_rows(stream) -> Iterator[tuple]:
+    """A trace CSV's rows one by one as ``(n, source_index, value, num, den,
+    (p, q))``: the sum and the stated average as integer pairs, the value a
+    Fraction built once per text (of the last 1,024); the decimal column is
+    not read.  Raises ValueError on a wrong header, or naming the line of a
+    malformed row when it is reached."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header != CSV_HEADER:
         raise ValueError("not a trace file: unexpected header")
-    entries = []
     values = {}
     for row in reader:
         if not row:
@@ -548,10 +560,10 @@ def read_trace_csv(stream) -> List[TraceEntry]:
             n, src = int(row[0]), int(row[1])
             value = values.get(row[2])
             if value is None:
+                if len(values) >= 1024:  # the cache stays small on a trace of distinct values
+                    values.clear()
                 value = values[row[2]] = Fraction(*_pair(row[2]))
-            e = _live_entry(n, src, value, *_pair(row[3]))
-            e._avg = _pair(row[5])  # the stated average, kept apart from the sum
+            total, avg = _pair(row[3]), _pair(row[5])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from exc
-        entries.append(e)
-    return entries
+        yield n, src, value, *total, avg

@@ -2,11 +2,18 @@
 
 import hashlib
 import io
+import tracemalloc
+from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanweave.cli import main
+from meanweave.dsl import parse_spec
+from meanweave.extreal import ExtendedReal
+from meanweave.harness import check_tube, read_trace_csv, verify_trace_identities
 
 FOUR_STRANDS = (
     "interleave(interleave(const(0), neg(square(linear()))),"
@@ -312,6 +319,198 @@ def test_verify_names_the_line_of_an_unparsable_field(tmp_path, row, detail):
 def test_verify_missing_file_is_an_io_error():
     code, _, err = run("verify", "/nonexistent/trace.csv")
     assert code == 2 and err.startswith("ERROR IOError: ")
+
+
+# Edited copies of the 200-row trace of interleave(const(0), const(1)) at 1/3
+# (header at line 0, row n at line n), or hand-written rows, each with the
+# verify arguments and its (exit code, stdout, stderr).  Recorded when verify
+# still read the whole trace before checking it; a one-pass verify must print
+# the same lines in the same order.
+TUBE = ("--tube", "1/3", "1/100", "--from", "150")
+HEADER = "n,source_index,value,partial_sum,average_decimal,average_exact"
+
+
+def _moved_row_10(lines):
+    return lines[:10] + lines[11:] + [lines[10]]
+
+
+def _repeat(lines):  # row n=7 claims the source index of row n=4
+    lines = list(lines)
+    row4, row7 = lines[4].split(","), lines[7].split(",")
+    row7[1] = row4[1]
+    lines[7] = ",".join(row7)
+    return lines
+
+
+def _repeat_and_wrong_value(lines):
+    lines = _repeat(lines)
+    lines[20] = lines[20].replace(",0/1,", ",5/1,")
+    return lines
+
+
+def _repeat_then_malformed(lines):
+    lines = _repeat(lines)
+    lines[100] = "100,x,0/1,33/1,0.33,33/100"
+    return lines
+
+
+def _rows_repeating(source):
+    return lambda _lines: [HEADER, f"1,{source},1/1,1/1,1,1/1", "2,5,0/1,1/1,0.5,1/2",
+                           f"3,{source},1/1,2/1,0.666666666667,2/3"]
+
+
+def _far_runlen_source(_lines):  # runlen(3) raises TermTooLarge past ~3.3e11
+    return [HEADER, "1,1,1/1,1/1,1,1/1", f"2,{10**12},1/1,2/1,1,1/1", "3,1,1/1,3/1,1,1/1"]
+
+
+SPEC01 = "interleave(const(0), const(1))"
+VERIFY_TABLE = {
+    # a tube window, once open, stays open: row n=10 after n=200 is tested
+    "moved_row_below_from": (_moved_row_10, TUBE, (
+        1, "identities: FAIL\ntube target=1/3 eps=1/100 from=150: FAIL\n", "")),
+    "repeat_after_failed_identity": (_repeat_and_wrong_value, TUBE, (
+        1, "identities: FAIL\ntube target=1/3 eps=1/100 from=150: PASS\n"
+           "source index 3 repeats: rows n=4 and n=7\n", "")),
+    "repeat_then_malformed_row": (_repeat_then_malformed, TUBE, (
+        2, "", "ERROR UsageError: line 101: invalid literal for int() with base 10: 'x'\n")),
+    "repeat_of_source_0": (_rows_repeating(0), (), (
+        1, "identities: PASS\nsource index 0 repeats: rows n=1 and n=3\n", "")),
+    "repeat_of_source_-3": (_rows_repeating(-3), (), (
+        1, "identities: PASS\nsource index -3 repeats: rows n=1 and n=3\n", "")),
+    "repeat_of_source_1e12": (_rows_repeating(10**12), (), (
+        1, "identities: PASS\nsource index 1000000000000 repeats: rows n=1 and n=3\n", "")),
+    "repeat_under_spec": (_repeat, ("--spec", SPEC01), (
+        1, f"identities: PASS\nvalues of {SPEC01}: PASS\n"
+           "source index 3 repeats: rows n=4 and n=7\n", "")),
+    # a term that raises is reported after the lines before it, not the repeat
+    "spec_term_raises": (_far_runlen_source, ("--spec", "runlen(3)", "--tube", "1", "1/10"), (
+        2, "identities: PASS\ntube target=1 eps=1/10 from=1: PASS\n",
+        "ERROR TermTooLarge: factorial terms stop at block 10000\n")),
+    "row_n_0": (lambda _l: [HEADER, "0,1,1/1,1/1,1,1/1", "2,2,1/1,2/1,1,1/1"],
+                ("--tube", "1", "1/10"), (
+        1, "identities: FAIL\ntube target=1 eps=1/10 from=1: FAIL\n", "")),
+    # not recorded: reading the whole trace first raised UnboundLocalError here
+    "first_row_n_-1": (lambda _l: [HEADER, "-1,1,1/1,1/1,1,1/1", "2,2,1/1,2/1,1,1/1"],
+                       ("--tube", "1", "1/10"), (
+        1, "identities: FAIL\ntube target=1 eps=1/10 from=1: FAIL\n", "")),
+}
+
+
+@pytest.fixture(scope="module")
+def target_trace_lines(tmp_path_factory):
+    base = tmp_path_factory.mktemp("verify") / "run"
+    run("construct", "--target", "1/3", "--n", "200", "--out", str(base), SPEC01)
+    return (base.parent / "run.trace.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("case", VERIFY_TABLE)
+def test_verify_prints_its_pinned_lines(tmp_path, target_trace_lines, case):
+    edit, argv, expected = VERIFY_TABLE[case]
+    path = tmp_path / "edited.trace.csv"
+    path.write_text("\n".join(edit(target_trace_lines)) + "\n")
+    assert run("verify", str(path), *argv) == expected
+
+
+# Sources met are kept a byte each up to a bound that grows with the rows
+# read, and in a set past it: source 5000 at row 1 lies past the bound, and
+# the bound grows over it later; -3 must stay out of the byte map as it grows.
+@pytest.mark.parametrize("sources", [
+    [5000, *range(1, 3000), 5000],
+    [5000, *range(1, 2000), 6000, 5000],
+    [-3, *range(1, 2100), 5000, 8189],
+    [10**12, 1, 2, 10**12 + 1, 0, -1],
+], ids=["far_then_covered", "covered_by_another", "negative_kept_out", "no_repeat"])
+def test_verify_reports_the_first_repeated_source(tmp_path, sources):
+    first, repeat = {}, ""
+    for n, s in enumerate(sources, start=1):
+        if s in first:
+            repeat = f"source index {s} repeats: rows n={first[s]} and n={n}\n"
+            break
+        first[s] = n
+    path = tmp_path / "sources.trace.csv"
+    rows = (f"{n},{s},0/1,0/1,0,0/1" for n, s in enumerate(sources, start=1))
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    assert run("verify", str(path)) == (1 if repeat else 0, "identities: PASS\n" + repeat, "")
+
+
+def reference_verify(path, tube, from_index, spec_text):
+    """What verify printed when it read the whole trace and then walked it
+    once per check: (exit code, stdout) of a well-formed trace file."""
+    with open(path, newline="") as fh:
+        t = read_trace_csv(fh)
+    if not t:
+        return 1, "trace has no rows: nothing to verify\n"
+    ok = verify_trace_identities(t)
+    out = [f"identities: {'PASS' if ok else 'FAIL'}"]
+    if tube is not None:
+        target, eps = ExtendedReal.parse(tube[0]), Fraction(tube[1])
+        top = max(e.n for e in t)
+        tube_ok = top >= from_index and check_tube(t, target, eps, from_index=from_index)
+        out.append(f"tube target={target.render()} eps={eps} "
+                   f"from={from_index}: {'PASS' if tube_ok else 'FAIL'}")
+        if top < from_index:
+            out.append(f"no row lies at or after --from {from_index}: the largest n is {top}")
+        ok = ok and tube_ok
+    if spec_text is not None:
+        spec = parse_spec(spec_text)
+        values_ok = all(e.source_index >= 1 and e.value == spec.term(e.source_index)
+                        for e in t)
+        out.append(f"values of {spec_text}: {'PASS' if values_ok else 'FAIL'}")
+        ok = ok and values_ok
+    rows = {}
+    for e in t:
+        if e.source_index in rows:
+            out.append(f"source index {e.source_index} repeats: "
+                       f"rows n={rows[e.source_index]} and n={e.n}")
+            return 1, "\n".join(out) + "\n"
+        rows[e.source_index] = e.n
+    return 0 if ok else 1, "\n".join(out) + "\n"
+
+
+@st.composite
+def edited_traces(draw):
+    """Rows of integer values whose n, source, sum or average may be off."""
+    lines, total = [HEADER], 0
+    for i in range(1, draw(st.integers(0, 10)) + 1):
+        n = draw(st.sampled_from([i] * 6 + [0, -1, i + 1, 1]))
+        value = draw(st.sampled_from([0, 1, 2, -1]))
+        total += value
+        source = draw(st.sampled_from([*range(1, 8), 0, -3, 5000, 10**12]))
+        avg = Fraction(total, max(n, 1)) + draw(st.sampled_from([0] * 5 + [1]))
+        lines.append(f"{n},{source},{value}/1,{total + draw(st.sampled_from([0] * 5 + [1]))}/1,"
+                     f"0,{avg.numerator}/{avg.denominator}")
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_traces(),
+       st.none() | st.tuples(st.sampled_from(["1/3", "1", "-1/2", "inf", "-inf"]),
+                             st.sampled_from(["1/10", "1/2", "2"])),
+       st.integers(-2, 12), st.none() | st.just(SPEC01))
+def test_verify_prints_what_reading_the_whole_trace_printed(
+        tmp_path_factory, lines, tube, from_index, spec):
+    path = tmp_path_factory.getbasetemp() / "edited.trace.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = [*(("--tube", *tube) if tube else ()), "--from", str(from_index),
+            *(("--spec", spec) if spec else ())]
+    code, out, err = run("verify", str(path), *argv)
+    assert ((code, out), err) == (reference_verify(path, tube, from_index, spec), "")
+
+
+def test_verify_reads_a_trace_at_flat_memory(tmp_path):
+    base = tmp_path / "long"
+    run("construct", "--target", "1/3", "--n", "20000", "--out", str(base), SPEC01)
+    argv = ["verify", f"{base}.trace.csv", *TUBE, "--spec", SPEC01]
+    run(*argv)  # the first run loads what verify imports
+    tracemalloc.start()
+    try:
+        result = run(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "identities: PASS\ntube target=1/3 eps=1/100 from=150: PASS\n"
+                         f"values of {SPEC01}: PASS\n", "")
+    assert peak < 1_000_000  # reading the whole trace first peaked near 7 MB
 
 
 def test_construct_oscillate(tmp_path):

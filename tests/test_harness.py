@@ -241,6 +241,13 @@ def test_tube_rejects_nonpositive_eps():
         check_tube(synthetic_trace([0]), F(0), F(0))
 
 
+def test_a_tested_row_at_n_0_or_below_fails_the_tube():
+    # no average is defined there; a leading negative n raised UnboundLocalError
+    for n in (0, -1):
+        t = [TraceEntry(n, 1, F(1), F(1), F(1)), TraceEntry(2, 2, F(1), F(2), F(1))]
+        assert not check_tube(t, F(1), F(1, 10))
+
+
 # Averages that land exactly on a bound, read live and read back from CSV:
 # values 1/3, 1/3, 4/3, 2/3 give averages 1/3, 1/3, 2/3, 2/3.
 BOUNDARY_VALUES = ["1/3", "1/3", "4/3", "2/3"]
