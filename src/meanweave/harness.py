@@ -6,9 +6,10 @@ decimal column of CSV output is display-only and is never read back.
 
 One walker reads a stream's blocks and keeps the exact running sum as an
 unreduced integer pair, adding a period block's sum once per repeat.
-``iter_trace`` returns a re-iterable trace that expands each block into
-entries, which build ``partial_sum`` and ``average`` as Fractions only when
-read.  ``check_tube`` and ``check_schedule`` share one window test, which
+``iter_trace`` returns a re-iterable trace that builds each position's entry
+in line, a period block's from one flat row per position built once per
+block; an entry builds ``partial_sum`` and ``average`` as Fractions only
+when read.  ``check_tube`` and ``check_schedule`` share one window test, which
 reads such a trace as runs, a period block's rows at the repeats next to a
 window edge, and tests a run's stretch inside a window at its two ends; other
 entries are runs of one.  ``check_permutation`` streams unrolled blocks.
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 _FIELDS = ("n", "source_index", "value", "partial_sum", "average")
+FLAT_PERIOD = 1 << 14  # the most positions a trace expands a period into flat rows
 
 
 class TraceEntry:
@@ -141,8 +143,9 @@ def _walk(r: Rearrangement, n: Optional[int], starts=None):
     value, first_src, step, num, v, den)``: positions n0+1..n0+count, the sum
     num/den before them, each adding the integer v over den.  The one loop
     that keeps the exact running sum; den widens by ``extreal.widen``.  A
-    period block is ``(n0, count, None, rows, length, num, total, den)``, each
-    row with its v, or, given window ``starts``, its rows' runs as tested."""
+    period block is ``(n0, count, None, flat, length, num, total, den)``, flat
+    a row ``(src, advance, value, v)`` per position of a period, or, given
+    window ``starts`` or a period past ``FLAT_PERIOD``, its rows' runs."""
     num, den, k = 0, 1, 0
     for tag, value, size, src, step in r.blocks():
         vd = value.denominator
@@ -168,12 +171,14 @@ def _walk(r: Rearrangement, n: Optional[int], starts=None):
                 num, den = widen(num, den, d)
             rows = [(*row, row[1].numerator * (den // row[1].denominator)) for row in src]
             v = sum(c * vi for _t, _x, c, *_, vi in rows)
-            if starts is None:  # (n0, count, None, rows, length, num, total, den)
-                yield k, end - k, None, rows, step, num, v, den
-            else:  # the rows as runs, at the repeats next to the block's ends and window starts
-                edges = [k + 1, end, *(e for s in starts if k + 1 < s <= end for e in (s - 1, s))]
-                for j in sorted({min((end - k - 1) // step, max(0, (e - k - 1) // step + o))
-                                 for e in edges for o in (-1, 0, 1)}):
+            if starts is None and step <= FLAT_PERIOD:  # (n0, count, None, flat, length, num, total, den)
+                flat = ((s + st * i, a, x, vi) for _t, x, c, s, st, a, vi in rows for i in range(c))
+                yield k, end - k, None, list(islice(flat, end - k)), step, num, v, den
+            else:  # the rows as runs: every repeat, or those next to the block's ends and window starts
+                edges = [k + 1, end, *(e for s in starts or () if k + 1 < s <= end for e in (s - 1, s))]
+                for j in range(-(-(end - k) // step)) if starts is None else sorted(
+                        {min((end - k - 1) // step, max(0, (e - k - 1) // step + o))
+                         for e in edges for o in (-1, 0, 1)}):
                     m, p = k + j * step, num + j * v
                     for _t, x, c, s, st, a, vi in rows:
                         if m < end:  # the horizon may cut the block in a repeat
@@ -193,26 +198,40 @@ class _Trace:
 
     def __iter__(self) -> Iterator[TraceEntry]:
         for k, size, value, src, step, num, v, den in _walk(self.r, self.n):
-            if value is None:  # a period block: src's rows, repeat by repeat
-                end = k + size
+            if value is None:  # a period block: its flat rows, repeat by repeat
                 for j in range(-(-size // step)):
-                    for _t, x, c, s, st, a, vi in src:
-                        if c == 1:
-                            num, k = num + vi, k + 1
-                            yield _live_entry(k, s + a * j, x, num, den)
-                        else:
-                            for s in islice(count(s + a * j, st), min(c, end - k)):
-                                num, k = num + vi, k + 1
-                                yield _live_entry(k, s, x, num, den)
-                        if k == end:
-                            break
+                    for s, a, x, vi in src[:size - j * step]:
+                        num += vi
+                        k += 1
+                        e = _new_entry(TraceEntry)
+                        e.n = k
+                        e.source_index = s + a * j
+                        e.value = x
+                        e._num = num
+                        e._den = den
+                        e._sum = e._avg = None
+                        yield e
             elif size == 1:
-                yield _live_entry(k + 1, src, value, num + v, den)
+                e = _new_entry(TraceEntry)
+                e.n = k + 1
+                e.source_index = src
+                e.value = value
+                e._num = num + v
+                e._den = den
+                e._sum = e._avg = None
+                yield e
             else:
                 for s in islice(count(src, step), size):
                     num += v
                     k += 1
-                    yield _live_entry(k, s, value, num, den)
+                    e = _new_entry(TraceEntry)
+                    e.n = k
+                    e.source_index = s
+                    e.value = value
+                    e._num = num
+                    e._den = den
+                    e._sum = e._avg = None
+                    yield e
 
 
 def iter_trace(r: Rearrangement, n: Optional[int] = None) -> Iterable[TraceEntry]:

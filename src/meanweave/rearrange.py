@@ -666,7 +666,10 @@ def two_sided_balance(
     the -inf side while above).  Everything else is deferred and re-enters
     at the slots of the slot schedule (``_slots``); an extra due at the next
     position takes the place of a steering step, so the greedy average sees
-    it.
+    it.  The sum of the first n values is kept as local integers num/den,
+    and the sign test against the target p/q is that of num*q - p*den*n;
+    each side reads a value's numerator and denominator once per run of
+    one value object.
     """
     target = as_fraction(target)
     if b_part.limit != NEG_INF:
@@ -695,26 +698,35 @@ def two_sided_balance(
 
     def blocks():
         due = _slots(deferred_emissions())
-        nxt = next(due, None)
-        avg = RunningAverage()
+        nxt = next(due, (0,))  # (slot, src, value); slot 0 once none is left
+        tp, tq = target.numerator, target.denominator
+        num, den, n = 0, 1, 0  # the sum num/den of the first n values
         # climb with +inf-side elements until the average reaches target,
         # then descend with -inf-side elements until it returns to it; an
         # extra due at the next position is emitted in place of a step
         sides = ((c_sel.emissions(), "high", -1), (b_sel.emissions(), "low", 1))
+        held = [(None, 0, 1)] * 2  # each side's last value object, its numerator and denominator
         while True:
-            for it, tag, sign in sides:
-                first = True
-                while first or sign * avg.cmp(target) > 0:
-                    if nxt is not None and nxt[0] == avg.n + 1:
+            for i, (it, tag, sign) in enumerate(sides):
+                first, (last, vn, vd) = True, held[i]
+                while first or sign * (num * tq - tp * den * n) > 0:
+                    n += 1
+                    if n == nxt[0]:
                         _slot, src, value = nxt
-                        nxt = next(due, None)
-                        avg.add(value)
-                        yield "extra", value, 1, src, 0
-                        continue
-                    first = False
-                    src, value = next(it)
-                    avg.add(value)
-                    yield tag, value, 1, src, 0
+                        nxt, t = next(due, (0,)), "extra"
+                    else:
+                        src, value = next(it)
+                        first, t = False, tag
+                    if value is not last:  # a side's run of one value object reads it once
+                        last, vn, vd = value, value.numerator, value.denominator
+                    if den == vd:
+                        num += vn
+                    else:
+                        if den % vd:
+                            num, den = widen(num, den, vd)
+                        num += vn * (den // vd)
+                    yield t, value, 1, src, 0
+                held[i] = last, vn, vd
 
     return Rearrangement.of_blocks(
         source=None,

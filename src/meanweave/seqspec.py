@@ -439,27 +439,19 @@ class SumJump(_Increasing):
     increasing, but the term/prefix-sum ratio exceeds 1 infinitely often.
     """
 
-    __slots__ = ("_values", "_sums")  # the terms and prefix sums so far: a cache
+    __slots__ = ("_values", "_terms")  # a cache: the terms so far, and Fractions of a prefix
     dsl_name, dsl_shape = "sumjump", ""
 
     def __init__(self, *, declared_profile=None):
         set_field(self, "declared_profile", declared_profile)
         set_field(self, "_values", [])
-        set_field(self, "_sums", [])
+        set_field(self, "_terms", [])
 
     def _extend_to(self, n: int):
-        vals, sums = self._values, self._sums
-        if not vals:
-            vals.append(1)
-            sums.append(1)
+        vals = self._values
         while len(vals) < n:
-            i = len(vals) + 1  # 1-based index of the next term
-            if i & (i - 1) == 0:  # power of two
-                v = 1 + sums[-1]
-            else:
-                v = vals[-1] + 1
-            vals.append(v)
-            sums.append(sums[-1] + v)
+            i = len(vals) + 1  # 1-based index of the next term; the sum is taken log2(n) times
+            vals.append(1 + sum(vals) if i & (i - 1) == 0 else vals[-1] + 1)
 
     def term(self, n: int) -> Fraction:
         self._check_index(n)
@@ -470,6 +462,14 @@ class SumJump(_Increasing):
         for n in itertools.count(1):
             self._extend_to(n)
             yield self._values[n - 1], 1
+
+    def iter_terms(self) -> Iterator[Fraction]:
+        terms = self._terms
+        for n in itertools.count(1):
+            if n > len(terms):
+                self._extend_to(n)
+                terms.extend(map(Fraction, self._values[len(terms):]))
+            yield terms[n - 1]
 
     def _balance(self):
         reason = "each jump term exceeds the whole prefix sum"

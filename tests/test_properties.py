@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 
 import pytest
-from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import HealthCheck, Phase, example, given, seed, settings
 from hypothesis import strategies as st
 
 from meanweave.aarset import AARSet, Interval
@@ -1044,12 +1044,13 @@ def two_strand_targets(draw):
 # extreme averages it holds, widened by one slack drawn per schedule: 0
 # (attained, so the check must fail), 1/1000 (twice as likely) or -1/1000;
 # the tube's from index is drawn the same way and its eps is the largest
-# deviation after it, plus such a slack
+# deviation after it, plus such a slack; a failure is reported as drawn,
+# since shrinking 2,000-position examples takes minutes
 PERIOD_HORIZON = 2_000
 
 
 @seed(26)
-@settings(max_examples=60, **COMMON)
+@settings(max_examples=60, phases=[p for p in Phase if p is not Phase.shrink], **COMMON)
 @given(middle_targets() | two_strand_targets(), st.data())
 def test_period_blocks_check_and_audit_like_their_positions(drawn, data):
     text, t = drawn

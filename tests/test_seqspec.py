@@ -160,6 +160,10 @@ def test_iter_terms_keep_one_object_per_run():
         values = list(islice(parse_spec(text).iter_terms(), 3000))
         # block values differ, so one object per block is one per value
         assert len({id(v) for v in values}) == len(set(values)), text
+    # a cached family re-yields the Fractions it built on the first read
+    jumps = parse_spec("sumjump()")
+    first = list(islice(jumps.iter_terms(), 3000))
+    assert all(a is b for a, b in zip(first, islice(jumps.iter_terms(), 3000)))
     # the Fraction view is built in one place; families that override it
     # re-yield objects they hold, or (Geometric) multiply the last term by
     # the ratio, where the pair view would take a gcd of n-digit integers
@@ -168,7 +172,8 @@ def test_iter_terms_keep_one_object_per_run():
         for name, cls in vars(seqspec).items()
         if isinstance(cls, type) and issubclass(cls, SequenceSpec) and "iter_terms" in vars(cls)
     }
-    assert own == {"SequenceSpec", "Constant", "Interleave", "ExplicitPrefix", "Geometric"}
+    assert own == {"SequenceSpec", "Constant", "Interleave", "ExplicitPrefix", "Geometric",
+                   "SumJump"}
 
 
 # ---------------------------------------------------------------------------

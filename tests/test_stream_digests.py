@@ -5,10 +5,11 @@ climb, a climb whose runs are split at the slots of a middle strand, the
 four-strand realizer, a realizer whose folded steering sides set early far
 values aside, six routes over rational constants, a rest strand
 and a folded side without constant runs, a bounded route with two middle
-strands of different limits, and three routes whose extras enter at the
+strands of different limits, and five routes whose extras enter at the
 slots slot_l = max(slot_{l-1} + 1, (l+1)**3 * ceil(max(1, |e_l|))): the
-bounded route at an end of its hull, with and without a middle strand, and
-the route at the limit point; and the first 100,000 of the four-strand
+bounded route at an end of its hull, with and without a middle strand, the
+route at the limit point, and the two-sided route with a middle strand of
+one integer and of two fractional constants; and the first 100,000 of the four-strand
 realizer for one prescribed set per bench ``realize`` shape (each of the
 low and high pieces a point or an interval), for a single point below and
 one above the midpoint, and of a realizer whose divergent parts are each
@@ -27,6 +28,7 @@ from itertools import accumulate, islice
 
 import pytest
 
+from meanweave import harness
 from meanweave.dsl import parse_spec
 from meanweave.harness import _walk, check_tube, iter_trace
 from meanweave.rearrange import construct_target, oscillator
@@ -51,6 +53,14 @@ STREAMS = {
     "climb_linear": _route("interleave(const(1), linear())", F(11, 4)),
     "climb_pow2": _route("interleave(const(1), pow(2))", F(5, 2)),
     "two_sided": _route("interleave(neg(runlen(4)), runlen(4))", F(-5, 3)),
+    # a middle strand as extras, 26 in the pinned emissions, each in place
+    # of a steering step; fractional extras widen the running sum's
+    # denominator in the middle of a steering phase
+    "two_sided_extras": _route(
+        "interleave(neg(runlen(4)), interleave(runlen(4), const(0)))", F(1, 2)),
+    "two_sided_fractional_extras": _route(
+        "interleave(neg(runlen(4)), interleave(runlen(4),"
+        " interleave(const(1/3), const(2/7))))", F(1, 2)),
     "oscillator": _route("interleave(const(-1), const(2))", None),
     "mirrored_climb": _route("interleave(const(-2), neg(pow(2)))", F(-4)),
     "climb_middle": _route("interleave(interleave(const(0), const(1)), pow(2))", F(3)),
@@ -96,6 +106,10 @@ DIGESTS = {
         "5d20d733e9efd697d77f4d907831c7c397ea7129fe3c707348b4db3aedf232ae",
     "two_sided":
         "b5b70569dc11afcdf4b645d0bcf086d4be1fa5601fe2edf1211e637b4d4c791b",
+    "two_sided_extras":
+        "8f6ddf65fdbd742bef18b8a63368f608c14ea36510ac7baaa5a6f9dec2de6906",
+    "two_sided_fractional_extras":
+        "af5211ea2369a3ceabea859207c60bed86dd6321c9e48155af7bb4a40cb873e4",
     "oscillator":
         "cdf7c3017b4562dc2654c144e5377f33fcfeab60f4acf46897eb26e66ab2eb1f",
     "mirrored_climb":
@@ -249,18 +263,33 @@ def test_the_walk_to_ten_million_takes_logarithmically_many_blocks():
 PERIOD_ROUTES = ["bounded", "bounded_middle", "bounded_rational", "bounded_two_middle"]
 
 
-@pytest.mark.parametrize("name", PERIOD_ROUTES)
+@pytest.mark.parametrize("name", PERIOD_ROUTES + [
+    "climb_linear", "oscillator", "two_sided", "four_strand_realizer"])
 def test_a_horizon_cutting_a_period_block_traces_its_positions(name):
     """Every horizon to 200 positions, so every cut of the first period
     blocks, among them one at a block's first position (12 and 21 on the
-    bounded route): each entry holds the source, value and running sum of
-    the test-local expansion."""
+    bounded route), of the first runs, and of blocks of one: each entry is
+    ``(n, source_index, value, partial_sum, average)`` of the test-local
+    expansion."""
     expected = list(islice(_expand(STREAMS[name]().blocks()), 200))
     sums = list(accumulate(value for _src, value, _tag in expected))
+    rows = [(n, src, value, total, total / n)
+            for n, (src, value, _tag), total in zip(range(1, 201), expected, sums)]
     r = STREAMS[name]()
     for n in range(1, 201):
-        assert [(e.source_index, e.value, e.partial_sum) for e in iter_trace(r, n)] == [
-            (src, value, total) for (src, value, _tag), total in zip(expected[:n], sums)]
+        assert [tuple(e) for e in iter_trace(r, n)] == rows[:n]
+
+
+@pytest.mark.parametrize("name", PERIOD_ROUTES)
+def test_a_period_past_the_flat_limit_traces_its_rows_as_runs(name, monkeypatch):
+    """A period of more positions than ``FLAT_PERIOD`` is walked as its rows'
+    runs, every repeat: the same entries, to every horizon to 200."""
+    r = STREAMS[name]()
+    flat = [tuple(e) for e in iter_trace(r, 200)]
+    monkeypatch.setattr(harness, "FLAT_PERIOD", 0)
+    assert all(block[2] is not None for block in _walk(r, 200))
+    for n in range(1, 201):
+        assert [tuple(e) for e in iter_trace(r, n)] == flat[:n]
 
 
 # Z on one side of the midpoint: every jump wants the same direction, and
