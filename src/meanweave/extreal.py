@@ -142,9 +142,7 @@ def as_fraction(x: Rational) -> Fraction:
 def widen(num: int, den: int, vd: int) -> Tuple[int, int]:
     """``num/den`` over a multiple of ``vd``; a pair past 2**128 is reduced
     first.  The trace walker, ``RunningAverage``, balance evidence and the
-    two-sided steering widen their sums by it.  The steering copies the update
-    into its loop as local integers: its two method calls a position and its
-    property reads took a third of the two-sided stream's time."""
+    two-sided steering (on local integers) widen their sums by it."""
     if den > 1 << 128:
         g = math.gcd(num, den)
         num, den = num // g, den // g

@@ -292,7 +292,7 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                 side = c_cur if target >= midpoint else b_cur
             else:
                 side = c_cur if avg.cmp(target) <= 0 else b_cur
-            v = side.constant
+            v = side.head[1] if side.left is None else None
             run = 1
             if v is not None and n > 0 and cand is not side.head:
                 # the side holds while the average stays <= target (c)

@@ -19,18 +19,19 @@ replays the same emissions).
 Each constructor builds its stream from blocks ``(tag, value, count,
 first_src, step)`` (``Rearrangement.of_blocks``): ``count`` emissions of one
 value from the sources ``first_src + step*j``.  Runs (count > 1) come only
-from a part that is one ``Constant`` strand over an ``AffineMap``, and
-``PartCursor.take`` alone decides them.  It serves the weighted merge,
-which emits each stretch between two lead positions as one run, the
-oscillator the rest of each swing (its length from ``first_positive``, as
-in the realizer), a core that plays one part in its own order runs of
-doubling length, and the climb (``target_above_limsup``) each fill gap up
-to the next slot; ``mirror_rearrangement`` passes runs through, and
-``merge_preserving`` splits them only at slots.  Every run steps the
-running sum by one integer.  Past its first period of den positions, a
-weighted merge of constant parts emits period blocks ``(None, total, count,
-rows, length)``: rows ``(tag, value, count, first_src, step, advance)``
-played count // length times, sources moved by advance a repeat; count > 1.
+from a strand with runs (``SequenceSpec.iter_runs``) over an ``AffineMap``,
+and ``PartCursor.take`` alone cuts them, one block per run segment.  It
+serves the weighted merge, which emits each stretch between two lead
+positions as one run, the oscillator and the two-sided steering the rest
+of each swing (its length from ``first_positive``, as in the realizer), a
+core that plays one part in its own order runs of doubling length, and
+the climb (``target_above_limsup``) each fill gap up to the next slot;
+``mirror_rearrangement`` passes runs through, and ``merge_preserving``
+splits them only at slots.  Every run steps the running sum by one
+integer.  Period blocks ``(None, total, count, rows, length)`` play rows
+``(tag, value, count, first_src, step, advance)`` count // length times,
+sources moved by advance a repeat; count > 1: a weighted merge of constant
+parts past its first period, and each two-sided alternation stretch.
 
 Elements that must come back at vanishing density (the extras) enter at
 fixed output positions: the l-th at slot_l = max(slot_{l-1} + 1,
@@ -215,7 +216,8 @@ class Rearrangement:
         for block in self.blocks():
             if block[0] is None:  # (None, total, count, rows, length)
                 for j in range(block[2] // block[4]):
-                    yield from ((t, v, n, s + a * j, st) for t, v, n, s, st, a in block[3])
+                    for t, v, n, s, st, a in block[3]:
+                        yield t, v, n, s + a * j, st
             else:
                 yield block
 
@@ -238,9 +240,9 @@ class Rearrangement:
 
 
 def _core_stream(part: PartStream, source, coverage_bound, name) -> Rearrangement:
-    """A stream that plays ``part`` in its own order, tagged "core": a
-    constant strand over an affine map as runs of doubling length, any
-    other part as blocks of one."""
+    """A stream that plays ``part`` in its own order, tagged "core": takes
+    of doubling length, cut at run ends on a strand with runs over an
+    affine map, blocks of one on any other part."""
 
     def blocks():
         cur, k = PartCursor(part), 1
@@ -340,8 +342,8 @@ def weighted_merge(
     weight w_L together, lead.  Lead emission c+1 sits at position
     ceil(c/w_L) (the first at 1) and goes to the lead j of largest priority
     (c+1)*w_j - count_j*w_L, the first of equals; the filler's stretch
-    between two lead emissions is one gap, a run when the filler is one
-    constant strand.  All of it is integer arithmetic over the weights'
+    between two lead emissions is one gap, cut only at the filler's run
+    ends (``PartCursor.take``).  All of it is integer arithmetic over the weights'
     common denominator.
 
     Coverage: after N positions the filler lags N*w_fill by at most 1, and a
@@ -375,7 +377,7 @@ def weighted_merge(
         filler, fill_tag = curs[fill], tags[fill]
         lead_curs, lead_tags = [curs[j] for j in leads], [tags[j] for j in leads]
         # rows of lead emissions 2..lead_w+1 and their gaps: one period
-        period = [] if all(cur.constant is not None for cur in curs) else None
+        period = [] if all(cur.left is None for cur in curs) else None
         priority = [0] * len(leads)
         i = c = 0
         pos = 1  # of the first lead emission
@@ -392,7 +394,7 @@ def weighted_merge(
             if period is not None and c > 1:  # (tag, value, count, first_src, step, advance)
                 period.append((lead_tags[i], value, 1, src, 0, ws[leads[i]] * lead_curs[i].step))
                 if gap:
-                    period.append((fill_tag, filler.constant, gap, filler.head[0],
+                    period.append((fill_tag, filler.head[1], gap, filler.head[0],
                                    filler.step, ws[fill] * filler.step))
                 period = period if len(period) <= PERIOD_BLOCKS else None
             if gap == 1:  # the common gap, without a generator
@@ -455,8 +457,8 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
             src, value = cur.advance()
             avg.add(value)
             yield tag, value, 1, src, 0
-            v = cur.constant
-            if v is not None:
+            if cur.left is None:  # the head's run has no end
+                v = cur.head[1]
                 c0, c1 = avg.toward(v, bound)
                 k = first_positive(-sign * c0, -sign * c1)
                 if k:
@@ -662,14 +664,17 @@ def two_sided_balance(
 
     Requires both strands to satisfy the liminf |term|/n = 0 density
     condition; the qualifying sub-strands alternate greedily around the
-    target (elements from the +inf side while the average is below, from
-    the -inf side while above).  Everything else is deferred and re-enters
-    at the slots of the slot schedule (``_slots``); an extra due at the next
-    position takes the place of a steering step, so the greedy average sees
-    it.  The sum of the first n values is kept as local integers num/den,
-    and the sign test against the target p/q is that of num*q - p*den*n;
-    each side reads a value's numerator and denominator once per run of
-    one value object.
+    target: a high swing takes +inf-side elements, at least one, while the
+    average is below, a low swing -inf-side ones while it is above.
+    Everything else is deferred and re-enters at the slots of the slot
+    schedule (``_slots``); an extra due at the next position takes the
+    place of a steering step, so the greedy average sees it.  The sides are
+    ``PartCursor``s, and the steering is in closed form on the local
+    integers num/den of the sum of n values (the sign test against p/q is
+    that of num*q - p*den*n): a swing inside one run of its side is one run
+    (``first_positive``), and k >= 2 (high, low) pairs whose swings each
+    stop after one element, inside both head runs and before the next
+    extra's slot, are one period block of two rows (an alternation stretch).
     """
     target = as_fraction(target)
     if b_part.limit != NEG_INF:
@@ -701,32 +706,51 @@ def two_sided_balance(
         nxt = next(due, (0,))  # (slot, src, value); slot 0 once none is left
         tp, tq = target.numerator, target.denominator
         num, den, n = 0, 1, 0  # the sum num/den of the first n values
-        # climb with +inf-side elements until the average reaches target,
-        # then descend with -inf-side elements until it returns to it; an
-        # extra due at the next position is emitted in place of a step
-        sides = ((c_sel.emissions(), "high", -1), (b_sel.emissions(), "low", 1))
-        held = [(None, 0, 1)] * 2  # each side's last value object, its numerator and denominator
+        hi, lo = PartCursor(c_sel), PartCursor(b_sel)
         while True:
-            for i, (it, tag, sign) in enumerate(sides):
-                first, (last, vn, vd) = True, held[i]
+            # a stretch: pair j's high and low tests are linear in j
+            (h_src, h), (l_src, l) = hi.head, lo.head
+            hd, ld = h.denominator, l.denominator
+            if den % hd or den % ld:
+                num, den = widen(num, den, math.lcm(hd, ld))
+            hv, lv = h.numerator * (den // hd), l.numerator * (den // ld)
+            a0 = tq * (num + hv) - tp * den * (n + 1)  # >= 0: pair 0's high swing stops
+            b0 = a0 + tq * lv - tp * den  # <= 0: and its low swing
+            if a0 >= 0 >= b0 and nxt[0] != n + 1:
+                c1 = tq * (hv + lv) - 2 * tp * den  # what a pair adds to both tests
+                k = min(hi.left, lo.left, (nxt[0] - n - 1) // 2 if nxt[0] else hi.left)
+                if c1:  # the first pair whose high (c1 < 0) or low (c1 > 0) swing goes on
+                    k = min(k, first_positive(-a0, -c1) if c1 < 0 else first_positive(b0, c1))
+                if k > 1:
+                    hi.skip(k)
+                    lo.skip(k)
+                    num, n = num + k * (hv + lv), n + 2 * k
+                    yield None, h + l, 2 * k, (("high", h, 1, h_src, 0, hi.step),
+                                               ("low", l, 1, l_src, 0, lo.step)), 2
+                    continue
+            # climb with +inf-side elements until the average reaches target,
+            # then descend with -inf-side elements until it returns to it; an
+            # extra due at the next position is emitted in place of a step
+            for cur, tag, sign in ((hi, "high", -1), (lo, "low", 1)):
+                first = True
                 while first or sign * (num * tq - tp * den * n) > 0:
-                    n += 1
-                    if n == nxt[0]:
-                        _slot, src, value = nxt
-                        nxt, t = next(due, (0,)), "extra"
-                    else:
-                        src, value = next(it)
-                        first, t = False, tag
-                    if value is not last:  # a side's run of one value object reads it once
-                        last, vn, vd = value, value.numerator, value.denominator
-                    if den == vd:
-                        num += vn
-                    else:
-                        if den % vd:
-                            num, den = widen(num, den, vd)
-                        num += vn * (den // vd)
-                    yield t, value, 1, src, 0
-                held[i] = last, vn, vd
+                    extra = n + 1 == nxt[0]
+                    src, value = nxt[1:] if extra else cur.head
+                    vd = value.denominator
+                    if den % vd:
+                        num, den = widen(num, den, vd)
+                    v = value.numerator * (den // vd)
+                    if extra:
+                        nxt, k = next(due, (0,)), 1
+                        yield "extra", value, 1, src, 0
+                    else:  # the swing in the head's run: its k-th element ends it
+                        d1 = sign * (tp * den - tq * v)
+                        j = first_positive(1 + d1 - sign * (num * tq - tp * den * n), d1)
+                        k = cur.left if j is None else min(j + 1, cur.left)
+                        k, first = min(k, nxt[0] - n - 1) if nxt[0] else k, False
+                        cur.skip(k)
+                        yield tag, value, k, src, cur.step
+                    num, n = num + k * v, n + k
 
     return Rearrangement.of_blocks(
         source=None,

@@ -18,6 +18,7 @@ one Fraction view of those pairs, built once per run of one pair object;
 only families that re-yield objects they already hold (constants,
 interleaves, explicit prefixes) keep their own, and a geometric spec with
 a fractional ratio, whose terms are cheaper as products than as pairs.
+Terms in runs of one value also come as runs (``iter_runs``).
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ class SequenceSpec(Record):
         1).  Overridden only where a family re-yields objects it holds."""
         return _map_runs(_as_fraction, self.iter_pairs())
 
+    def iter_runs(self) -> Optional[Iterator[Tuple[Tuple[int, int], Optional[int]]]]:
+        """The terms as runs ``(pair, count)`` (count None: no end), or None."""
+        return None
+
     def _check_index(self, n: int):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"term index must be a positive integer, got {n!r}")
@@ -158,6 +163,9 @@ class Constant(SequenceSpec):
 
     def iter_terms(self) -> Iterator[Fraction]:
         return itertools.repeat(self.value)
+
+    def iter_runs(self):
+        return iter((((self.value.numerator, self.value.denominator), None),))
 
     def _profile(self):
         return AARSet.of(self.value)
@@ -397,9 +405,10 @@ class RunLength(_Increasing):
         return Fraction(math.factorial(v))
 
     def iter_pairs(self):
-        for b in itertools.count(1):
-            value, mult = self._block(b)
-            yield from itertools.repeat((value, 1), mult)
+        return itertools.chain.from_iterable(itertools.starmap(itertools.repeat, self.iter_runs()))
+
+    def iter_runs(self):
+        return (((value, 1), mult) for value, mult in map(self._block, itertools.count(1)))
 
     @classmethod
     def _from_dsl(cls, args):
@@ -508,6 +517,10 @@ class ExplicitPrefix(SequenceSpec):
     def iter_terms(self) -> Iterator[Fraction]:
         return itertools.chain(self.values, self.tail.iter_terms())
 
+    def iter_runs(self):
+        runs, head = self.tail.iter_runs(), (((v.numerator, v.denominator), 1) for v in self.values)
+        return None if runs is None else itertools.chain(head, runs)
+
     @classmethod
     def _from_dsl(cls, args):
         return cls(tuple(args[:-1]), args[-1])
@@ -557,7 +570,22 @@ def _as_fraction(pair: Tuple[int, int]) -> Fraction:
     return Fraction(num) if den == 1 else Fraction(num, den)
 
 
-class Affine(SequenceSpec):
+class _Pointwise(SequenceSpec):
+    """A term-by-term map of ``base`` (its first field past the profile):
+    ``_pair_map()`` maps one term pair, once per run of the base."""
+
+    def _over(self, base: SequenceSpec) -> "_Pointwise":
+        return type(self)(base, *(getattr(self, f) for f in self._fields[2:]))
+
+    def iter_pairs(self):
+        return _map_runs(self._pair_map(), self.base.iter_pairs())
+
+    def iter_runs(self):
+        runs, f = self.base.iter_runs(), self._pair_map()
+        return None if runs is None else ((f(pair), count) for pair, count in runs)
+
+
+class Affine(_Pointwise):
     """scale * base_term + shift, pointwise."""
 
     _fields = ("declared_profile", "base", "scale", "shift")
@@ -572,17 +600,12 @@ class Affine(SequenceSpec):
     def term(self, n: int) -> Fraction:
         return self.scale * self.base.term(n) + self.shift
 
-    def iter_pairs(self):
+    def _pair_map(self):
         # scale = a/b, shift = c/d, v = p/q: scale*v + shift = (ad*p + cb*q)/(bd*q)
         ad = self.scale.numerator * self.shift.denominator
         cb = self.shift.numerator * self.scale.denominator
         bd = self.scale.denominator * self.shift.denominator
-        return _map_runs(
-            lambda pq: (ad * pq[0] + cb * pq[1], bd * pq[1]), self.base.iter_pairs()
-        )
-
-    def _over(self, base: SequenceSpec) -> "Affine":
-        return Affine(base, self.scale, self.shift)
+        return lambda pq: (ad * pq[0] + cb * pq[1], bd * pq[1])
 
     def _profile(self):
         return profile(self.base).affine(self.scale, self.shift)
@@ -607,7 +630,7 @@ class Affine(SequenceSpec):
         return self.base._sort_head() if self.scale > 0 else None
 
 
-class PointwiseSquare(SequenceSpec):
+class PointwiseSquare(_Pointwise):
     _fields = ("declared_profile", "base")
     dsl_name, dsl_shape = "square", "s"
 
@@ -619,11 +642,8 @@ class PointwiseSquare(SequenceSpec):
         v = self.base.term(n)
         return v * v
 
-    def iter_pairs(self):
-        return _map_runs(lambda pq: (pq[0] * pq[0], pq[1] * pq[1]), self.base.iter_pairs())
-
-    def _over(self, base: SequenceSpec) -> "PointwiseSquare":
-        return PointwiseSquare(base)
+    def _pair_map(self):
+        return lambda pq: (pq[0] * pq[0], pq[1] * pq[1])
 
     def _profile(self):
         return profile(self.base).square()
@@ -653,7 +673,7 @@ class PointwiseSquare(SequenceSpec):
         return head + sum(1 for _ in itertools.takewhile(lambda v: v < 0, past))
 
 
-class Negate(SequenceSpec):
+class Negate(_Pointwise):
     _fields = ("declared_profile", "base")
     dsl_name, dsl_shape = "neg", "s"
 
@@ -664,11 +684,8 @@ class Negate(SequenceSpec):
     def term(self, n: int) -> Fraction:
         return -self.base.term(n)
 
-    def iter_pairs(self):
-        return _map_runs(lambda pq: (-pq[0], pq[1]), self.base.iter_pairs())
-
-    def _over(self, base: SequenceSpec) -> "Negate":
-        return Negate(base)
+    def _pair_map(self):
+        return lambda pq: (-pq[0], pq[1])
 
     def _profile(self):
         return profile(self.base).negate()
@@ -924,43 +941,71 @@ class PartCursor:
     """Peekable (source_index, value) stream of a part (empty for None); the
     one place that decides how a part's elements leave it.
 
-    ``take(count, tag)`` yields the blocks of the next ``count`` elements
-    (``rearrange.Rearrangement``): one run when the part is one ``Constant``
-    strand over an ``AffineMap``, whose value and source step are then
-    ``constant`` and ``step``, else ``count`` blocks of one.  ``set_aside()``
-    passes over the head without emitting it; ``oldest()`` reads the first
-    set aside, or the head, and ``take_oldest()`` takes that element.
+    Over an ``AffineMap`` of slope ``step``, a strand with runs
+    (``SequenceSpec.iter_runs``) is read run by run: ``left`` counts the
+    head's run from the head on, None for a run without end (a constant
+    from the head on); other parts have ``left`` 1 and ``step`` 0.
+    ``skip(k)`` passes k elements of the head's run, and ``take(count, tag)``
+    yields the next ``count`` as blocks (``rearrange.Rearrangement``), one
+    per run segment.  ``set_aside()`` passes over the head without emitting
+    it; ``oldest()`` reads the first set aside, or the head, and
+    ``take_oldest()`` takes that element.
     """
 
-    __slots__ = ("_it", "head", "constant", "step", "_aside")
+    __slots__ = ("_it", "head", "step", "left", "_aside", "_runs")
 
     def __init__(self, part: Optional[PartStream]):
-        self._it = part.emissions() if part is not None else iter(())
-        self.head = next(self._it, None)
-        self.constant = self.step = None
-        if part is not None and isinstance(part.spec, Constant):
-            if isinstance(part.witness, AffineMap):
-                self.constant, self.step = part.spec.value, part.witness.slope
+        self.step, self.left, self._runs = 0, 1, None
         self._aside = collections.deque()
+        if part is not None and isinstance(part.witness, AffineMap):
+            self._runs = part.spec.iter_runs()
+        if self._runs is None:
+            self._it = part.emissions() if part is not None else iter(())
+            self.head = next(self._it, None)
+        else:
+            self.step = part.witness.slope
+            self._enter(part.witness.offset)
+
+    def _enter(self, src: int):
+        """Make the first element of the next run, at source src, the head.
+        A run without end is the last: its elements come from ``_it``."""
+        pair, self.left = next(self._runs)
+        self.head = src, value = src, _as_fraction(pair)
+        if self.left is None:
+            self._runs, self._it = None, zip(
+                itertools.count(src + self.step, self.step), itertools.repeat(value))
 
     def advance(self) -> Optional[Tuple[int, Fraction]]:
         item = self.head
-        self.head = next(self._it, None)
+        if self._runs is None:
+            self.head = next(self._it, None)
+        else:
+            self.skip(1)
         return item
+
+    def skip(self, k: int):
+        """Pass the next k >= 1 elements, all in the head's run."""
+        src, value = self.head
+        src += self.step * k
+        if self.left is None:  # past them, the run goes on
+            self.head, self._it = (src, value), zip(
+                itertools.count(src + self.step, self.step), itertools.repeat(value))
+        elif self.left > k:
+            self.head, self.left = (src, value), self.left - k
+        elif self._runs is None:  # an element of a part without runs
+            self.head = next(self._it, None)
+        else:
+            self._enter(src)
 
     def take(self, count: int, tag: str):
         """Lazy blocks ``(tag, value, count, first_src, step)`` of the next
-        ``count`` elements."""
-        if self.constant is None:
-            for _ in range(count):
-                src, value = self.advance()
-                yield tag, value, 1, src, 0
-        elif count:
-            (src, value), step = self.head, self.step
-            after = src + step * count
-            self._it = zip(itertools.count(after + step, step), itertools.repeat(value))
-            self.head = after, value
-            yield tag, value, count, src, step
+        ``count`` elements; the cursor passes a block before yielding it."""
+        while count:
+            (src, value), left = self.head, self.left
+            k = count if left is None else min(count, left)
+            self.skip(k)
+            count -= k
+            yield tag, value, k, src, self.step
 
     def set_aside(self):
         self._aside.append(self.advance())
@@ -1010,7 +1055,7 @@ def push_pointwise(spec: SequenceSpec) -> SequenceSpec:
     prefix, and the leaf walk sees the convergent strands.  The result has
     the same terms; a pushed wrapper or prefix has no declared profile.
     """
-    if isinstance(spec, (Negate, Affine, PointwiseSquare)):
+    if isinstance(spec, _Pointwise):
         base = push_pointwise(spec.base)
         if isinstance(base, Interleave):
             return Interleave(

@@ -57,6 +57,7 @@ from meanweave.seqspec import (
     PointwiseSquare,
     PowerOfIndex,
     RunLength,
+    RunRule,
     WovenMap,
     decompose,
     negated_spec,
@@ -711,6 +712,43 @@ def test_placement_slots_follow_the_survivor_sums(text, target):
 # A part cursor reads like a list of the part's emissions
 
 
+# the catalog leaves, run-length blocks and explicit prefixes under the
+# pointwise wrappers: trees with runs of every kind, and without
+run_trees = st.recursive(
+    st.one_of(leaf_specs, st.sampled_from(list(RunRule)).map(RunLength)),
+    lambda inner: st.one_of(
+        inner.map(Negate),
+        inner.map(PointwiseSquare),
+        st.tuples(inner, rationals, rationals).map(lambda t: Affine(*t)),
+        st.tuples(st.lists(rationals, min_size=1, max_size=3), inner).map(
+            lambda t: ExplicitPrefix(*t)),
+        st.tuples(inner, inner).map(lambda t: Interleave(*t)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, **COMMON)
+@given(run_trees)
+def test_runs_expand_to_the_terms(spec):
+    """``iter_runs`` is the terms run by run: counts >= 1, None only for a
+    last run without end; a family without runs says so with None."""
+    runs = spec.iter_runs()
+    if runs is None:
+        assert not isinstance(spec._body, (Constant, RunLength))
+        return
+    terms, expanded = list(islice(spec.iter_terms(), 60)), []
+    for (num, den), count in runs:
+        if count is None:
+            expanded += [F(num, den)] * (60 - len(expanded))
+        else:
+            assert count >= 1
+            expanded += [F(num, den)] * count
+        if len(expanded) >= 60:
+            break
+    assert expanded[:60] == terms
+
+
 def _cursor_parts(tree, value):
     """``tree`` whole, then each strand of ``interleave(const(value), tree)``
     and the parts of its decomposition: so a constant strand over an affine
@@ -725,6 +763,21 @@ def _cursor_parts(tree, value):
     return parts + [p for p in (dec.b, dec.c, dec.d) if p is not None]
 
 
+def _run_ends(part, count):
+    """For each of the first ``count`` elements, the index past its run's
+    last element (None when the run has no end); each element is its own
+    run on a part whose strand has no runs or whose map is not affine."""
+    runs = part.spec.iter_runs() if isinstance(part.witness, AffineMap) else None
+    if runs is None:
+        return list(range(1, count + 1))
+    ends = []
+    for _pair, size in runs:
+        end = None if size is None else len(ends) + size
+        ends += [end] * (count - len(ends) if size is None else size)
+        if len(ends) >= count:
+            return ends[:count]
+
+
 cursor_ops = st.lists(st.one_of(
     st.tuples(st.just("take"), st.integers(0, 12)),
     st.just(("set_aside", 0)),
@@ -733,20 +786,23 @@ cursor_ops = st.lists(st.one_of(
 
 
 @settings(max_examples=150, **COMMON)
-@given(spec_trees, rationals, st.data(), cursor_ops)
+@given(run_trees, rationals, st.data(), cursor_ops)
 def test_part_cursor_emits_what_a_list_reference_gives(tree, value, data, ops):
+    """The cursor against the part's emissions: ``take`` splits its count
+    at run ends only, and ``left`` counts the head's run (None: no end)."""
     part = data.draw(st.sampled_from(_cursor_parts(tree, value)))
-    runs = isinstance(part.spec, Constant) and isinstance(part.witness, AffineMap)
     ref = list(islice(part.emissions(), 12 * len(ops) + 1))
+    ends = _run_ends(part, len(ref))
     head, aside = 0, []
     cur = PartCursor(part)
-    assert cur.constant == (part.spec.value if runs else None)
     for op, k in ops:
         assert cur.head == ref[head]
         assert cur.oldest() == (aside[0] if aside else ref[head])
+        assert cur.left == (None if ends[head] is None else ends[head] - head)
         if op == "take":
             blocks = list(cur.take(k, "t"))
-            assert [b[2] for b in blocks] == (([k] if k else []) if runs else [1] * k)
+            cuts = sorted({head + k, *(e for e in ends[head:head + k] if e and e < head + k)})
+            assert [b[2] for b in blocks] == [b - a for a, b in zip([head] + cuts, cuts) if b > a]
             got = [(src + step * j, value)
                    for tag, value, count, src, step in blocks for j in range(count)]
             assert all(b[0] == "t" for b in blocks)
@@ -763,7 +819,7 @@ def test_part_cursor_emits_what_a_list_reference_gives(tree, value, data, ops):
             head += 1
     # blocks come lazily: a huge count yields its first block at once
     tag, value, count, src, _step = next(cur.take(10**12, "t"))
-    assert (src, value, count) == (*ref[head], 10**12 if runs else 1)
+    assert (src, value, count) == (*ref[head], 10**12 if ends[head] is None else ends[head] - head)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,3 +1162,90 @@ def test_period_blocks_check_and_audit_like_their_positions(drawn, data):
     unrolled = Rearrangement.of_blocks(None, singles, r.coverage_bound, "singles")
     assert outcome(lambda: check_permutation(r, 500, (10, 100))) == outcome(
         lambda: check_permutation(unrolled, 500, (10, 100)))
+
+
+# ---------------------------------------------------------------------------
+# Two-sided steering in closed form reads like the greedy, element by element
+
+
+@st.composite
+def two_sided_targets(draw):
+    """A spec diverging both ways: each side a ``runlen(2)`` or ``runlen(4)``
+    strand, perhaps under an affine map of positive scale, the low one
+    negated, either perhaps behind a prefix; perhaps a middle strand of
+    constants, whose elements come back as extras; and a target p/q in
+    [-12, 12]."""
+    def side(negate):
+        text = f"runlen({draw(st.sampled_from([2, 4]))})"
+        if draw(st.booleans()):
+            scale = draw(st.fractions(F(1, 4), 3, max_denominator=4).filter(lambda x: x > 0))
+            text = f"affine({text}, {scale}, {draw(st.fractions(-3, 3, max_denominator=3))})"
+        if negate:
+            text = f"neg({text})"
+        if draw(st.booleans()):
+            values = draw(st.lists(st.fractions(-9, 9, max_denominator=2), min_size=1, max_size=3))
+            text = f"prefix({', '.join(map(str, values))}, {text})"
+        return text
+
+    low, high = side(True), side(False)
+    middle = draw(st.sampled_from(
+        [None, "const(0)", "const(5/2)", "interleave(const(1/3), const(-2/7))"]))
+    high = high if middle is None else f"interleave({high}, {middle})"
+    q = draw(st.integers(1, 4))
+    return f"interleave({low}, {high})", F(draw(st.integers(-12 * q, 12 * q)), q)
+
+
+def greedy_two_sided(text, t, count):
+    """The first ``count`` tagged emissions of the two-sided greedy, one
+    element at a time: a high swing takes +inf-side elements, at least one,
+    while the average is below t, then a low swing -inf-side elements while
+    it is above; the l-th middle element takes the steering step at
+    slot_l = max(slot_{l-1} + 1, (l+1)**3 * ceil(max(1, |e_l|)))."""
+    dec = decompose(parse_spec(text))
+    extras, slot = {}, 0
+    for l in range(1, 20 if dec.d is not None else 1):
+        value = dec.d.spec.term(l)
+        slot = max(slot + 1, (l + 1) ** 3 * max(1, math.ceil(abs(value))))
+        extras[slot] = dec.d.witness(l), value, "extra"
+    taken, out, total = {"high": 0, "low": 0}, [], F(0)
+    while True:
+        for part, tag, sign in ((dec.c, "high", -1), (dec.b, "low", 1)):
+            first = True
+            while first or sign * (total - t * len(out)) > 0:
+                if len(out) + 1 in extras:
+                    out.append(extras[len(out) + 1])
+                else:
+                    taken[tag] += 1
+                    k = taken[tag]
+                    out.append((part.witness(k), part.spec.term(k), tag))
+                    first = False
+                total += out[-1][1]
+                if len(out) == count:
+                    return out
+
+
+@seed(29)
+@settings(max_examples=40, phases=[p for p in Phase if p is not Phase.shrink], **COMMON)
+@given(two_sided_targets(), st.data())
+def test_two_sided_blocks_read_like_the_greedy_element_by_element(drawn, data):
+    """The first 3,000 tagged emissions equal the reference's, and the
+    trace cut at a drawn horizon inside each of a few drawn blocks (period
+    blocks among them when there are any) ends on the reference's entry."""
+    text, t = drawn
+    r = construct_target(parse_spec(text), t)
+    expected = greedy_two_sided(text, t, 3_000)
+    assert list(islice(r.tagged_stream(), 3_000)) == expected
+    spans, pos = [], 0
+    for tag, _value, count, *_ in r.blocks():
+        if pos + count > 3_000:
+            break
+        spans.append((tag is None, pos + 1, pos + count))
+        pos += count
+    periods = [s for s in spans if s[0]]
+    drawn_spans = data.draw(st.lists(st.sampled_from(periods or spans), min_size=1, max_size=3))
+    sums = list(accumulate(value for _src, value, _tag in expected))
+    for _period, a, b in drawn_spans:
+        n = data.draw(st.integers(a, b))
+        last = list(iter_trace(r, n))[-1]
+        assert (last.n, last.source_index, last.value, last.partial_sum) == (
+            n, expected[n - 1][0], expected[n - 1][1], sums[n - 1])
