@@ -12,7 +12,8 @@ block; an entry builds ``partial_sum`` and ``average`` as Fractions only
 when read.  ``check_tube`` and ``check_schedule`` share one window test, which
 reads such a trace as runs, a period block's rows at the repeats next to a
 window edge, and tests a run's stretch inside a window at its two ends; other
-entries are runs of one.  ``check_permutation`` streams unrolled blocks.
+entries are runs of one.  ``check_permutation`` reads blocks as source
+progressions: a run, and each row of a period block over its repeats.
 
 The CSV boundary is on integer pairs as well: the writer formats each exact
 column from a pair reduced by one gcd, and the reader yields one row at a
@@ -25,7 +26,7 @@ import csv
 import decimal
 from fractions import Fraction
 from itertools import combinations, count, islice
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CoverageViolation, InjectivityViolation
@@ -270,61 +271,99 @@ def check_permutation(
     (coverage_bound None) reports each probe as ``(p, None, satisfied_at)``
     and is streamed until 1..p appears.  Streaming stops once the first n
     outputs are checked and every probe is covered or past its bound.
-    Raises InjectivityViolation, or CoverageViolation when a probe misses its
-    bound or the stream ends before covering it.  The audit reads blocks; of
-    a run it visits only the positions among the first n and, for each probe
-    p, the sources up to p.
+    Raises ValueError before streaming when a probe is below 1, then
+    InjectivityViolation, or CoverageViolation when a probe misses its bound
+    or the stream ends before covering it.  The audit reads blocks: a run, and
+    each row of a period block over its repeats, as source progressions, each
+    met by one set intersection per open probe and, over the first n
+    positions, one ``set.update``; a repeat found there is located by reading
+    the stream again position by position.  The work on a block is bounded by
+    its period, n and the largest open probe, never by its repeats.
     """
+    if any(p < 1 for p in probes):
+        raise ValueError(f"coverage probes must be at least 1, got {sorted(probes)}")
     f = r.coverage_bound
     bounds = {p: None if f is None else f(p) for p in probes}
-    first_seen = {}
-    remaining = {p: set(range(1, p + 1)) for p in probes}
-    satisfied = {}
-    rank = 0
-
-    def settled(p):  # covered, or past a certified bound it has missed
-        return p in satisfied or (bounds[p] is not None and rank >= bounds[p])
-
-    for _tag, _value, size, src, step in r.unrolled():
+    seen, satisfied, rank = set(), {}, 0  # seen: the sources among the first n
+    todo = [(p, set(range(1, p + 1))) for p in bounds]  # the open probes, with their missing sets
+    horizon = max([n, *(inf if b is None else b for b in bounds.values())])
+    for tag, _value, size, src, step in r.blocks():
+        start, rank = rank, rank + size
         if size == 1:
-            rank += 1
             if rank <= n:
-                prev = first_seen.get(src)
-                if prev is not None:
-                    raise InjectivityViolation(src, prev, rank)
-                first_seen[src] = rank
-            for p, need in remaining.items():
-                if need and src in need:
+                if src in seen:
+                    raise _first_repeat(r, n)
+                seen.add(src)
+            for p, need in todo:
+                if src in need:
                     need.discard(src)
                     if not need:
                         satisfied[p] = rank
         else:
-            start = rank
-            rank += size
-            for j in range(min(size, n - start)):
-                s, at = src + step * j, start + j + 1
-                prev = first_seen.get(s)
-                if prev is not None:
-                    raise InjectivityViolation(s, prev, at)
-                first_seen[s] = at
-            for p, need in remaining.items():
-                if not need or src > p:
-                    continue
-                # only the run's sources up to p can be missing from 1..p
-                for j in range(min(size, (p - src) // step + 1) if step else 1):
-                    s = src + step * j
-                    if s in need:
-                        need.discard(s)
-                        if not need:
-                            satisfied[p] = start + j + 1
-                            break
-        if rank >= n and all(map(settled, remaining)):
+            # progressions (first source, step, terms, first rank, rank step)
+            if tag is not None:
+                progs = ((src, step, size, start + 1, 1),)
+            else:  # a row's i-th position over the repeats, or its run in each repeat
+                progs, o, reps = [], start + 1, size // step
+                for _t, _x, c, s, st, a in src:
+                    progs += ([(s, a, reps, o, step)] if c == 1 else
+                              [(s + st * i, a, reps, o + i, step) for i in range(c)] if c <= reps else
+                              [(s + a * j, st, c, o + step * j, 1) for j in range(reps)])
+                    o += c
+            if start < n:
+                grown = len(seen)
+                for s, d, k, at, e in progs:
+                    if at <= n:
+                        m = k if rank <= n else min(k, (n - at) // e + 1)
+                        grown += m
+                        seen.update(range(s, s + d * m, d) if d else (s,) * m)
+                if len(seen) < grown:
+                    raise _first_repeat(r, n)
+            for p, need in todo:
+                hits = []
+                for s, d, k, at, e in progs:
+                    if s <= p and (h := need.intersection(
+                            range(s, min(s + d * k, p + 1), d) if d else (s,)[:k])):
+                        hits.append((h, s, d, at, e))
+                if hits:
+                    left = len(need)
+                    for hit in hits:
+                        need -= hit[0]
+                    if not need:
+                        satisfied[p] = _last_rank(hits, left)
+        if len(satisfied) + len(todo) > len(bounds):
+            todo = [(p, need) for p, need in todo if need]
+            horizon = max([n, *(inf if bounds[p] is None else bounds[p] for p, _ in todo)])
+        if rank >= horizon:
             break
     for p in probes:
         if p not in satisfied or (bounds[p] is not None and satisfied[p] > bounds[p]):
             raise CoverageViolation(p, bounds[p])
     coverage = tuple((p, bounds[p], satisfied[p]) for p in sorted(probes))
     return PermutationReport(True, min(n, rank), coverage)
+
+
+def _last_rank(hits, left):
+    """The rank by which the ``left`` sources in ``hits`` (progressions'
+    sources) have all appeared: that of the latest last hit when the hits
+    are disjoint, else the latest of each source's first rank."""
+    if sum(len(hit[0]) for hit in hits) == left:
+        return max(at + e * ((max(h) - s) // (d or 1)) for h, s, d, at, e in hits)
+    first = {}
+    for h, s, d, at, e in hits:
+        for x in h:
+            first[x] = min(first.get(x, inf), at + e * ((x - s) // (d or 1)))
+    return max(first.values())
+
+
+def _first_repeat(r: Rearrangement, n: int) -> InjectivityViolation:
+    """The first source repeated among the first n outputs, read afresh
+    position by position."""
+    seen = {}
+    for rank, (x, _value) in zip(range(1, n + 1), r.stream()):
+        prev = seen.setdefault(x, rank)
+        if prev != rank:
+            return InjectivityViolation(x, prev, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,8 @@ class Rearrangement:
 
     The stream is a factory of blocks ``(tag, value, count, first_src, step)``
     with ``step >= 0`` or period blocks, built by ``of_blocks``; ``blocks()``
-    starts it afresh, ``unrolled()`` unrolls its period blocks, and ``stream()``
+    starts it afresh (the trace walker and the permutation audit read these),
+    ``unrolled()`` unrolls its period blocks into their rows, and ``stream()``
     and ``tagged_stream()`` expand it.  The keyword constructor adapts a
     ``factory`` of tagged emissions ``(source_index, value, tag)``, each read as
     a block of one.  A ``coverage_bound`` of None means the stream is uncertified.

@@ -216,6 +216,37 @@ def test_audit_of_an_uncertified_construction_streams_it_once(monkeypatch):
     assert [bound for _p, bound, _at in report.coverage] == [None, None]
 
 
+TWO_SIDED = "interleave(neg(runlen(4)), runlen(4))"
+TWO_SIDED_EXTRAS = "interleave(neg(runlen(4)), interleave(runlen(4), const(0)))"
+
+
+@pytest.mark.parametrize("text, target", [(TWO_SIDED, F(0)),  # uncertified: would never end
+                                          ("interleave(const(0), const(1))", F(1, 3))])
+@pytest.mark.parametrize("probe", [0, -3])
+def test_a_probe_below_one_is_refused_before_streaming(monkeypatch, text, target, probe):
+    r = construct_target(parse_spec(text), target)
+    monkeypatch.setattr(Rearrangement, "blocks", lambda self: pytest.fail("streamed"))
+    with pytest.raises(ValueError, match="at least 1"):
+        check_permutation(r, 10, probes=(probe,))
+
+
+def test_the_audit_of_the_two_sided_route_with_extras_reads_its_blocks():
+    # 1..1000 is covered only at rank 15,813,251, so the audit must not visit positions
+    r = construct_target(parse_spec(TWO_SIDED_EXTRAS), F(1, 2))
+    report = check_permutation(r, 1000, probes=(10, 100, 1000))
+    assert report.coverage == ((10, None, 27), (100, None, 17576), (1000, None, 15813251))
+
+
+@pytest.mark.parametrize("text, target", [("interleave(const(0), const(1))", F(1, 3)),
+                                          (TWO_SIDED, F(0))])
+def test_the_audit_reads_period_blocks_without_unrolling_them(monkeypatch, text, target):
+    r = construct_target(parse_spec(text), target)
+    expected = check_permutation(r, 1000, probes=(10, 100, 1000))
+    assert any(tag is None for tag, *_ in r.blocks())  # the stream has period blocks
+    monkeypatch.setattr(Rearrangement, "unrolled", lambda self: pytest.fail("unrolled"))
+    assert check_permutation(r, 1000, probes=(10, 100, 1000)) == expected
+
+
 # ---------------------------------------------------------------------------
 # Tube checks
 

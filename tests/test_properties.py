@@ -886,6 +886,78 @@ def test_block_streams_audit_and_trace_like_their_emissions(blocks, n, probes, s
         assert e.average == e.partial_sum / e.n
 
 
+@st.composite
+def period_block_streams(draw):
+    """Plain runs and period blocks ``(None, total, count, rows, length)``
+    over m woven strands (strand k holds sources k + 1, k + 1 + m, ...): a
+    period row takes the next elements of one strand, and its advance is what
+    one period takes of that strand, so the blocks play each strand in order.
+    At most one mutation: a row with advance 0 (it plays its sources again at
+    every repeat), a row moved onto sources of another row of its block, or
+    a strand that skips a source, which is then never emitted.  With each
+    draw comes a certified bound ``slack*p + 5`` or None (uncertified)."""
+    m = draw(st.integers(1, 3))
+    values = draw(st.lists(st.fractions(-5, 5, max_denominator=3), min_size=m, max_size=m))
+    periods = draw(st.lists(st.booleans(), min_size=1, max_size=8))  # True: a period block
+    mutation = draw(st.sampled_from(["none", "advance", "overlap", "skip"]))
+    at = draw(st.integers(0, len(periods) - 1))
+    heads = list(range(1, m + 1))
+    blocks = []
+    for i, period in enumerate(periods):
+        if mutation == "skip" and i == at:
+            heads[draw(st.integers(0, m - 1))] += m
+        if not period:
+            k, size = draw(st.integers(0, m - 1)), draw(st.integers(1, 12))
+            blocks.append(("run", values[k], size, heads[k], m))
+            heads[k] += m * size
+            continue
+        picks = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 4)),
+                              min_size=1, max_size=5))
+        used = [0] * m
+        rows = []
+        for k, c in picks:
+            rows.append((k, c, heads[k] + m * used[k]))
+            used[k] += c
+        rows = [[f"s{k}", values[k], c, s, m, m * used[k]] for k, c, s in rows]
+        length = sum(c for _k, c in picks)
+        repeats = draw(st.integers(1 if length > 1 else 2, 12))
+        if mutation == "advance" and i == at:
+            draw(st.sampled_from(rows))[5] = 0
+        elif mutation == "overlap" and i == at and len(rows) > 1:
+            a, b = draw(st.permutations(rows))[:2]
+            b[3] = (a[3] + a[5] * draw(st.integers(0, repeats - 1))
+                    + a[4] * draw(st.integers(0, a[2] - 1)))
+        total = sum(value * c for _t, value, c, *_ in rows)
+        blocks.append((None, total, repeats * length, tuple(map(tuple, rows)), length))
+        heads = [h + m * u * repeats for h, u in zip(heads, used)]
+    slack = draw(st.sampled_from([1, 2, 3, None]))
+    return blocks, None if slack is None else (lambda p: slack * p + 5)
+
+
+@seed(30)
+@settings(max_examples=400, **COMMON)
+@given(period_block_streams(), st.integers(1, 80), st.lists(st.integers(1, 40), max_size=3))
+# past n, row b replays source 3 of row a's second repeat a rank before it: 1..3 at rank 3
+@example(([("run", F(0), 1, 2, 1), (None, F(0), 6, (("a", F(0), 1, 1, 0, 2),
+                                                    ("b", F(0), 1, 3, 0, 2)), 2)], None), 1, [3])
+# a row of advance 0 plays source 1 at both repeats, the second past n: 1..3 at rank 4
+@example(([(None, F(0), 4, (("a", F(0), 1, 1, 0, 0), ("b", F(0), 1, 2, 0, 1)), 2)], None), 2, [3])
+def test_period_block_audits_match_the_audit_of_their_emissions(drawn, n, probes):
+    blocks, bound = drawn
+    emissions = []
+    for tag, value, count, src, step in blocks:
+        if tag is None:  # count // step repeats of the rows in src
+            emissions += [(s + a * j + st_ * i, v, t) for j in range(count // step)
+                          for t, v, c, s, st_, a in src for i in range(c)]
+        else:
+            emissions += [(src + step * j, value, tag) for j in range(count)]
+    blocky = Rearrangement.of_blocks(None, lambda: iter(blocks), bound, "blocks")
+    flat = Rearrangement(None, lambda: iter(emissions), bound, "flat")
+    assert list(blocky.tagged_stream()) == emissions
+    assert outcome(lambda: check_permutation(blocky, n, probes)) == outcome(
+        lambda: check_permutation(flat, n, probes))
+
+
 def windows_reference(avgs, windows):
     """Window k holds positions [from_k, from_{k+1}) strictly inside
     (lo_k, hi_k), tested position by position with Fractions."""
