@@ -77,12 +77,13 @@ def _cmd_balanced(args) -> int:
 def _cmd_construct(args) -> int:
     from .aarset import AARSet
     from .dsl import parse_spec
+    from .extreal import ExtendedReal
     from .harness import iter_trace, write_trace_csv
     from .rearrange import construct_target, oscillator
 
     spec = parse_spec(args.spec)
     if args.target is not None:
-        r = construct_target(spec, Fraction(args.target))
+        r = construct_target(spec, ExtendedReal.parse(args.target))
     elif args.oscillate:
         r = oscillator(spec)
     else:
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build and trace a rearrangement")
     p.add_argument("spec")
     goal = p.add_mutually_exclusive_group(required=True)
-    goal.add_argument("--target", help="average target (rational)")
+    goal.add_argument("--target", help="average target (rational; +inf and -inf are refused)")
     goal.add_argument("--oscillate", action="store_true",
                       help="make the average oscillate forever")
     goal.add_argument("--realize",

@@ -24,10 +24,15 @@ Stage k runs three phases in order, toward its target t and its tube
   else its head, and a steering side offers its head as well.  Over a part
   whose ``WovenMap`` is not increasing, that element need not be the part's
   oldest unemitted one;
-* jump: one large element of the divergent strand for the chosen direction
-  is emitted at an exactly chosen position P, making the average leave the
-  band around [a, b]; the tube window, which ends just before P, is
-  recorded before the jump is emitted.
+* jump: the first element x = p/q of the divergent strand for the chosen
+  direction with |x| > 1 and span1·P < |x| is emitted at position P, those
+  before it set aside; in integers (``_landing``): |p| > q and
+  span1.numerator·P·q < |p|·span1.denominator, where P = max(m_floor + 1,
+  isqrt(ceil(r·|p|/q)) + 1), r = 9·(k + 1) = 9/h for the next tube
+  half-width h, m_floor = max(n, ceil(r·K), ceil(2·r·span1)) after n
+  emissions, span1 = b - a + 1 and K = max(|a - 1|, |b + 1|).  The average
+  leaves the band around [a, b]; the tube window, which ends just before P,
+  is recorded before the jump is emitted.
 
 Like every stream, this one is a sequence of blocks: steering by a constant
 strand (in a tube, before a jump or in a descent) is one run
@@ -40,14 +45,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .aarset import AARSet, Interval
-from .errors import (
-    MalformedDescriptor,
-    MissingInfinity,
-    ZOutsideRange,
-)
+from .errors import MalformedDescriptor, MissingInfinity, ZOutsideRange
 from .extreal import NEG_INF, POS_INF, Record, as_fraction, set_field
 from .rearrange import Rearrangement, RunningAverage, first_positive
 from .seqspec import (
@@ -192,6 +193,18 @@ def _stage_targets(pieces) -> Iterator[Fraction]:
 # The realizer
 
 
+def _landing(x: Fraction, r: int, p_min: int, span1: Fraction) -> Optional[int]:
+    """The jump rule for a divergent element x = p/q in integers, with r = 9/h
+    for the next tube half-width h and p_min = m_floor + 1: x lands at P =
+    max(p_min, isqrt(ceil(r·|p|/q)) + 1) if |p| > q and span1.numerator·P·q <
+    |p|·span1.denominator, that is |x| > 1 and span1·P < |x|.  Returns P or None."""
+    p, q = abs(x.numerator), x.denominator
+    if p <= q:
+        return None
+    land = max(p_min, math.isqrt(-(-r * p // q)) + 1)
+    return land if span1.numerator * land * q < p * span1.denominator else None
+
+
 def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
     """Rearrange a spec so its averages visit ever narrower tubes around Z.
 
@@ -206,9 +219,7 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
     leaves = limited_strands(spec)
     finite_limits = sorted({p.limit.value for p in leaves if p.limit.is_finite})
     if len(finite_limits) < 2:
-        raise MalformedDescriptor(
-            "need two distinct finite strand limits to steer between"
-        )
+        raise MalformedDescriptor("need two distinct finite strand limits to steer between")
     a, b_val = finite_limits[0], finite_limits[-1]
     b_part = fold_part(leaves, lambda lim: lim == a)
     c_part = fold_part(leaves, lambda lim: lim == b_val)
@@ -218,11 +229,11 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
         raise MissingInfinity("no strand tends to -inf")
     if e_part is None:
         raise MissingInfinity("no strand tends to +inf")
-    middle = fold_part(leaves, lambda lim: a < lim < b_val)
-    extras = [middle] if middle is not None else []
+    middle = fold_part(leaves, lambda lim: a < lim < b_val)  # None gives an empty cursor
     pieces = _normalize_zset(zset, a, b_val)
 
-    k_bound = max(abs(a - 1), abs(b_val + 1))  # bound on in-band values
+    band_lo, band_hi = a - 1, b_val + 1
+    k_bound = max(abs(band_lo), abs(band_hi))  # bound on in-band values
     span1 = b_val - a + 1
     schedule = TubeSchedule()
 
@@ -230,8 +241,6 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
         # positions this large keep in-band steps below an eighth tube width
         return math.ceil(16 * k_bound * Fraction(stage))
 
-    band_lo = a - 1
-    band_hi = b_val + 1
     midpoint = (a + b_val) / 2
 
     def blocks():
@@ -241,7 +250,7 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
         d_cur = PartCursor(d_part)
         e_cur = PartCursor(e_part)
         # every part offers its oldest element to the splice
-        curs = (b_cur, c_cur, d_cur, e_cur, *(PartCursor(p) for p in extras))
+        curs = (b_cur, c_cur, d_cur, e_cur, PartCursor(middle))
 
         avg = RunningAverage()
         stage = 0  # completed tube entries
@@ -257,15 +266,15 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                 avg.add_run(value, count)
             return tag, value, count, src, step
 
-        def in_band_head(side_cur, limit_value):
-            """Set early far-from-limit values aside; return an in-band head."""
-            while True:
-                head = side_cur.head
-                if head is None:
-                    raise AssertionError("steering strand exhausted")
-                if abs(head[1] - limit_value) < 1:
+        def in_band_head(side_cur, limit):
+            """Set values aside up to a head p/q within 1 of ln/ld: |p·ld - ln·q| < q·ld."""
+            ln, ld = limit.numerator, limit.denominator
+            while (head := side_cur.head) is not None:
+                p, q = head[1].numerator, head[1].denominator
+                if abs(p * ld - ln * q) < q * ld:
                     return head
                 side_cur.set_aside()
+            raise AssertionError("steering strand exhausted")
 
         def enters(v, x=None):
             """First k at which that average lies in (s_lo, s_hi), or None: it
@@ -325,29 +334,16 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                     best, best_cur = cur.head, cur
             return best, best_cur
 
-        def select_jump(direction: int):
-            """First divergent element admitting an exact landing position P."""
-            n_now = avg.n
-            h = Fraction(1, stage + 1)  # next tube half-width
-            m_floor = max(
-                n_now,
-                math.ceil(9 * k_bound / h),
-                math.ceil(18 * span1 / h),
-            )
-            cur = e_cur if direction > 0 else d_cur
-            while True:
-                head = cur.head
-                if head is None:
-                    raise MissingInfinity("divergent strand exhausted")
-                magnitude = abs(head[1])
-                if magnitude > 1:
-                    p_low = max(
-                        m_floor + 1,
-                        math.isqrt(math.ceil(9 * magnitude / h)) + 1,
-                    )
-                    if span1 * p_low < magnitude:
-                        return cur.advance(), p_low
+        def select_jump(cur):
+            """First element of the divergent part ``cur`` with a landing
+            position P (``_landing``), and P."""
+            r = 9 * (stage + 1)  # 9/h for the next tube half-width h
+            p_min = max(avg.n, math.ceil(k_bound * r), math.ceil(2 * span1 * r)) + 1
+            while (head := cur.head) is not None:
+                if (land := _landing(head[1], r, p_min, span1)) is not None:
+                    return cur.advance(), land
                 cur.set_aside()
+            raise MissingInfinity("divergent strand exhausted")
 
         while True:
             width = Fraction(1, stage + 1)
@@ -402,7 +398,7 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
             elif not want_up and up_minus_down <= -3:
                 want_up = True
             up_minus_down += 1 if want_up else -1
-            (src, value), jump_at = select_jump(1 if want_up else -1)
+            (src, value), jump_at = select_jump(e_cur if want_up else d_cur)
             while (n := avg.n) + 1 < jump_at:
                 yield steer(jump_at - 1 - n)
             # the tube window ends just before the jump position

@@ -808,13 +808,16 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
     hi the part with that limit plays in its own order, and the other
     extreme part, then the middle strands, need vanishing density, so they
     enter at the slots of the slot schedule (``merge_preserving``), as at
-    t = limit below.  A spec divergent on
-    both sides alternates greedily; a spec with one divergent side places
-    the divergent elements at vanishing density (position ~
-    value/(target - limit)), mirrored when the divergence is downward; its
-    middle strands, and at t = limit its divergent ones, enter at slots.
+    t = limit below.  A spec divergent on both sides alternates greedily; a
+    spec with one divergent side places the divergent elements at vanishing
+    density (position ~ value/(target - limit)), mirrored when the divergence
+    is downward; its middle strands, and at t = limit its divergent ones,
+    enter at slots.  An infinite target has no route yet: TargetUnreachable.
     """
-    t = as_fraction(target)
+    target = ExtendedReal.of(target)
+    if not target.is_finite:
+        raise TargetUnreachable(f"infinite target {target.render()} has no route yet (ROADMAP item 4 (c))")
+    t = target.value
     prof = profile(spec)
     lo, hi = prof.lo, prof.hi
     bounded = lo.is_finite and hi.is_finite
@@ -823,7 +826,7 @@ def construct_target(spec: SequenceSpec, target) -> Rearrangement:
     if lo == hi and not bounded:
         # a single infinity: the only attainable average limit
         raise TargetUnreachable(
-            f"target {target} outside the attainable range {{{lo.render()}}}"
+            f"target {t} outside the attainable range {{{lo.render()}}}"
         )
     dec = decompose(spec, prof)
 

@@ -585,6 +585,18 @@ def test_construct_rejects_unreachable_target():
     assert code == 2 and err.startswith("ERROR TargetUnreachable: ")
 
 
+@pytest.mark.parametrize("target", ["+inf", "-inf"])
+def test_construct_refuses_an_infinite_target_as_unreachable(tmp_path, target):
+    code, out, err = run(
+        "construct", "interleave(const(0), linear())", "--target", target,
+        "--n", "10", "--out", str(tmp_path / "x"),
+    )
+    assert (code, out) == (2, "")
+    assert err == (f"ERROR TargetUnreachable: infinite target {target} has no route yet"
+                   " (ROADMAP item 4 (c))\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", ["neg(linear())", "linear()"])
 def test_construct_refuses_a_finite_target_of_a_single_infinity(tmp_path, text):
     code, out, err = run(

@@ -34,7 +34,7 @@ from meanweave.harness import (
     write_trace_csv,
 )
 from meanweave import rearrange
-from meanweave.realizer import ScheduleEntry
+from meanweave.realizer import ScheduleEntry, _landing
 from meanweave.rearrange import (
     Rearrangement,
     RunningAverage,
@@ -1321,3 +1321,57 @@ def test_two_sided_blocks_read_like_the_greedy_element_by_element(drawn, data):
         last = list(iter_trace(r, n))[-1]
         assert (last.n, last.source_index, last.value, last.partial_sum) == (
             n, expected[n - 1][0], expected[n - 1][1], sums[n - 1])
+
+
+# ---------------------------------------------------------------------------
+# Realizer jump rule
+
+
+def fraction_landing(x, stage, m_floor, span1):
+    """The jump rule in Fraction arithmetic, as ``select_jump`` wrote it
+    before it ran in integers: P, or None when x is passed over."""
+    h = Fraction(1, stage + 1)
+    magnitude = abs(x)
+    if magnitude > 1:
+        p_low = max(m_floor + 1, math.isqrt(math.ceil(9 * magnitude / h)) + 1)
+        if span1 * p_low < magnitude:
+            return p_low
+    return None
+
+
+@st.composite
+def jump_cases(draw):
+    """(x, stage, m_floor, span1) for steering levels a < b and a length n,
+    with x = p/q (q <= 7, either sign) at |x| = 1, near the edge span1·P =
+    |x| at the least landing position, at or just off a square of 9|x|/h
+    (where the ceiling decides P), or anywhere."""
+    stage = draw(st.integers(0, 60))
+    a = draw(st.fractions(min_value=-6, max_value=6, max_denominator=9))
+    b = a + draw(st.fractions(min_value=F(1, 9), max_value=8, max_denominator=9))
+    k_bound, span1 = max(abs(a - 1), abs(b + 1)), b - a + 1
+    h = Fraction(1, stage + 1)
+    m_floor = max(draw(st.integers(0, 10**5)),
+                  math.ceil(9 * k_bound / h), math.ceil(18 * span1 / h))
+    r = 9 * (stage + 1)
+    q, d = draw(st.integers(1, 7)), draw(st.integers(-2, 2))
+    kind = draw(st.sampled_from(["one", "edge", "square", "any"]))
+    if kind == "one":
+        p = q + d
+    elif kind == "edge":
+        p = math.floor(span1 * (m_floor + 1) * q) + d
+    elif kind == "square":  # r·|x| = s² - j/q, for the first s found where r divides q·s² - j
+        s, j = m_floor + 1 + draw(st.integers(0, 10**4)), draw(st.integers(-q, q))
+        s = next((t for t in range(s, s + r) if (q * t * t - j) % r == 0), s)
+        p = (q * s * s - j) // r
+    else:
+        p = draw(st.integers(0, 10**9))
+    return F(p, q) * draw(st.sampled_from([1, -1])), stage, m_floor, span1
+
+
+@seed(31)
+@settings(max_examples=600, **COMMON)
+@given(jump_cases())
+def test_the_integer_jump_rule_matches_the_fraction_rule(case):
+    x, stage, m_floor, span1 = case
+    got = _landing(x, 9 * (stage + 1), m_floor + 1, span1)
+    assert got == fraction_landing(x, stage, m_floor, span1)

@@ -13,6 +13,7 @@ from meanweave.errors import (
     TargetUnreachable,
     UndeclaredLimit,
 )
+from meanweave.extreal import NEG_INF, POS_INF
 from meanweave.harness import (
     PermutationReport,
     check_permutation,
@@ -575,6 +576,12 @@ def test_construct_target_rejects_unreachable_targets():
         construct_target(parse_spec("interleave(const(0), linear())"), F(-1))
     with pytest.raises(TargetUnreachable):
         construct_target(parse_spec("interleave(neg(linear()), const(0))"), F(1))
+
+
+@pytest.mark.parametrize("target", [NEG_INF, POS_INF])
+def test_construct_target_refuses_infinite_targets(target):
+    with pytest.raises(TargetUnreachable, match="infinite target [+-]inf has no route yet"):
+        construct_target(parse_spec("interleave(const(0), linear())"), target)
 
 
 def test_construct_target_refuses_finite_targets_of_a_single_infinity():
