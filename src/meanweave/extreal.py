@@ -135,14 +135,18 @@ POS_INF = ExtendedReal(_sign=+1)
 
 
 def as_fraction(x: Rational) -> Fraction:
-    """Cheap normalizer used throughout the package."""
-    return x if x.__class__ is Fraction else Fraction(x)
+    """Cheap normalizer used throughout the package; refuses a float (TypeError)."""
+    if x.__class__ is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"exact arithmetic takes no float, got {x!r}")
+    return Fraction(x)
 
 
 def widen(num: int, den: int, vd: int) -> Tuple[int, int]:
     """``num/den`` over a multiple of ``vd``; a pair past 2**128 is reduced
-    first.  The trace walker, ``RunningAverage``, balance evidence and the
-    two-sided steering (on local integers) widen their sums by it."""
+    first.  The trace walker, the steering kernel ``RunningAverage`` and
+    balance evidence widen their sums by it."""
     if den > 1 << 128:
         g = math.gcd(num, den)
         num, den = num // g, den // g

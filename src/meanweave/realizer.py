@@ -35,9 +35,9 @@ Stage k runs three phases in order, toward its target t and its tube
   is recorded before the jump is emitted.
 
 Like every stream, this one is a sequence of blocks: steering by a constant
-strand (in a tube, before a jump or in a descent) is one run
-(``PartCursor.take``), except a step whose splice candidate is the steering
-strand's own head; every other emission is a block of one.
+strand (in a tube, before a jump or in a descent) is one run (the kernel's
+``RunningAverage.swing``), except a step whose splice candidate is the
+steering strand's own head; every other emission is a block of one.
 """
 
 from __future__ import annotations
@@ -258,14 +258,6 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
         transit_from = 1  # where the open transit window starts
         up_minus_down = 0  # fairness: both infinities must keep accumulating
 
-        def emit(tag, value, count, src, step):
-            """Add ``count`` emissions of one value and return their block."""
-            if count == 1:
-                avg.add(value)
-            else:
-                avg.add_run(value, count)
-            return tag, value, count, src, step
-
         def in_band_head(side_cur, limit):
             """Set values aside up to a head p/q within 1 of ln/ld: |p·ld - ln·q| < q·ld."""
             ln, ld = limit.numerator, limit.denominator
@@ -290,8 +282,8 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
         def steer(limit=None, settle_from=None, cand=None):
             """Steer toward the current target: one emission, or one run.
 
-            A constant side keeps every step the per-step rule gives it:
-            fewer than ``limit``, while the side holds, until the average
+            A constant side swings every step the per-step rule gives it:
+            at most ``limit``, while the side holds, until the average
             lies in (s_lo, s_hi) at a step >= ``settle_from`` (descent), and
             until the post-splice average of the tube's oldest candidate
             ``cand`` (src, value) does, unless ``cand`` is the side's head.
@@ -301,25 +293,21 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                 side = c_cur if target >= midpoint else b_cur
             else:
                 side = c_cur if avg.cmp(target) <= 0 else b_cur
-            v = side.head[1] if side.left is None else None
-            run = 1
-            if v is not None and n > 0 and cand is not side.head:
-                # the side holds while the average stays <= target (c)
-                t0, t1 = avg.toward(v, target)
-                if t0 > 0:  # or > target (b)
-                    t0, t1 = 1 - t0, -t1
-                bounds = [first_positive(t0, t1), limit]
+            if side.left is None and n > 0 and cand is not side.head:
+                # the side holds while the average stays <= target (c) or > target (b)
+                v, up = side.head[1], side is c_cur
+                caps = [limit]
                 if settle_from is not None:
                     k = enters(v)
-                    bounds.append(k if k is None else max(k, settle_from))
+                    caps.append(k if k is None else max(k, settle_from))
                 if cand is not None:
-                    bounds.append(enters(v, cand[1]))
-                run = min(k for k in bounds if k is not None)
-            if run > 1:
-                return emit(*next(side.take(run, "steer")))
+                    caps.append(enters(v, cand[1]))
+                cap = min((k for k in caps if k is not None), default=None)
+                return avg.swing(side, target, up, not up, "steer", cap)[0]
             src, value = in_band_head(side, b_val if side is c_cur else a)
             side.advance()
-            return emit("steer", value, 1, src, 0)
+            avg.add(value)
+            return "steer", value, 1, src, 0
 
         def oldest_candidate():
             """((src, value), cursor) of the oldest element on offer: every
@@ -367,7 +355,7 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                         lo = cn, cd
                     elif cn * hi[1] > hi[0] * cd:
                         hi = cn, cd
-                if n >= settle and avg.within(s_lo, s_hi):
+                if n >= settle and avg.cmp(s_lo) > 0 and avg.cmp(s_hi) < 0:
                     break
                 yield steer(settle_from=settle - n)
             stage += 1
@@ -379,12 +367,13 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
             dwell_end = max(n + max(8, n >> 4), n_min(stage + 1))
             while (n := avg.n) < dwell_end:
                 cand, cand_cur = oldest_candidate()
-                if avg.post_within(cand[1], s_lo, s_hi):
+                if avg.cmp(s_lo, cand[1]) > 0 and avg.cmp(s_hi, cand[1]) < 0:
                     if cand is cand_cur.head:
                         src, value = cand_cur.advance()
                     else:
                         src, value = cand_cur.take_oldest()
-                    yield emit("splice", value, 1, src, 0)
+                    avg.add(value)
+                    yield "splice", value, 1, src, 0
                 else:
                     yield steer(dwell_end - n, cand=cand)
 
@@ -406,7 +395,8 @@ def realizer_from_spec(spec: SequenceSpec, zset) -> Rearrangement:
                 t_lo, t_hi, tube_from, "tube", stage, target))
             transit_from = n + 1
             target = next_target
-            yield emit("jump", value, 1, src, 0)
+            avg.add(value)
+            yield "jump", value, 1, src, 0
 
     return Rearrangement.of_blocks(
         source=spec,

@@ -20,12 +20,11 @@ Each constructor builds its stream from blocks ``(tag, value, count,
 first_src, step)`` (``Rearrangement.of_blocks``): ``count`` emissions of one
 value from the sources ``first_src + step*j``.  Runs (count > 1) come only
 from a strand with runs (``SequenceSpec.iter_runs``) over an ``AffineMap``,
-and ``PartCursor.take`` alone cuts them, one block per run segment.  It
-serves the weighted merge, which emits each stretch between two lead
-positions as one run, the oscillator and the two-sided steering the rest
-of each swing (its length from ``first_positive``, as in the realizer), a
-core that plays one part in its own order runs of doubling length, and
-the climb (``target_above_limsup``) each fill gap up to the next slot;
+cut by ``PartCursor.take`` (the weighted merge's stretch between two lead
+positions, a core's takes of doubling length, the climb's fill gaps) or
+by the steering kernel ``RunningAverage.swing`` (each swing of the
+oscillator, the two-sided steering and the realizer, one block per run
+of its side, its length from ``first_positive``).
 ``mirror_rearrangement`` passes runs through, and ``merge_preserving``
 splits them only at slots.  Every run steps the running sum by one
 integer.  Period blocks ``(None, total, count, rows, length)`` play rows
@@ -80,16 +79,16 @@ PERIOD_BLOCKS = 4096  # the most rows a merge records for a period block
 
 
 # ---------------------------------------------------------------------------
-# Running average with exact comparisons
+# The steering kernel: an exact running sum
 
 class RunningAverage:
-    """Exact running mean with cheap ordered comparisons.
+    """The steering kernel: the exact sum num/den of the first n values.
 
-    Keeps the sum as an unreduced numerator/denominator pair that grows only
-    when a value's denominator does not divide it, so that sums of integers
-    or of values over a few denominators never pay for rational
-    normalization; comparisons against rational bounds are integer
-    cross-multiplications.
+    The sum is an unreduced numerator/denominator pair that grows only when
+    a value's denominator does not divide it, so that sums of integers or of
+    values over a few denominators never pay for rational normalization;
+    comparisons against rational bounds are integer cross-multiplications,
+    and ``swing`` takes a side's elements run by run until one passes a bound.
     """
 
     __slots__ = ("n", "num", "den")
@@ -99,48 +98,18 @@ class RunningAverage:
         self.num = 0
         self.den = 1
 
-    def add(self, value: Fraction):
-        vn, vd = value.numerator, value.denominator
-        if self.den == vd:
-            self.num += vn
-        else:
-            if self.den % vd:
-                self.num, self.den = widen(self.num, self.den, vd)
-            self.num += vn * (self.den // vd)
-        self.n += 1
-
-    def add_run(self, value: Fraction, k: int):
-        """``add(value)`` k times, as one update."""
+    def add(self, value: Fraction, k: int = 1):
+        """Add ``value`` k times, as one update."""
         vd = value.denominator
         if self.den % vd:
             self.num, self.den = widen(self.num, self.den, vd)
         self.num += value.numerator * (self.den // vd) * k
         self.n += k
 
-    def average(self) -> Fraction:
-        return Fraction(self.num, self.den * self.n)
-
-    def cmp(self, bound: Fraction) -> int:
-        """Sign of (average - bound); requires n >= 1."""
-        lhs = self.num * bound.denominator
-        rhs = bound.numerator * self.den * self.n
-        return (lhs > rhs) - (lhs < rhs)
-
-    def within(self, lo: Fraction, hi: Fraction) -> bool:
-        """Strictly inside the open interval (lo, hi)."""
-        return self.cmp(lo) > 0 and self.cmp(hi) < 0
-
-    def post_cmp(self, value: Fraction, bound: Fraction) -> int:
-        """cmp() as it would read after also adding ``value``."""
-        vn, vd = value.numerator, value.denominator
-        num = self.num * vd + vn * self.den
-        den = self.den * vd
-        lhs = num * bound.denominator
-        rhs = bound.numerator * den * (self.n + 1)
-        return (lhs > rhs) - (lhs < rhs)
-
-    def post_within(self, value: Fraction, lo: Fraction, hi: Fraction) -> bool:
-        return self.post_cmp(value, lo) > 0 and self.post_cmp(value, hi) < 0
+    def cmp(self, bound: Fraction, x: Optional[Fraction] = None) -> int:
+        """Sign of (average - bound) after also adding x, if given; n >= 1."""
+        c0 = self.toward(bound, bound, x)[0]  # k = 0: v only scales c0
+        return (c0 > 0) - (c0 < 0)
 
     def toward(self, v: Fraction, bound: Fraction, x: Optional[Fraction] = None):
         """(c0, c1): c0 + k*c1 has the sign of the average after k more v's
@@ -154,6 +123,28 @@ class RunningAverage:
         bn, bd = bound.numerator, bound.denominator
         return ((num * bd - bn * m * den) * v.denominator,
                 (v.numerator * bd - bn * v.denominator) * den)
+
+    def swing(self, cur: PartCursor, bound: Fraction, up: bool, reach: bool,
+              tag: str, cap: Optional[int] = None):
+        """(block, ended): the next block of a swing that takes ``cur``'s
+        elements, added to the sum, at most ``cap`` of them and all in the
+        head's run.  The swing ends at the first element (at least one) that
+        takes the average above ``bound`` if ``up``, else below it, or onto
+        it as well if ``reach``; ``ended`` tells whether the block holds it."""
+        src, v = cur.head
+        if self.den % v.denominator:
+            self.num, self.den = widen(self.num, self.den, v.denominator)
+        num, den, bn, bd = self.num, self.den, bound.numerator, bound.denominator
+        vi = v.numerator * (den // v.denominator)  # v over den
+        c0, c1 = num * bd - bn * den * self.n, vi * bd - bn * den  # toward(v, bound) / vd
+        if not up:
+            c0, c1 = -c0, -c1
+        j = first_positive(c0 + c1 + reach, c1)
+        end = None if j is None else j + 1  # the element that ends the swing
+        k = min(filter(None, (end, cur.left, cap)))  # each >= 1 or None
+        cur.skip(k)
+        self.num, self.n = num + vi * k, self.n + k
+        return (tag, v, k, src, cur.step), k == end
 
 
 def first_positive(c0: int, c1: int) -> Optional[int]:
@@ -451,34 +442,17 @@ def oscillator(spec: SequenceSpec) -> Rearrangement:
     def blocks():
         avg = RunningAverage()
         d_it = dec.emissions("d")
-
-        def swing(cur, bound, sign, tag):
-            """One element of cur, then more while sign * (average - bound)
-            >= 0; a constant strand's further elements are one run."""
-            src, value = cur.advance()
-            avg.add(value)
-            yield tag, value, 1, src, 0
-            if cur.left is None:  # the head's run has no end
-                v = cur.head[1]
-                c0, c1 = avg.toward(v, bound)
-                k = first_positive(-sign * c0, -sign * c1)
-                if k:
-                    avg.add_run(v, k)
-                    yield from cur.take(k, tag)
-                return
-            while sign * avg.cmp(bound) >= 0:
-                src, value = cur.advance()
-                avg.add(value)
-                yield tag, value, 1, src, 0
-
-        sides = ((PartCursor(dec.b), p, 1, "low"), (PartCursor(dec.c), q, -1, "high"))
+        sides = ((PartCursor(dec.b), p, False, "low"), (PartCursor(dec.c), q, True, "high"))
         while True:
-            for side in sides:
+            for cur, bound, up, tag in sides:
                 rest = next(d_it, None)
                 if rest is not None:
                     avg.add(rest[1])
                     yield "rest", rest[1], 1, rest[0], 0
-                yield from swing(*side)
+                ended = False
+                while not ended:  # a swing stops strictly past its bound
+                    block, ended = avg.swing(cur, bound, up, False, tag)
+                    yield block
 
     return Rearrangement.of_blocks(
         source=spec,
@@ -670,12 +644,12 @@ def two_sided_balance(
     Everything else is deferred and re-enters at the slots of the slot
     schedule (``_slots``); an extra due at the next position takes the
     place of a steering step, so the greedy average sees it.  The sides are
-    ``PartCursor``s, and the steering is in closed form on the local
-    integers num/den of the sum of n values (the sign test against p/q is
-    that of num*q - p*den*n): a swing inside one run of its side is one run
-    (``first_positive``), and k >= 2 (high, low) pairs whose swings each
-    stop after one element, inside both head runs and before the next
-    extra's slot, are one period block of two rows (an alternation stretch).
+    ``PartCursor``s, and the kernel's ``swing`` steers in closed form, one
+    run per run of its side, cut before the next extra's slot.  On its sum
+    num/den of n values (the sign test against p/q: num*q - p*den*n), k >= 2
+    (high, low) pairs whose swings each stop after one element, inside both
+    head runs and before the next extra's slot, are one period block of two
+    rows (an alternation stretch).
     """
     target = as_fraction(target)
     if b_part.limit != NEG_INF:
@@ -706,15 +680,15 @@ def two_sided_balance(
         due = _slots(deferred_emissions())
         nxt = next(due, (0,))  # (slot, src, value); slot 0 once none is left
         tp, tq = target.numerator, target.denominator
-        num, den, n = 0, 1, 0  # the sum num/den of the first n values
+        avg = RunningAverage()
         hi, lo = PartCursor(c_sel), PartCursor(b_sel)
         while True:
             # a stretch: pair j's high and low tests are linear in j
             (h_src, h), (l_src, l) = hi.head, lo.head
-            hd, ld = h.denominator, l.denominator
-            if den % hd or den % ld:
-                num, den = widen(num, den, math.lcm(hd, ld))
-            hv, lv = h.numerator * (den // hd), l.numerator * (den // ld)
+            if avg.den % h.denominator or avg.den % l.denominator:
+                avg.num, avg.den = widen(avg.num, avg.den, math.lcm(h.denominator, l.denominator))
+            num, den, n = avg.num, avg.den, avg.n
+            hv, lv = h.numerator * (den // h.denominator), l.numerator * (den // l.denominator)
             a0 = tq * (num + hv) - tp * den * (n + 1)  # >= 0: pair 0's high swing stops
             b0 = a0 + tq * lv - tp * den  # <= 0: and its low swing
             if a0 >= 0 >= b0 and nxt[0] != n + 1:
@@ -725,33 +699,25 @@ def two_sided_balance(
                 if k > 1:
                     hi.skip(k)
                     lo.skip(k)
-                    num, n = num + k * (hv + lv), n + 2 * k
+                    avg.num, avg.n = num + k * (hv + lv), n + 2 * k
                     yield None, h + l, 2 * k, (("high", h, 1, h_src, 0, hi.step),
                                                ("low", l, 1, l_src, 0, lo.step)), 2
                     continue
             # climb with +inf-side elements until the average reaches target,
             # then descend with -inf-side elements until it returns to it; an
             # extra due at the next position is emitted in place of a step
-            for cur, tag, sign in ((hi, "high", -1), (lo, "low", 1)):
-                first = True
-                while first or sign * (num * tq - tp * den * n) > 0:
-                    extra = n + 1 == nxt[0]
-                    src, value = nxt[1:] if extra else cur.head
-                    vd = value.denominator
-                    if den % vd:
-                        num, den = widen(num, den, vd)
-                    v = value.numerator * (den // vd)
-                    if extra:
-                        nxt, k = next(due, (0,)), 1
-                        yield "extra", value, 1, src, 0
-                    else:  # the swing in the head's run: its k-th element ends it
-                        d1 = sign * (tp * den - tq * v)
-                        j = first_positive(1 + d1 - sign * (num * tq - tp * den * n), d1)
-                        k = cur.left if j is None else min(j + 1, cur.left)
-                        k, first = min(k, nxt[0] - n - 1) if nxt[0] else k, False
-                        cur.skip(k)
-                        yield tag, value, k, src, cur.step
-                    num, n = num + k * v, n + k
+            for cur, tag, sign in ((hi, "high", 1), (lo, "low", -1)):
+                block = None
+                while not (block and ended):  # at least one element of the side
+                    if avg.n + 1 == nxt[0]:
+                        avg.add(nxt[2])
+                        yield "extra", nxt[2], 1, nxt[1], 0
+                        nxt = next(due, (0,))
+                        ended = sign * avg.cmp(target) >= 0
+                    else:
+                        block, ended = avg.swing(cur, target, sign > 0, True, tag,
+                                                 nxt[0] - avg.n - 1 if nxt[0] else None)
+                        yield block
 
     return Rearrangement.of_blocks(
         source=None,

@@ -70,3 +70,6 @@ def test_value_of_finite_point():
 def test_as_fraction_accepts_ints_and_fractions():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
+    for x in (0.1, 0.25, 2.0):
+        with pytest.raises(TypeError):
+            as_fraction(x)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 
 import pytest
-from hypothesis import HealthCheck, Phase, example, given, seed, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from meanweave.aarset import AARSet, Interval
@@ -365,7 +365,7 @@ def test_running_average_matches_exact_fraction_mean(values):
     for i, v in enumerate(values, 1):
         ra.add(v)
         total += v
-        assert ra.average() == total / i
+        assert F(ra.num, ra.den * ra.n) == total / i
 
 
 PRIMES = [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -1026,25 +1026,65 @@ def test_window_checks_over_runs_match_a_per_position_reference(blocks, data):
                           st.integers(0, 6), rationals),
                 min_size=1, max_size=40))
 def test_running_sum_adds_and_runs_like_fractions(ops):
-    """``add`` (k = 0) and ``add_run`` (k >= 1) keep ``average`` and ``cmp``
-    equal to a Fraction sum, also once huge denominators force a reduction;
-    ``toward``/``first_positive`` find the first k more values that put the
-    average above the bound."""
+    """``add`` (once for k = 0, k times for k >= 1) keeps the sum num/den
+    over n and ``cmp`` equal to a Fraction sum, also once huge denominators
+    force a reduction; ``toward``/``first_positive`` find the first k more
+    values that put the average above the bound."""
     ra = RunningAverage()
     total, n = F(0), 0
     for value, k, bound in ops:
         if k == 0:
             ra.add(value)
         else:
-            ra.add_run(value, k)
+            ra.add(value, k)
         total += value * max(k, 1)
         n += max(k, 1)
         avg = total / n
-        assert ra.average() == avg
+        assert F(ra.num, ra.den * ra.n) == avg
         assert ra.cmp(bound) == (avg > bound) - (avg < bound)
         first = next((j for j in range(200) if (total + j * value) / (n + j) > bound), None)
         got = first_positive(*ra.toward(value, bound))
         assert got == first if first is not None else got is None or got >= 200
+
+
+class _Run:
+    """The cursor ``swing`` reads: ``left`` elements of one value v from
+    source 1 on, step 1 (``left`` None: a run without end)."""
+
+    def __init__(self, v, left):
+        self.head, self.left, self.step = (1, v), left, 1
+
+    def skip(self, k):
+        self.head = (self.head[0] + k, self.head[1])
+        self.left = None if self.left is None else self.left - k
+
+
+@seed(32)
+@settings(max_examples=400, **COMMON)
+@given(st.lists(rationals, max_size=5), rationals, st.one_of(st.none(), st.integers(1, 8)),
+       st.one_of(rationals, st.integers(1, 6)), st.booleans(), st.booleans(),
+       st.one_of(st.none(), st.integers(1, 5)))
+def test_swing_ends_where_an_element_by_element_loop_does(prior, v, left, bound, up, reach, cap):
+    """One ``swing`` block against Fraction arithmetic one element at a time,
+    after a prior sum: the elements it takes, at most ``cap`` and ``left``,
+    whether the last ends the swing (the average past ``bound``, above if
+    ``up``, or onto it with ``reach``) and the sum after them.  An integer
+    bound j stands for the average after j elements of v, met exactly."""
+    total, n = sum(prior, F(0)), len(prior)
+    if isinstance(bound, int):
+        bound = (total + bound * v) / (n + bound)
+    limit = min((x for x in (left, cap) if x is not None), default=2000)
+    k, ended = 0, False
+    while k < limit and not ended:
+        k += 1
+        avg = (total + k * v) / (n + k)
+        ended = (avg > bound if up else avg < bound) or (reach and avg == bound)
+    assume(ended or limit < 2000)  # a swing without an end has no block count
+    ra, cur = RunningAverage(), _Run(v, left)
+    for x in prior:
+        ra.add(x)
+    assert ra.swing(cur, bound, up, reach, "t", cap) == (("t", v, k, 1, 1), ended)
+    assert (ra.n, F(ra.num, ra.den), cur.head) == (n + k, total + k * v, (1 + k, v))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,11 @@ def test_prescribed_set_must_sit_inside_the_steering_band():
         four_strand_realizer([])
 
 
+def test_a_float_in_the_prescribed_set_is_refused():
+    with pytest.raises(TypeError, match="no float"):
+        four_strand_realizer([0.25])
+
+
 def test_both_divergent_strands_are_required():
     spec = parse_spec("interleave(const(0), interleave(const(1), square(linear())))")
     with pytest.raises(MissingInfinity):

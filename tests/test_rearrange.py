@@ -59,13 +59,13 @@ def test_running_average_exact_and_comparisons():
     ra = RunningAverage()
     for v in (F(1), F(0), F(1, 2)):
         ra.add(v)
-    assert ra.average() == F(1, 2)
+    assert F(ra.num, ra.den * ra.n) == F(1, 2)
     assert ra.cmp(F(1, 2)) == 0 and ra.cmp(F(0)) > 0 and ra.cmp(F(1)) < 0
-    assert ra.within(F(1, 4), F(3, 4))
-    assert not ra.within(F(1, 2), F(1))
-    # post-* report the state as if one more value were added: avg -> 7/8.
-    assert ra.post_cmp(F(2), F(7, 8)) == 0
-    assert ra.post_within(F(2), F(1, 2), F(1))
+    assert ra.cmp(F(1, 4)) > 0 and ra.cmp(F(3, 4)) < 0
+    assert not (ra.cmp(F(1, 2)) > 0 and ra.cmp(F(1)) < 0)
+    # cmp(bound, x) reads the state as if x were added too: avg -> 7/8.
+    assert ra.cmp(F(7, 8), F(2)) == 0
+    assert ra.cmp(F(1, 2), F(2)) > 0 and ra.cmp(F(1), F(2)) < 0
 
 
 def test_running_average_matches_fraction_arithmetic_on_mixed_input():
@@ -78,7 +78,7 @@ def test_running_average_matches_fraction_arithmetic_on_mixed_input():
         v = F(rng.randint(-50, 50), rng.randint(1, 20))
         ra.add(v)
         total += v
-        assert ra.average() == total / i
+        assert F(ra.num, ra.den * ra.n) == total / i
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +582,13 @@ def test_construct_target_rejects_unreachable_targets():
 def test_construct_target_refuses_infinite_targets(target):
     with pytest.raises(TargetUnreachable, match="infinite target [+-]inf has no route yet"):
         construct_target(parse_spec("interleave(const(0), linear())"), target)
+
+
+def test_construct_target_refuses_a_float_target():
+    # 0.1 would otherwise enter as 3602879701896397/36028797018963968
+    for spec in ("interleave(const(0), const(1))", "interleave(neg(runlen(4)), runlen(4))"):
+        with pytest.raises(TypeError, match="no float"):
+            construct_target(parse_spec(spec), 0.1)
 
 
 def test_construct_target_refuses_finite_targets_of_a_single_infinity():

@@ -3,8 +3,9 @@
 The first 20,000 of one fixed input per bench ``weave`` route, the mirrored
 climb, a climb whose runs are split at the slots of a middle strand, the
 four-strand realizer, a realizer whose folded steering sides set early far
-values aside, six routes over rational constants, a rest strand
-and a folded side without constant runs, a bounded route with two middle
+values aside, six routes over rational constants, a rest strand,
+a folded side without constant runs and an oscillator side whose prefix
+ends before its constant run, a bounded route with two middle
 strands of different limits, and five routes whose extras enter at the
 slots slot_l = max(slot_{l-1} + 1, (l+1)**3 * ceil(max(1, |e_l|))): the
 bounded route at an end of its hull, with and without a middle strand, the
@@ -95,6 +96,8 @@ STREAMS = {
     "bounded_at_guard": _route("interleave(const(0), const(1))", F(2048, 4099)),
     "bounded_past_guard": _route("interleave(const(0), const(1))", F(3000, 7001)),
     "oscillator_folded": _route("interleave(interleave(const(0), const(0)), const(1))", None),
+    # a low side whose prefix runs end before its constant run begins
+    "oscillator_prefixed": _route("interleave(prefix(2, 2, 2, const(0)), const(1))", None),
     # steering sides folded from strands at different depths, with early
     # values far from their limits: each side's head and the first value it
     # set aside are both on offer to the splice
@@ -160,6 +163,8 @@ DIGESTS = {
         "412e3b0f42a22eb67ebaceec16a5352ff8d03ab7de626e799862901b8f40128e",
     "realizer_far_steering":
         "96b22384965692022ed1562c57ab458f3857092d56a166be3bd2afe68fe5a9aa",
+    "oscillator_prefixed":
+        "f48bd985458e52e6340ddb985aa5d812e1cc6b162c4de1b013a37937f3568383",
 }
 
 
@@ -236,9 +241,11 @@ def test_realizer_digest_and_block_expansion(shape):
 
 
 # constant strands emit runs, and a merge of constant parts period blocks
-# past its first period: a return to per-emission steering fails here
+# past its first period: a return to per-emission steering fails here.  An
+# oscillator swing is one block per run of its side it touches
 BLOCK_COUNTS = {
-    "oscillator": 27,
+    "oscillator": 14,
+    "oscillator_prefixed": 14,
     "bounded": 22,
     "bounded_middle": 25,
     "bounded_rational": 148,
