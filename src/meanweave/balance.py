@@ -19,7 +19,7 @@ from itertools import islice
 from typing import List, Optional
 
 from .errors import NonPositiveTerm, NotDivergent, UnknownProfile
-from .extreal import POS_INF, Record, set_field, widen
+from .extreal import POS_INF, Record, first_positive, set_field, widen
 from .seqspec import BalanceKind, Condition, DensityReport, SequenceSpec, profile
 
 
@@ -104,25 +104,46 @@ def _require_divergent_positive(spec: SequenceSpec):
 
 
 def _numeric_evidence(spec: SequenceSpec, horizon: int) -> NumericEvidence:
-    """The tail-window ratios over the spec's term pairs and an unreduced
+    """The tail-window ratios over the spec's terms and an unreduced
     integer-pair sum num/den: the term over den is v, so its ratio to the
     earlier sum is v/num, and ratios compare by cross-multiplication.  Only
-    the two reported ratios become Fractions."""
+    the two reported ratios become Fractions.  A spec with runs is read run
+    by run: as v/num never rises along a run while num > 0, a run's first
+    and last ratio in the window are its largest and its last."""
     window_start = max(2, horizon - horizon // 10)
     num, den = 0, 1
     best = last = None  # (v, num): the ratio v/num with num > 0
-    for i, (vn, vd) in enumerate(islice(spec.iter_pairs(), horizon), start=1):
-        if den == vd:
-            v = vn
-        else:
+    runs = spec.iter_runs()
+    if runs is None:
+        for i, (vn, vd) in enumerate(islice(spec.iter_pairs(), horizon), start=1):
+            if den == vd:
+                v = vn
+            else:
+                if den % vd:
+                    num, den = widen(num, den, vd)
+                v = vn * (den // vd)
+            if i >= window_start and num > 0:
+                last = v, num
+                if best is None or v * best[1] > best[0] * num:
+                    best = last
+            num += v
+    else:
+        i = 0  # the terms summed so far
+        for (vn, vd), c in runs:
             if den % vd:
                 num, den = widen(num, den, vd)
             v = vn * (den // vd)
-        if i >= window_start and num > 0:
-            last = v, num
-            if best is None or v * best[1] > best[0] * num:
-                best = last
-        num += v
+            c = horizon - i if c is None else min(c, horizon - i)
+            lo, hi = max(0, window_start - 1 - i), c - 1  # the run's terms in the window
+            if lo <= hi:  # the earlier sum num + j*v at its j-th term is > 0 on an interval
+                a, b = first_positive(num + lo * v, v), first_positive(num + hi * v, -v)
+                if a is not None and b is not None:
+                    last, top = (v, num + (hi - b) * v), num + (lo + a) * v
+                    if best is None or v * best[1] > best[0] * top:
+                        best = v, top
+            num, i = num + c * v, i + c
+            if i == horizon:
+                break
     max_ratio = None if best is None else Fraction(*best)
     return NumericEvidence(
         horizon=horizon,

@@ -3,8 +3,9 @@
 The library never touches floats on the exact path; finite values are
 ``fractions.Fraction`` and the infinities are two interned sentinels.
 ``ExtendedReal`` is totally ordered and hashable, so it can key dicts and
-sort interval endpoints.  ``widen`` is the step shared by every running sum
-kept as an unreduced integer pair, and ``Record`` the base of every record.
+sort interval endpoints.  ``widen`` and ``first_positive`` are the steps
+shared by every running sum kept as an unreduced integer pair, and
+``Record`` the base of every record.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -151,6 +152,13 @@ def widen(num: int, den: int, vd: int) -> Tuple[int, int]:
         g = math.gcd(num, den)
         num, den = num // g, den // g
     return num * vd, den * vd
+
+
+def first_positive(c0: int, c1: int) -> Optional[int]:
+    """The first k >= 0 with c0 + k*c1 > 0, or None when there is none."""
+    if c0 > 0:
+        return 0
+    return -c0 // c1 + 1 if c1 > 0 else None
 
 
 set_field = object.__setattr__  # a record's __init__ sets its fields with it

@@ -200,8 +200,9 @@ class _Trace:
     def __iter__(self) -> Iterator[TraceEntry]:
         for k, size, value, src, step, num, v, den in _walk(self.r, self.n):
             if value is None:  # a period block: its flat rows, repeat by repeat
-                for j in range(-(-size // step)):
-                    for s, a, x, vi in src[:size - j * step]:
+                reps, tail = divmod(size, step)  # only a last repeat the horizon cuts is sliced
+                for j in range(reps + (tail > 0)):
+                    for s, a, x, vi in src if j < reps else src[:tail]:
                         num += vi
                         k += 1
                         e = _new_entry(TraceEntry)

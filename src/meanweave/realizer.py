@@ -49,8 +49,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .aarset import AARSet, Interval
 from .errors import MalformedDescriptor, MissingInfinity, ZOutsideRange
-from .extreal import NEG_INF, POS_INF, Record, as_fraction, set_field
-from .rearrange import Rearrangement, RunningAverage, first_positive
+from .extreal import NEG_INF, POS_INF, Record, as_fraction, first_positive, set_field
+from .rearrange import Rearrangement, RunningAverage
 from .seqspec import (
     PartCursor,
     SequenceSpec,

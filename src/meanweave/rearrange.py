@@ -58,7 +58,7 @@ from .errors import (
     UndeclaredLimit,
     WeightOutOfRange,
 )
-from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction, widen
+from .extreal import NEG_INF, POS_INF, ExtendedReal, as_fraction, first_positive, widen
 from .seqspec import (
     IDENTITY_MAP,
     IndexMap,
@@ -145,13 +145,6 @@ class RunningAverage:
         cur.skip(k)
         self.num, self.n = num + vi * k, self.n + k
         return (tag, v, k, src, cur.step), k == end
-
-
-def first_positive(c0: int, c1: int) -> Optional[int]:
-    """The first k >= 0 with c0 + k*c1 > 0, or None when there is none."""
-    if c0 > 0:
-        return 0
-    return -c0 // c1 + 1 if c1 > 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -555,9 +555,9 @@ class ExplicitPrefix(SequenceSpec):
 
 def _map_runs(f, pairs: Iterator) -> Iterator:
     """f over a stream of term pairs, called once per run of one pair
-    object: a base that yields the same pair again (run-length blocks,
-    constants) gets the value already mapped.  Equal but distinct objects
-    are mapped afresh."""
+    object: ``iter_terms`` makes one Fraction per run of a spec that yields
+    the same pair again (run-length blocks, constants and maps of them).
+    Equal but distinct objects are mapped afresh."""
     last = out = None
     for v in pairs:
         if v is not last:
@@ -572,13 +572,20 @@ def _as_fraction(pair: Tuple[int, int]) -> Fraction:
 
 class _Pointwise(SequenceSpec):
     """A term-by-term map of ``base`` (its first field past the profile):
-    ``_pair_map()`` maps one term pair, once per run of the base."""
+    ``_pair_map()`` maps one term pair, once per run of a base with runs
+    (its pairs repeat the mapped pair object) and once per pair of any other."""
 
     def _over(self, base: SequenceSpec) -> "_Pointwise":
         return type(self)(base, *(getattr(self, f) for f in self._fields[2:]))
 
     def iter_pairs(self):
-        return _map_runs(self._pair_map(), self.base.iter_pairs())
+        runs = self.iter_runs()
+        if runs is None:
+            return map(self._pair_map(), self.base.iter_pairs())
+        return itertools.chain.from_iterable(
+            itertools.repeat(pair) if count is None else itertools.repeat(pair, count)
+            for pair, count in runs
+        )
 
     def iter_runs(self):
         runs, f = self.base.iter_runs(), self._pair_map()

@@ -1,5 +1,6 @@
 """Balance index and density condition: exact ratios, verdicts, identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,25 @@ def test_numeric_mode_has_no_ratio_while_earlier_sums_are_not_positive(horizon):
     assert v.kind is BalanceKind.BALANCED
     ev = v.evidence
     assert (ev.max_ratio, ev.last_ratio, ev.ratio_small) == (None, None, False)
+
+
+def test_numeric_mode_reads_runlen_by_runs_at_a_horizon_of_ten_to_the_eight():
+    # runlen(4) repeats block value b 2b-1 times, so blocks 1..B end at
+    # index B**2 and sum to S(B) = B(B+1)(4B-1)/6.  The ratio falls along a
+    # block, so the window's largest ratio is at its first index or where a
+    # block starts.  Read term by term, 10**8 terms would take minutes.
+    def block_sum(b):
+        return b * (b + 1) * (4 * b - 1) // 6
+
+    horizon, start = 10**8, 9 * 10**7
+    first = math.isqrt(start - 1) + 1  # the block holding index start
+    ratios = [F(first, block_sum(first - 1) + (start - 1 - (first - 1) ** 2) * first)]
+    ratios += [F(b, block_sum(b - 1)) for b in range(first + 1, 10**4 + 1)]
+    ev = balanced_verdict(parse_spec("runlen(4)"), mode="numeric", horizon=horizon).evidence
+    assert ev.window_start == start
+    assert ev.max_ratio == max(ratios)
+    assert ev.last_ratio == F(10**4, block_sum(10**4) - 10**4)
+    assert ev.ratio_small is True
 
 
 def test_numeric_mode_on_geometric_shows_ratio_near_one():

@@ -313,20 +313,44 @@ evidence_bases = st.one_of(
 )
 
 
+run_strands = st.integers(1, 4).map(RunLength)
+run_strands = st.one_of(run_strands, run_strands.map(PointwiseSquare))
+# low heads (zero, negative) keep the earlier sum at or below 0 into the runs;
+# high ones let runs of negative terms take a positive sum back down
+prefixed_runs = st.tuples(
+    st.lists(st.fractions(min_value=-9, max_value=30, max_denominator=3), min_size=1, max_size=4),
+    run_strands,
+).map(lambda t: ExplicitPrefix(*t))
+# (base, horizon): strands with runs, read run by run, up to 10**4 terms
+evidence_cases = st.one_of(
+    st.tuples(evidence_bases, st.integers(2, 400)),
+    st.tuples(st.one_of(run_strands, prefixed_runs), st.integers(2, 10_000)),
+)
+
+
 # Fractional scales and shifts make the pair sum widen (past 2**128 under
 # geom(3/2) and geom(7/5), where it reduces by a gcd); shifts down to -60
 # keep the earlier sum at or below 0 into the window of long horizons.
 @settings(max_examples=120, **COMMON)
 @given(
-    evidence_bases,
+    evidence_cases,
     st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7),
     st.fractions(min_value=-60, max_value=10, max_denominator=6),
-    st.integers(2, 400),
 )
-@example(Linear(), F(1, 3), F(-40), 260)  # earlier sum <= 0 (0 at 240) until 241
-@example(RunLength(2), F(2, 3), F(-1, 2), 9)  # window_start == horizon
-@example(Geometric(F(3, 2)), F(5, 7), F(-7, 6), 400)
-def test_numeric_evidence_matches_a_fraction_reference(base, scale, shift, horizon):
+@example((Linear(), 260), F(1, 3), F(-40))  # earlier sum <= 0 (0 at 240) until 241
+@example((RunLength(2), 9), F(2, 3), F(-1, 2))  # window_start == horizon
+@example((Geometric(F(3, 2)), 400), F(5, 7), F(-7, 6))
+# runlen(4)'s block b holds terms (b-1)**2 + 1..b**2: the window 9001..10**4
+# starts inside block 95, and the horizon 9000 cuts it
+@example((RunLength(4), 10_000), F(1), F(0))
+@example((RunLength(4), 9000), F(2, 7), F(-13, 2))
+@example((ExplicitPrefix((F(0), F(-3)), PointwiseSquare(RunLength(4))), 5000), F(1, 7), F(-60))
+# inside the window the earlier sum turns positive within a run, and a run
+# of negative terms takes it back to 0 or below
+@example((RunLength(4), 38), F(25, 6), F(-113, 6))
+@example((ExplicitPrefix((F(14), F(11), F(7)), RunLength(2)), 10), F(32, 5), F(-31))
+def test_numeric_evidence_matches_a_fraction_reference(case, scale, shift):
+    base, horizon = case
     spec = Affine(base, scale, shift)
     ev = balanced_verdict(spec, mode="numeric", horizon=horizon).evidence
     assert ev.horizon == horizon

@@ -176,6 +176,21 @@ def test_iter_terms_keep_one_object_per_run():
                    "SumJump"}
 
 
+@pytest.mark.parametrize("text,runs", [
+    ("affine(const(3), 2, 1)", 1),
+    ("neg(prefix(1, const(2)))", 2),
+    ("square(runlen(4))", 100),  # block b ends at index b**2
+    ("affine(prefix(-1, 0, runlen(2)), 3/4, -5/2)", 2 + 140),  # block b ends at b(b+3)/2
+])
+def test_wrapper_pairs_repeat_one_object_per_run(text, runs):
+    # an endless run (count None) plays on past the prefix; a run of a
+    # base with runs is one mapped pair object
+    spec = parse_spec(text)
+    pairs = list(islice(spec.iter_pairs(), 10_000))
+    assert [F(*pair) for pair in pairs] == terms(spec, 10_000)
+    assert len({id(pair) for pair in pairs}) == runs
+
+
 # ---------------------------------------------------------------------------
 # Profiles
 
