@@ -10,19 +10,15 @@ from importlib import import_module
 # home module -> the names it exports here (the module itself is one too)
 _EXPORTS = {
     "aarset": ("AARSet", "Interval"),
-    "balance": (
-        "BalanceVerdict", "RatioEntry", "balanced_verdict", "density_condition",
-        "density_report", "ratio_series",
-    ),
+    "balance": ("BalanceVerdict", "balanced_verdict", "density_condition", "density_report"),
     "classifier": ("classify", "classify_spec"),
     "dsl": ("parse_spec", "render"),
     "errors": (
         "CoverageViolation", "DegenerateRange", "DensityFails",
         "InjectivityViolation", "InsufficientEvidence", "MalformedDescriptor",
-        "MeanweaveError", "MissingInfinity", "NonPositiveTerm", "NotBalanced",
-        "NotDivergent", "ParseError", "TargetNotAbove", "TargetUnreachable",
-        "TermTooLarge", "UndeclaredLimit", "UnknownProfile", "WeightOutOfRange",
-        "ZOutsideRange",
+        "MeanweaveError", "MissingInfinity", "NotBalanced", "NotDivergent",
+        "ParseError", "TargetNotAbove", "TargetUnreachable", "TermTooLarge",
+        "UndeclaredLimit", "UnknownProfile", "WeightOutOfRange", "ZOutsideRange",
     ),
     "extreal": ("ExtendedReal", "NEG_INF", "POS_INF"),
     "harness": (

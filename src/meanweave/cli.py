@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--mode", choices=["analytic", "numeric"], default="analytic")
     p.add_argument("--n", type=int, default=DEFAULT_HORIZON,
-                   help="numeric-evidence horizon")
+                   help="numeric-evidence horizon (read in closed form, at any size, "
+                        "for a polynomial strand that passes its certificate)")
     p.set_defaults(func=_cmd_balanced)
 
     p = sub.add_parser("construct", help="build and trace a rearrangement")

@@ -23,10 +23,6 @@ class UnknownProfile(MeanweaveError):
     """No accumulation profile is declared or derivable for the spec."""
 
 
-class NonPositiveTerm(MeanweaveError):
-    """A strictly-positive-terms operation met a term <= 0."""
-
-
 class TermTooLarge(MeanweaveError):
     """A term lies past the size limit its family computes exactly."""
 

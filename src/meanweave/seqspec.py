@@ -8,9 +8,9 @@ and carries enough structure that its set of accumulation points (its
 never estimated from numbers.
 
 Each family class keeps its own rules: its profile, negation, balance and
-density verdicts, how far its terms are unsorted, and its DSL spelling.  The
-module functions (``profile``, ``negated_spec``, ``strands``...) and the
-balance and DSL modules dispatch to those methods.
+density verdicts, how far its terms are unsorted, their polynomial degree,
+and its DSL spelling.  The module functions (``profile``, ``negated_spec``,
+``strands``...) and the balance and DSL modules dispatch to those methods.
 
 Each family also generates its terms, once, as integer pairs
 ``(num, den)`` (``iter_pairs``): no gcd per term.  ``iter_terms`` is the
@@ -140,6 +140,16 @@ class SequenceSpec(Record):
         never decrease.  None when no such count is known (not sortable)."""
         return None
 
+    def _degree(self) -> Optional[int]:
+        """A bound d on the degree of the n-th term P(n) as a polynomial in n,
+        or None.  Balance evidence reads P(1..d+1) and writes P and the
+        earlier sums S at any index in Newton's form.  P(i+1)/S(i) <=
+        P(i)/S(i-1) iff D(i) = P(i)^2 - (P(i+1) - P(i))*S(i-1) >= 0, and a
+        polynomial Q of degree k is Q(w+t) = sum_j C(t, j)*(delta^j Q)(w), all
+        C(t, j) >= 0: so S(w-1) > 0, P(w) > 0 and the differences at w of P
+        and D (degree 2d) all >= 0 certify the ratio never rises from w on."""
+        return None
+
     @property
     def _body(self) -> "SequenceSpec":
         """This spec behind its explicit prefixes."""
@@ -170,6 +180,9 @@ class Constant(SequenceSpec):
     def _profile(self):
         return AARSet.of(self.value)
 
+    def _degree(self):
+        return 0
+
     def _negated(self):
         return Constant(-self.value)
 
@@ -198,6 +211,9 @@ class _Polynomial(_Increasing):
         degree = 2 * self.exponent
         reason = f"square of polynomial terms is polynomial (degree {degree})"
         return BalanceKind.BALANCED, reason, None
+
+    def _degree(self):
+        return self.exponent
 
     def _density(self):
         if self.exponent == 1:
@@ -312,6 +328,9 @@ class NegLinear(SequenceSpec):
 
     def _negated(self):
         return Linear()
+
+    def _degree(self):
+        return 1
 
     def _density(self):
         return DensityReport(Condition.FAILS, "|term|/n is constantly 1")
@@ -591,6 +610,9 @@ class _Pointwise(SequenceSpec):
         runs, f = self.base.iter_runs(), self._pair_map()
         return None if runs is None else ((f(pair), count) for pair, count in runs)
 
+    def _degree(self):
+        return self.base._degree()
+
 
 class Affine(_Pointwise):
     """scale * base_term + shift, pointwise."""
@@ -654,6 +676,10 @@ class PointwiseSquare(_Pointwise):
 
     def _profile(self):
         return profile(self.base).square()
+
+    def _degree(self):
+        d = self.base._degree()
+        return None if d is None else 2 * d
 
     def _balance(self):
         return self.base._square_balance()
@@ -797,6 +823,10 @@ class PointwiseSum(SequenceSpec):
         if left[0] is BalanceKind.BALANCED and right[0] is BalanceKind.BALANCED:
             return BalanceKind.BALANCED, "index-aligned sum of balanced sequences", None
         return BalanceKind.UNKNOWN, "sum closure needs both sides balanced", None
+
+    def _degree(self):
+        left, right = self.first._degree(), self.second._degree()
+        return None if left is None or right is None else max(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from collections import Counter
 from fractions import Fraction
 
 from conftest import CLASSIFY_CATALOG
+from test_properties import fraction_ratios
 
-from meanweave.balance import BalanceKind, Condition, balanced_verdict, ratio_series
+from meanweave.balance import BalanceKind, Condition, balanced_verdict
 from meanweave.classifier import classify, classify_spec
 from meanweave.dsl import parse_spec
 from meanweave.errors import DensityFails, MeanweaveError, TargetUnreachable
@@ -118,13 +119,14 @@ def test_criterion_03_weighted_merge_density_and_average():
 
 def test_criterion_04_balance_verdicts():
     problems = []
-    e50 = ratio_series(parse_spec("geom(2)"), 50)[-1]
-    if abs(e50.r_n - 1) >= F(1, 10**6):
-        problems.append(f"geometric ratio at 50 off by {abs(e50.r_n - 1)}")
+    _, t, s = fraction_ratios(parse_spec("geom(2)"), 50)[-1]
+    r50 = t / s
+    if abs(r50 - 1) >= F(1, 10**6):
+        problems.append(f"geometric ratio at 50 off by {abs(r50 - 1)}")
     for k in (1, 2, 3):
-        ek = ratio_series(parse_spec(f"pow({k})"), 1000)[-1]
-        if ek.r_n >= F(1, 100):
-            problems.append(f"power {k} ratio at 1000 is {ek.r_n}")
+        _, t, s = fraction_ratios(parse_spec(f"pow({k})"), 1000)[-1]
+        if t / s >= F(1, 100):
+            problems.append(f"power {k} ratio at 1000 is {t / s}")
     base = balanced_verdict(parse_spec("runlen(3)"))
     squared = balanced_verdict(parse_spec("square(runlen(3))"))
     if base.kind is not BalanceKind.BALANCED:
@@ -136,7 +138,7 @@ def test_criterion_04_balance_verdicts():
         "balance verdicts: geometric ratio, power ratios, factorial-block pair",
         not problems,
         "; ".join(problems) or
-        f"r_50-1 = {float(e50.r_n - 1):.2e}, squared-block ratio limsup = {squared.limsup_estimate}",
+        f"r_50-1 = {float(r50 - 1):.2e}, squared-block ratio limsup = {squared.limsup_estimate}",
     )
 
 
@@ -277,15 +279,13 @@ def test_criterion_09_exact_identities_across_the_catalog():
     for text in ("geom(2)", "pow(1)", "pow(2)", "pow(3)",
                  "runlen(1)", "runlen(2)", "runlen(3)", "runlen(4)",
                  "square(runlen(3))"):
-        entries = ratio_series(parse_spec(text), 1000)
-        scaled = ratio_series(Affine(parse_spec(text), F(3), F(0)), 1000)
-        by_n = {e.n: e for e in entries}
-        for m in range(2, 1000):
-            cur, nxt = by_n[m], by_n[m + 1]
-            if nxt.A_n != (cur.A_n + 1) * cur.term / nxt.term:
+        rows = fraction_ratios(parse_spec(text), 1000)
+        scaled = fraction_ratios(Affine(parse_spec(text), F(3), F(0)), 1000)
+        for (m, t, s), (_, t_next, s_next) in zip(rows, rows[1:]):
+            if s_next / t_next != (s / t + 1) * t / t_next:  # A_{m+1} = (A_m + 1) t_m / t_{m+1}
                 problems.append(f"balance recurrence fails for {text} at {m}")
                 break
-        if any(a.r_n != b.r_n for a, b in zip(entries, scaled)):
+        if any(t / s != kt / ks for (_, t, s), (_, kt, ks) in zip(rows, scaled)):
             problems.append(f"scale invariance fails for {text}")
     report(
         9,

@@ -1,6 +1,8 @@
 """Balance index and density condition: exact ratios, verdicts, identities."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,51 +14,46 @@ from meanweave.balance import (
     balanced_verdict,
     density_condition,
     density_report,
-    ratio_series,
 )
 from meanweave.dsl import parse_spec
-from meanweave.errors import NonPositiveTerm, NotDivergent
+from meanweave.errors import NotDivergent
 from meanweave.extreal import POS_INF
-from meanweave.seqspec import Affine, Constant, Linear
+from meanweave.seqspec import Affine, Constant, Linear, SequenceSpec
+from test_properties import fraction_ratios
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# Exact ratio series (r_n = term_n / sum of earlier terms; A_n = 1 / r_n)
+# Exact ratios r_n = term_n / sum of earlier terms, A_n = 1 / r_n, over the
+# Fraction reference and the numeric evidence
 
 
 def test_geometric_ratio_at_ten_exact():
     # Terms 2^n: earlier sum at n=10 is 2+...+512 = 1022, term is 1024.
-    e = ratio_series(parse_spec("geom(2)"), 10)[-1]
-    assert (e.n, e.term, e.s_prev) == (10, F(1024), F(1022))
-    assert e.r_n == F(512, 511)
-    assert e.A_n == F(511, 512)
-    assert e.r_incl == F(512, 1023)
+    n, t, s = fraction_ratios(parse_spec("geom(2)"), 10)[-1]
+    assert (n, t, s) == (10, F(1024), F(1022))
+    assert (t / s, s / t, t / (s + t)) == (F(512, 511), F(511, 512), F(512, 1023))
+    ev = balanced_verdict(parse_spec("geom(2)"), mode="numeric", horizon=10).evidence
+    assert (ev.window_start, ev.max_ratio, ev.last_ratio) == (9, F(256, 255), F(512, 511))
 
 
 def test_constant_ratio_series_exact():
-    e = ratio_series(parse_spec("const(1)"), 5)[-1]
-    assert (e.n, e.term, e.s_prev) == (5, F(1), F(4))
-    assert e.r_n == F(1, 4) and e.A_n == F(4) and e.r_incl == F(1, 5)
+    n, t, s = fraction_ratios(parse_spec("const(1)"), 5)[-1]
+    assert (n, t, s) == (5, F(1), F(4))
+    assert (t / s, s / t, t / (s + t)) == (F(1, 4), F(4), F(1, 5))
 
 
 def test_square_power_ratio_exact():
-    e = ratio_series(parse_spec("pow(2)"), 4)[-1]
-    assert (e.n, e.term, e.s_prev) == (4, F(16), F(14))
-    assert e.r_n == F(8, 7)
+    n, t, s = fraction_ratios(parse_spec("pow(2)"), 4)[-1]
+    assert (n, t, s) == (4, F(16), F(14))
+    ev = balanced_verdict(parse_spec("pow(2)"), mode="numeric", horizon=4).evidence
+    assert ev.max_ratio == ev.last_ratio == t / s == F(8, 7)
 
 
 def test_series_starts_at_two_and_is_contiguous():
-    entries = ratio_series(parse_spec("pow(1)"), 12)
-    assert [e.n for e in entries] == list(range(2, 13))
-
-
-def test_ratio_series_rejects_nonpositive_terms():
-    with pytest.raises(NonPositiveTerm):
-        ratio_series(parse_spec("neglinear()"), 5)
-    with pytest.raises(NonPositiveTerm):
-        ratio_series(parse_spec("interleave(const(0), const(1))"), 5)
+    rows = fraction_ratios(parse_spec("pow(1)"), 12)
+    assert [n for n, _, _ in rows] == list(range(2, 13))
 
 
 # ---------------------------------------------------------------------------
@@ -65,31 +62,27 @@ def test_ratio_series_rejects_nonpositive_terms():
 
 @pytest.mark.parametrize("text", ["geom(2)", "pow(2)", "runlen(1)", "runlen(3)", "sumjump()"])
 def test_reciprocal_and_inclusive_forms_agree(text):
-    for e in ratio_series(parse_spec(text), 200):
-        assert e.A_n == 1 / e.r_n
-        assert e.r_incl == e.r_n / (1 + e.r_n)
-        assert e.r_incl == e.term / (e.s_prev + e.term)
+    for _, t, s in fraction_ratios(parse_spec(text), 200):
+        r = t / s
+        assert s / t == 1 / r
+        assert t / (s + t) == r / (1 + r)
 
 
 @pytest.mark.parametrize("text", ["geom(2)", "pow(2)", "runlen(3)"])
 def test_balance_index_recurrence_exact(text):
     # A_{n+1} = (A_n + 1) * term_n / term_{n+1}, with zero tolerance.
-    entries = ratio_series(parse_spec(text), 1000)
-    by_n = {e.n: e for e in entries}
-    for n in range(2, 1000):
-        cur, nxt = by_n[n], by_n[n + 1]
-        assert nxt.A_n == (cur.A_n + 1) * cur.term / nxt.term
+    rows = fraction_ratios(parse_spec(text), 1000)
+    for (_, t, s), (_, t_next, s_next) in zip(rows, rows[1:]):
+        assert s_next / t_next == (s / t + 1) * t / t_next
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_power_sum_integral_sandwich(k):
     # For term n^k the integral (n^{k+1}-1)/(k+1) lies between the sums
     # up to n-1 and up to n, so the reciprocal comparison brackets it.
-    entries = ratio_series(parse_spec(f"pow({k})"), 1000)
-    for e in entries:
-        integral = (F(e.n) ** (k + 1) - 1) / (k + 1)
-        f_n = e.term
-        assert f_n / (e.s_prev + f_n) <= f_n / integral <= f_n / e.s_prev
+    for n, f_n, s_prev in fraction_ratios(parse_spec(f"pow({k})"), 1000):
+        integral = (F(n) ** (k + 1) - 1) / (k + 1)
+        assert f_n / (s_prev + f_n) <= f_n / integral <= f_n / s_prev
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +188,50 @@ def test_numeric_mode_on_geometric_shows_ratio_near_one():
     v = balanced_verdict(parse_spec("geom(2)"), mode="numeric", horizon=200)
     assert v.kind is BalanceKind.NOT_BALANCED
     assert abs(v.evidence.last_ratio - 1) < F(1, 10**50)
+
+
+def _refuse(monkeypatch, *methods):
+    """Every family's ``methods`` raise: a spec that reads its terms there
+    fails the test instead of running for ever."""
+    def refuse(self, *args):
+        raise AssertionError("terms were read")
+
+    classes = [SequenceSpec]
+    for cls in classes:
+        classes += cls.__subclasses__()
+        for name in methods:
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, refuse)
+
+
+def test_polynomial_evidence_in_closed_form_at_a_horizon_of_ten_to_the_thirty(monkeypatch):
+    _refuse(monkeypatch, "iter_pairs", "iter_runs")
+    horizon = 10**30
+    start = horizon - horizon // 10
+    ratios = {
+        "linear()": lambda i: F(2, i - 1),  # i over (i-1)i/2
+        "pow(2)": lambda i: F(6 * i, (i - 1) * (2 * i - 1)),  # i**2 over (i-1)i(2i-1)/6
+        "affine(pow(3), 5, 9)": lambda i: F(5 * i**3 + 9, 5 * ((i - 1) * i // 2) ** 2 + 9 * (i - 1)),
+    }
+    for text, ratio in ratios.items():
+        ev = balanced_verdict(parse_spec(text), mode="numeric", horizon=horizon).evidence
+        assert (ev.horizon, ev.window_start) == (horizon, start)
+        assert (ev.max_ratio, ev.last_ratio, ev.ratio_small) == (ratio(start), ratio(horizon), True)
+
+
+@pytest.mark.parametrize("text", ["pow(2)", "runlen(4)", "geom(2)"])
+@pytest.mark.parametrize("horizon", [100.0, 100.5, F(100), "100"])
+def test_numeric_mode_refuses_a_horizon_that_is_not_an_int(monkeypatch, text, horizon):
+    _refuse(monkeypatch, "iter_pairs", "iter_runs", "iter_terms", "term")
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {horizon!r}")):
+        balanced_verdict(parse_spec(text), mode="numeric", horizon=horizon)
+
+
+def test_numeric_mode_refuses_to_sum_past_the_longest_slice(monkeypatch):
+    _refuse(monkeypatch, "iter_pairs", "iter_terms", "term")
+    horizon = sys.maxsize + 1
+    with pytest.raises(ValueError, match=f"numeric horizon {horizon} is too long to read term by term"):
+        balanced_verdict(parse_spec("geom(2)"), mode="numeric", horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

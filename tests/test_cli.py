@@ -80,6 +80,21 @@ def test_balanced_numeric_evidence_line():
     )
 
 
+def test_balanced_numeric_evidence_at_a_horizon_of_ten_to_the_thirty():
+    # i**2 over the earlier sum (i-1)i(2i-1)/6 is 6i/((i-1)(2i-1)), at
+    # i = 9*10**29 and 10**30, read in closed form
+    code, out, err = run("balanced", "pow(2)", "--mode", "numeric", "--n", str(10**30))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "evidence: horizon=1000000000000000000000000000000"
+        " window_start=900000000000000000000000000000"
+        " max_ratio=5400000000000000000000000000000"
+        "/1619999999999999999999999999997300000000000000000000000000001"
+        " last_ratio=2000000000000000000000000000000"
+        "/666666666666666666666666666665666666666666666666666666666667 small=True"
+    )
+
+
 def test_balanced_numeric_evidence_before_any_ratio():
     code, out, _ = run("balanced", "--mode", "numeric", "--n", "10", "affine(linear(), 1, -5)")
     assert code == 0

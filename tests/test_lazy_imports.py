@@ -110,7 +110,8 @@ def test_classify_loads_no_construction():
 
 
 # meanweave.__all__ as it was when the package root imported every module
-# eagerly (its dir(), so the submodule names are in it too).
+# eagerly (its dir(), so the submodule names are in it too), less the ratio
+# series, its record and its error, deleted since.
 PACKAGE_ALL = [
     "AARSet", "Affine", "AffineMap", "BalanceKind", "BalanceVerdict", "Condition",
     "Constant", "CoverageViolation", "Decomposition", "DegenerateRange",
@@ -118,10 +119,10 @@ PACKAGE_ALL = [
     "ExtendedReal", "Geometric", "IndexMap", "InjectivityViolation",
     "InsufficientEvidence", "Interleave", "Interval", "Linear",
     "MalformedDescriptor", "MeanweaveError", "MissingInfinity", "NEG_INF",
-    "NegLinear", "Negate", "NonPositiveTerm", "NotBalanced", "NotDivergent",
-    "POS_INF", "ParseError", "PartStream", "PermutationReport", "PointwiseSquare",
-    "PointwiseSum", "PowerOfIndex", "RatioEntry", "Rearrangement", "RunLength",
-    "RunRule", "RunningAverage", "ScheduleEntry", "SequenceSpec", "SumJump",
+    "NegLinear", "Negate", "NotBalanced", "NotDivergent", "POS_INF", "ParseError",
+    "PartStream", "PermutationReport", "PointwiseSquare", "PointwiseSum",
+    "PowerOfIndex", "Rearrangement", "RunLength", "RunRule", "RunningAverage",
+    "ScheduleEntry", "SequenceSpec", "SumJump",
     "TargetNotAbove", "TargetUnreachable", "TermTooLarge", "TraceEntry",
     "TubeSchedule", "UndeclaredLimit", "UnknownProfile", "WeightOutOfRange",
     "WovenMap", "ZOutsideRange", "aarset", "balance", "balanced_verdict",
@@ -130,8 +131,8 @@ PACKAGE_ALL = [
     "density_condition", "density_report", "downward_jump_bound_holds", "dsl",
     "envelope_oracle", "errors", "extreal", "harness", "identity_rearrangement",
     "iter_trace", "merge_preserving", "mirror_rearrangement", "negated_spec",
-    "oscillator", "parse_spec", "profile", "ratio_series", "read_trace_csv",
-    "realizer", "realizer_from_spec", "rearrange", "render", "seqspec",
+    "oscillator", "parse_spec", "profile", "read_trace_csv", "realizer",
+    "realizer_from_spec", "rearrange", "render", "seqspec",
     "sort_increasing", "target_above_limsup", "trace", "two_sided_balance",
     "verify_trace_identities", "weighted_merge", "write_trace_csv",
 ]

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, Phase, assume, example, given, seed, setting
 from hypothesis import strategies as st
 
 from meanweave.aarset import AARSet, Interval
-from meanweave.balance import balanced_verdict, ratio_series
+from meanweave.balance import balanced_verdict
 from meanweave.classifier import classify, classify_spec
 from meanweave.dsl import parse_spec, render
 from meanweave.errors import (
@@ -55,6 +55,7 @@ from meanweave.seqspec import (
     PartCursor,
     PartStream,
     PointwiseSquare,
+    PointwiseSum,
     PowerOfIndex,
     RunLength,
     RunRule,
@@ -258,19 +259,31 @@ def test_index_map_operations_follow_their_pointwise_definitions(m, other):
 # Balance index identities
 
 
+def fraction_ratios(spec, n):
+    """(i, term, sum of the earlier terms) for i = 2..n, summed as Fractions
+    term by term from ``spec.term``: the exact reference for the ratio
+    term/earlier sum that balance evidence reads."""
+    rows, running = [], F(0)
+    for i in range(1, n + 1):
+        term = spec.term(i)
+        if i >= 2:
+            rows.append((i, term, running))
+        running += term
+    return rows
+
+
 @settings(max_examples=30, **COMMON)
 @given(
     st.sampled_from(["geom(2)", "geom(3)", "pow(1)", "pow(2)", "runlen(1)", "runlen(3)"]),
     st.integers(3, 120),
 )
 def test_balance_recurrence_and_reciprocals(text, n):
-    entries = ratio_series(parse_spec(text), n)
-    by_n = {e.n: e for e in entries}
-    for m in range(2, n):
-        cur, nxt = by_n[m], by_n[m + 1]
-        assert nxt.A_n == (cur.A_n + 1) * cur.term / nxt.term
-        assert cur.A_n == 1 / cur.r_n
-        assert cur.r_incl == cur.r_n / (1 + cur.r_n)
+    # A_i = s_i / t_i, the reciprocal of the ratio r_i = t_i / s_i:
+    # A_{i+1} = (A_i + 1) * t_i / t_{i+1}, and t / (s + t) = r / (1 + r)
+    rows = fraction_ratios(parse_spec(text), n)
+    for (_, t, s), (_, t_next, s_next) in zip(rows, rows[1:]):
+        assert s_next / t_next == (s / t + 1) * t / t_next
+        assert t / (s + t) == (t / s) / (1 + t / s)
 
 
 @settings(max_examples=30, **COMMON)
@@ -280,27 +293,19 @@ def test_balance_recurrence_and_reciprocals(text, n):
     st.integers(2, 80),
 )
 def test_ratio_is_invariant_under_positive_scaling(text, k, n):
-    base = ratio_series(parse_spec(text), n)
-    scaled = ratio_series(Affine(parse_spec(text), k, F(0)), n)
-    for a, b in zip(base, scaled):
-        assert a.r_n == b.r_n and a.A_n == b.A_n
+    base = fraction_ratios(parse_spec(text), n)
+    scaled = fraction_ratios(Affine(parse_spec(text), k, F(0)), n)
+    for (_, t, s), (_, kt, ks) in zip(base, scaled):
+        assert t / s == kt / ks
 
 
 def _fraction_evidence(spec, horizon):
-    """The tail-window ratios over a Fraction running sum, term by term from
-    ``spec.term``: the loop numeric evidence ran before its integer pair."""
+    """The tail-window ratios of ``fraction_ratios``: the loop numeric
+    evidence ran before its integer pair."""
     window_start = max(2, horizon - horizon // 10)
-    running = F(0)
-    max_ratio = None
-    last_ratio = None
-    for i in range(1, horizon + 1):
-        term = spec.term(i)
-        if i >= window_start and running > 0:
-            r = term / running
-            last_ratio = r
-            if max_ratio is None or r > max_ratio:
-                max_ratio = r
-        running += term
+    ratios = [t / s for i, t, s in fraction_ratios(spec, horizon) if i >= window_start and s > 0]
+    max_ratio = max(ratios, default=None)
+    last_ratio = ratios[-1] if ratios else None
     small = max_ratio is not None and max_ratio < F(1, 1000)
     return window_start, max_ratio, last_ratio, small
 
@@ -321,16 +326,26 @@ prefixed_runs = st.tuples(
     st.lists(st.fractions(min_value=-9, max_value=30, max_denominator=3), min_size=1, max_size=4),
     run_strands,
 ).map(lambda t: ExplicitPrefix(*t))
-# (base, horizon): strands with runs, read run by run, up to 10**4 terms
+# strands whose terms are polynomials in the index: read in closed form
+# when the window holds 2*degree + 2 terms and the certificate holds
+polynomial_bases = st.sampled_from([
+    PowerOfIndex(1), PowerOfIndex(2), PowerOfIndex(3), Linear(),
+    Negate(Negate(PowerOfIndex(2))), PointwiseSquare(Affine(Linear(), 1, -7)),
+    PointwiseSum(PowerOfIndex(2), Linear()),
+])
+# (base, horizon): strands with runs, read run by run, and polynomial
+# strands, up to 10**4 terms
 evidence_cases = st.one_of(
     st.tuples(evidence_bases, st.integers(2, 400)),
     st.tuples(st.one_of(run_strands, prefixed_runs), st.integers(2, 10_000)),
+    st.tuples(polynomial_bases, st.integers(2, 10_000)),
 )
 
 
 # Fractional scales and shifts make the pair sum widen (past 2**128 under
 # geom(3/2) and geom(7/5), where it reduces by a gcd); shifts down to -60
 # keep the earlier sum at or below 0 into the window of long horizons.
+@seed(34)
 @settings(max_examples=120, **COMMON)
 @given(
     evidence_cases,
@@ -349,6 +364,16 @@ evidence_cases = st.one_of(
 # of negative terms takes it back to 0 or below
 @example((RunLength(4), 38), F(25, 6), F(-113, 6))
 @example((ExplicitPrefix((F(14), F(11), F(7)), RunLength(2)), 10), F(32, 5), F(-31))
+# polynomial strands: a window of 7 terms, short of 2*3 + 2 for pow(3); an
+# earlier sum below 0 at the window start 360 (positive from index 364 on);
+# certificates that fail, one where the ratio rises over the window (terms
+# (i - 44)**2, 1 at its start 45) and one where it does not; the square of
+# a rising base, whose degree is twice its base's
+@example((PowerOfIndex(3), 60), F(1), F(0))
+@example((PowerOfIndex(1), 400), F(1, 7), F(-26))
+@example((PointwiseSquare(Affine(Linear(), 1, -44)), 50), F(1), F(0))
+@example((PointwiseSquare(Affine(Linear(), 1, -7)), 50), F(1, 7), F(1000))
+@example((PointwiseSquare(Linear()), 10_000), F(2, 3), F(-5))
 def test_numeric_evidence_matches_a_fraction_reference(case, scale, shift):
     base, horizon = case
     spec = Affine(base, scale, shift)
@@ -362,10 +387,10 @@ def test_numeric_evidence_matches_a_fraction_reference(case, scale, shift):
 @settings(max_examples=20, **COMMON)
 @given(st.integers(1, 3), st.integers(2, 400))
 def test_power_sums_bracket_the_integral(k, n):
-    e = ratio_series(parse_spec(f"pow({k})"), n)[-1]
-    integral = (F(e.n) ** (k + 1) - 1) / (k + 1)
+    _, term, s_prev = fraction_ratios(parse_spec(f"pow({k})"), n)[-1]
+    integral = (F(n) ** (k + 1) - 1) / (k + 1)
     # sum_{i<n} f <= integral over [1, n] <= sum_{i<=n} f for increasing f
-    assert e.s_prev <= integral <= e.s_prev + e.term
+    assert s_prev <= integral <= s_prev + term
 
 
 # ---------------------------------------------------------------------------
